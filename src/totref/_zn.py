@@ -188,18 +188,17 @@ class SpanSolver:
         return [list(r) for r in self.kernel_rows]
 
     def span_size(self) -> int:
-        size = 1
-        for row in self.value_rows:
-            size *= self.n // row[_pivot(row)]
-        return size
-
-
-def row_span(rows: list[list[int]], n: int) -> list[list[int]]:
-    return howell(rows, n)
+        return _pivot_product(self.value_rows, self.n)
 
 
 def span_size(rows: list[list[int]], n: int) -> int:
+    """Number of elements in the row span of ``rows`` over Z/n."""
+    return _pivot_product(howell(rows, n), n)
+
+
+def _pivot_product(howell_rows: list[list[int]], n: int) -> int:
+    # a Howell row with pivot p contributes the n/p multiples of itself
     size = 1
-    for row in howell(rows, n):
+    for row in howell_rows:
         size *= n // row[_pivot(row)]
     return size

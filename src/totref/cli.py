@@ -379,6 +379,9 @@ def main(argv=None) -> int:
         return 2
     handler = _HANDLERS[(args.group, args.action)]
     try:
+        if args.degree is not None and args.degree < 0:
+            raise ParseError(f"--degree must be non-negative, "
+                             f"got {args.degree}")
         payload, code = handler(args)
     except PRECONDITION_ERRORS as exc:
         return _emit_error(args, exc, 3)

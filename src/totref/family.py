@@ -21,16 +21,8 @@ from .linalg import Matrix, check_exact_at, kernel_gens, solve_right
 from .modules import (PresentedModule, dual_presentation, ext_vanishing,
                       verify_iso_witness)
 from .report import FAIL, PASS, VerificationReport
-from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
-                    GradedMonomialRing, ideal_membership, scope_degree,
-                    scope_exhaustive)
+from .rings import GradedMonomialRing, ideal_membership, scope_of
 from .zerodiv import ExactZeroDivisorPair, weakly_regular_on_quotient
-
-
-def _pair_scope(pair, bound):
-    if isinstance(pair.ring, FiniteLocalRing):
-        return scope_exhaustive()
-    return scope_degree(bound if bound is not None else DEFAULT_DEGREE_BOUND)
 
 
 def _family_layout(pair, a, flavor: str):
@@ -132,7 +124,7 @@ def verify_complex(pair: ExactZeroDivisorPair, a, length: int = 4,
     if strict and not pair.is_exact:
         raise PreconditionFailed("the pair is not a verified exact pair")
     ring = pair.ring
-    rep = VerificationReport("periodic-complex", PASS, _pair_scope(pair, bound),
+    rep = VerificationReport("periodic-complex", PASS, scope_of(ring, bound),
                              {"a": repr(a), "pair_exact": pair.is_exact})
     g = gamma(pair, a, strict=False)
     e = eta(pair, a, strict=False)
@@ -140,7 +132,7 @@ def verify_complex(pair: ExactZeroDivisorPair, a, length: int = 4,
     eg = (e.without_degrees() * g.without_degrees()).is_zero
     rep.add(VerificationReport("composites-vanish",
                                PASS if ge and eg else FAIL,
-                               _pair_scope(pair, bound),
+                               scope_of(pair.ring, bound),
                                {"gamma_eta_zero": ge, "eta_gamma_zero": eg}))
     phi = phi_matrix(ring)
     gt = g.without_degrees().transpose()
@@ -149,7 +141,7 @@ def verify_complex(pair: ExactZeroDivisorPair, a, length: int = 4,
     id2 = (phi * et).entries == (g.without_degrees() * phi).entries
     rep.add(VerificationReport("half-turn-identities",
                                PASS if id1 and id2 else FAIL,
-                               _pair_scope(pair, bound),
+                               scope_of(pair.ring, bound),
                                {"phi_gamma_t_eq_eta_phi": id1,
                                 "phi_eta_t_eq_gamma_phi": id2}))
     if ge and eg:
@@ -180,7 +172,7 @@ def verify_total_reflexivity(pair: ExactZeroDivisorPair, a, i_max: int = 2,
     if strict and not pair.is_exact:
         raise PreconditionFailed("the pair is not a verified exact pair")
     rep = VerificationReport("total-reflexivity", PASS,
-                             _pair_scope(pair, bound), {"a": repr(a)})
+                             scope_of(pair.ring, bound), {"a": repr(a)})
     ring = pair.ring
     phi = phi_matrix(ring)
     for phase, module_of, other in (("G", module_g, module_h),
@@ -221,7 +213,7 @@ def verify_ideal_iso(pair: ExactZeroDivisorPair, a, bound=None,
         raise PreconditionFailed(
             "needs a verified exact pair and a injective on A/(y)")
     rep = VerificationReport("ideal-description", PASS,
-                             _pair_scope(pair, bound),
+                             scope_of(pair.ring, bound),
                              {"a": repr(a),
                               "a_injective_mod_y": hypothesis})
     g = gamma(pair, a, strict=False).without_degrees()
@@ -265,7 +257,7 @@ def verify_unit_twist(pair: ExactZeroDivisorPair, a, u, bound=None) -> Verificat
         raise NotAUnit(f"{u!r} is not a unit")
     one = ring.one()
     tw = Matrix(ring, [[one, ring.zero()], [ring.zero(), u]])
-    rep = VerificationReport("unit-twist", PASS, _pair_scope(pair, bound),
+    rep = VerificationReport("unit-twist", PASS, scope_of(pair.ring, bound),
                              {"a": repr(a), "unit": repr(u)})
     ua = u * a
     for builder, label in ((module_g, "G"), (module_h, "H")):
@@ -292,7 +284,7 @@ def verify_decomposable_case(pair: ExactZeroDivisorPair, a, bound=None,
         if strict:
             raise PreconditionFailed("a is not a multiple of x")
         return VerificationReport("decomposable-case", FAIL,
-                                  _pair_scope(pair, bound),
+                                  scope_of(pair.ring, bound),
                                   {"a": repr(a), "a_in_(x)": False})
     q = wit[0]
     one, zero = ring.one(), ring.zero()
@@ -301,7 +293,7 @@ def verify_decomposable_case(pair: ExactZeroDivisorPair, a, bound=None,
     src = module_g(pair, a, strict=False)
     tgt = module_g(pair, ring.zero(), strict=False)
     rep = VerificationReport("decomposable-case", PASS,
-                             _pair_scope(pair, bound),
+                             scope_of(pair.ring, bound),
                              {"a": repr(a), "q": repr(q)})
     rep.add(verify_iso_witness(
         PresentedModule(ring, src.rho.without_degrees(), src.label),
@@ -315,7 +307,7 @@ def verify_swap_symmetry(pair: ExactZeroDivisorPair, a, bound=None) -> Verificat
     to the sign twist diag(1, -1)."""
     ring = pair.ring
     swapped = pair.swapped(bound)
-    rep = VerificationReport("swap-symmetry", PASS, _pair_scope(pair, bound),
+    rep = VerificationReport("swap-symmetry", PASS, scope_of(pair.ring, bound),
                              {"a": repr(a),
                               "swapped_pair_exact": swapped.is_exact})
     g_swapped = gamma(swapped, a, strict=False).without_degrees()
@@ -323,7 +315,7 @@ def verify_swap_symmetry(pair: ExactZeroDivisorPair, a, bound=None) -> Verificat
     same = g_swapped.entries == h_minus.entries
     rep.add(VerificationReport(
         "swapped-gamma-equals-eta-of-minus-a", PASS if same else FAIL,
-        _pair_scope(pair, bound), {"identical_presentations": same}))
+        scope_of(pair.ring, bound), {"identical_presentations": same}))
     one, zero = ring.one(), ring.zero()
     sign = Matrix(ring, [[one, zero], [zero, -one]])
     h_src = PresentedModule(ring, h_minus, f"H({ring.format(-a)})")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fp, _zn
-from .errors import (InconclusiveStrategy, NonHomogeneous, PreconditionFailed,
-                     TooLarge, TotrefError, WrongBackend)
+from .errors import (InconclusiveStrategy, NonHomogeneous, ParseError,
+                     PreconditionFailed, TooLarge, TotrefError, WrongBackend)
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
                      phi_matrix, verify_total_reflexivity)
 from .linalg import (Matrix, _flatten_columns, _flatten_vector, _twist_layout,
@@ -32,7 +32,7 @@ from .modules import (PresentedModule, fitting_ideal, hilbert_function,
                       verify_iso_witness)
 from .report import FAIL, PASS, SCHEMA_VERSION, VerificationReport, report
 from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
-                    GradedMonomialRing, scope_degree, scope_exhaustive)
+                    GradedMonomialRing, scope_of)
 from .zerodiv import ExactZeroDivisorPair, verify_regular_pair, \
     weakly_regular_on_quotient
 
@@ -40,16 +40,18 @@ DEFAULT_MAX_CARRIER = 2_000_000
 DEFAULT_IDEMPOTENT_BUDGET = 4096
 
 
-def _scope(ring, bound):
-    if isinstance(ring, FiniteLocalRing):
-        return scope_exhaustive()
-    return scope_degree(bound if bound is not None else DEFAULT_DEGREE_BOUND)
-
-
 def _max_carrier(budget) -> int:
+    """The enumeration budget: ``budget``, else TOTREF_MAX_CARRIER."""
     if budget is not None:
         return int(budget)
-    return int(os.environ.get("TOTREF_MAX_CARRIER", DEFAULT_MAX_CARRIER))
+    text = os.environ.get("TOTREF_MAX_CARRIER")
+    if text is None:
+        return DEFAULT_MAX_CARRIER
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"TOTREF_MAX_CARRIER must be an integer, "
+                         f"got {text!r}") from None
 
 
 def _as_module(ring, arg, label: str) -> PresentedModule:
@@ -103,26 +105,51 @@ def _hom_degree(psi: Matrix, s1, s2) -> int | None:
     return deg
 
 
-def _relation_columns(target: PresentedModule, n1: int, s1):
-    """vec columns of rho_2 E_uv, a generating set of (rho_2 M) vectorised.
+def _vec_span(source: PresentedModule, target: PresentedModule, maps,
+              degs=None, relations: bool = True) -> Matrix:
+    """Columns vec(psi_t), then the vec(rho_2 E_uv) relation columns.
 
-    E_uv runs over the matrix units of the q2 x n1 lift space, so column
-    (u, v) places column u of rho_2 in column v of the map matrix.
+    E_uv runs over the matrix units of the q2 x n1 lift space, so relation
+    column (u, v) places column u of rho_2 in column v of the map matrix;
+    these span (rho_2 M) vectorised.  degs are the hom degrees of maps,
+    read off their entries when omitted.  The span carries degrees only
+    when every column degree is known.
     """
     ring = target.ring
     rho = target.rho
-    cols = []
-    degs = []
-    for u in range(rho.ncols):
-        for v in range(n1):
-            flat = []
-            for i in range(rho.nrows):
-                for k in range(n1):
-                    flat.append(rho.entries[i][u] if k == v else ring.zero())
-            cols.append(flat)
-            if rho.col_degs is not None and s1 is not None:
-                degs.append(rho.col_degs[u] - s1[v])
-    return cols, (tuple(degs) if degs else None)
+    n1, s1, s2 = source.ngens, source.gen_degs, target.gen_degs
+    carrier = _carrier_degs(s1, s2)
+    columns = [[psi.entries[i][k]
+                for i in range(psi.nrows) for k in range(psi.ncols)]
+               for psi in maps]
+    col_degs = None
+    if carrier is not None:
+        try:
+            col_degs = list(degs) if degs is not None else \
+                [_hom_degree(psi, s1, s2) or 0 for psi in maps]
+        except NonHomogeneous:
+            pass
+    if relations:
+        zero = ring.zero()
+        for u in range(rho.ncols):
+            for v in range(n1):
+                columns.append([rho.entries[i][u] if k == v else zero
+                                for i in range(rho.nrows)
+                                for k in range(n1)])
+        if rho.col_degs is None:
+            col_degs = None
+        elif col_degs is not None:
+            col_degs += [rho.col_degs[u] - s1[v]
+                         for u in range(rho.ncols) for v in range(n1)]
+    if col_degs is None or any(t is None for t in col_degs):
+        return _columns_matrix(ring, columns, None, None)
+    return _columns_matrix(ring, columns, carrier, col_degs)
+
+
+def _express(span: Matrix, psi: Matrix, bound):
+    """Coefficients writing vec(psi) over the columns of span, or None."""
+    rhs = _vec_column(span.ring, psi.without_degrees(), span.row_degs)
+    return solve_right(span, rhs, bound)
 
 
 def _columns_matrix(ring, columns, row_degs, col_degs) -> Matrix:
@@ -158,44 +185,11 @@ class HomPresentation:
     def gen_count(self) -> int:
         return len(self.generators)
 
-    def _span(self):
-        ring = self.ring
-        s1, s2 = self.source.gen_degs, self.target.gen_degs
-        carrier = _carrier_degs(s1, s2)
-        rel_cols, rel_degs = _relation_columns(self.target,
-                                               self.source.ngens, s1)
-        columns = []
-        degs = []
-        for psi, t in zip(self.generators, self.gen_degrees):
-            columns.append([psi.entries[i][k]
-                            for i in range(psi.nrows)
-                            for k in range(psi.ncols)])
-            degs.append(t)
-        columns.extend(rel_cols)
-        if carrier is not None and rel_degs is not None \
-                and all(t is not None for t in degs):
-            return _columns_matrix(ring, columns, carrier,
-                                   tuple(degs) + rel_degs)
-        return _columns_matrix(ring, columns, None, None)
-
-    def express(self, psi: Matrix, bound=None):
-        """Coefficients c with psi = sum c_t generators[t] mod rho_2 M.
-
-        Returns (coefficients, remainder_part) or None when psi is not in
-        Hom at the recorded scope.
-        """
-        span = self._span()
-        rhs = _vec_column(self.ring, psi.without_degrees(), span.row_degs)
-        sol = solve_right(span, rhs, bound)
-        if sol is None:
-            return None
-        coeffs = [sol.entries[t][0] for t in range(self.gen_count)]
-        rest = [sol.entries[t][0]
-                for t in range(self.gen_count, sol.nrows)]
-        return coeffs, rest
-
     def contains(self, psi: Matrix, bound=None) -> bool:
-        return self.express(psi, bound) is not None
+        """Whether psi = sum c_t generators[t] mod rho_2 M at the scope."""
+        span = _vec_span(self.source, self.target, self.generators,
+                         self.gen_degrees)
+        return _express(span, psi, bound) is not None
 
 
 def hom_presentation(source, target, bound=None,
@@ -213,7 +207,7 @@ def hom_presentation(source, target, bound=None,
     tgt = _as_module(ring, target, "M2")
     if src.ring.key != tgt.ring.key:
         raise TotrefError("source and target live over different rings")
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     rho1, rho2 = src.rho, tgt.rho
     n1, q1 = rho1.nrows, rho1.ncols
     n2, q2 = rho2.nrows, rho2.ncols
@@ -261,23 +255,15 @@ def hom_presentation(source, target, bound=None,
         gen_degrees.append(t)
 
     label = f"Hom({src.label},{tgt.label})"
-    carrier = _carrier_degs(s1, s2) if graded else None
-    rel_cols, rel_degs = _relation_columns(tgt, n1, s1)
     if not generators:
         one = Matrix(ring, [[ring.one()]],
                      (0,) if graded else None, (0,) if graded else None)
         module = PresentedModule(ring, one, label)
         return HomPresentation(src, tgt, (), (), (), module, scope)
 
-    columns = [[psi.entries[i][k] for i in range(n2) for k in range(n1)]
-               for psi in generators]
+    coeff = _vec_span(src, tgt, generators, gen_degrees)
+    use_degs = coeff.col_degs is not None
     col_deg_list = list(gen_degrees)
-    use_degs = graded and carrier is not None and rel_degs is not None \
-        and all(t is not None for t in col_deg_list)
-    coeff = _columns_matrix(ring, columns + rel_cols,
-                            carrier if use_degs else None,
-                            tuple(col_deg_list) + rel_degs
-                            if use_degs else None)
     rel_columns = []
     rel_col_degs = []
     k = len(generators)
@@ -307,10 +293,11 @@ def hom_presentation(source, target, bound=None,
 class _TargetTables:
     """Indexed coset arithmetic for a finite presented module.
 
-    Cosets are numbered 0..r-1 by their canonical representatives; add is
-    the r x r sum table and mul maps each ring element (by coordinate key)
-    to the r-vector of scalar multiples.  Building the tables costs r^2
-    reductions, so instances are cached per presentation.
+    Cosets are numbered 0..r-1 by their canonical keys; reps[i] is a
+    generator-coefficient tuple of coset i, add is the r x r sum table and
+    mul maps each ring element (by coordinate key) to the r-vector of
+    scalar multiples.  Building the tables costs r^2 reductions, so
+    instances are cached per presentation.
     """
 
     def __init__(self, module: PresentedModule, budget: int):
@@ -326,6 +313,7 @@ class _TargetTables:
             if key not in reps:
                 reps[key] = combo
         self.keys = sorted(reps)
+        self.reps = [reps[key] for key in self.keys]
         r = len(self.keys)
         if r * r > budget:
             raise TooLarge("coset table exceeds the carrier budget")
@@ -341,8 +329,8 @@ class _TargetTables:
         self.mul = {}
         for c in ring.enumerate_carrier():
             vec = np.empty(r, dtype=np.int32)
-            for i, key in enumerate(self.keys):
-                scaled = [c * e for e in reps[key]]
+            for i, rep in enumerate(self.reps):
+                scaled = [c * e for e in rep]
                 vec[i] = self.index[
                     self.solver.reduce(_flatten_vector(ring, scaled))]
             self.mul[c.coords] = vec
@@ -407,16 +395,17 @@ def brute_force_hom_oracle(source, target, budget=None, ring=None):
     return maps
 
 
-def hom_maps_from_presentation(hp: HomPresentation, budget=None):
-    """The map set generated by hp's generators, element by element.
+def _map_closure(hp: HomPresentation, budget: int, cap: int):
+    """Coset tables of hp's target and the maps hp's generators reach.
 
-    Closes {0} under adding scalar multiples of the generator evaluations;
-    the result is comparable with brute_force_hom_oracle output.
+    A map is the tuple of coset indices of the images of the source
+    generators.  Closes {0} under adding scalar multiples of the generator
+    evaluations; raises TooLarge past ``budget`` table cells or ``cap``
+    maps.
     """
     ring = hp.ring
     if not isinstance(ring, FiniteLocalRing):
         raise WrongBackend("map enumeration needs the finite backend")
-    budget = _max_carrier(budget)
     tgt = hp.target
     n1 = hp.source.ngens
     tables = _target_tables(tgt, budget)
@@ -438,10 +427,21 @@ def hom_maps_from_presentation(hp: HomPresentation, budget=None):
             cand = tuple(int(tables.add[b, s])
                          for b, s in zip(base, step))
             if cand not in found:
-                if len(found) >= budget:
-                    raise TooLarge("generated map set exceeds the budget")
+                if len(found) >= cap:
+                    raise TooLarge(f"generated map set exceeds the budget "
+                                   f"of {cap} maps")
                 found.add(cand)
                 frontier.append(cand)
+    return tables, found
+
+
+def hom_maps_from_presentation(hp: HomPresentation, budget=None):
+    """The map set generated by hp's generators, element by element.
+
+    The result is comparable with brute_force_hom_oracle output.
+    """
+    budget = _max_carrier(budget)
+    tables, found = _map_closure(hp, budget, budget)
     return {tuple(tables.keys[i] for i in state) for state in found}
 
 
@@ -542,7 +542,7 @@ def verify_five_generators(pair: ExactZeroDivisorPair, a, b,
     if kind not in ("hg", "gg"):
         raise TotrefError("kind must be 'hg' or 'gg'")
     ring = pair.ring
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     need = "either" if kind == "hg" else "a"
     ok, info = _hypotheses(pair, bound, a=a, b=b, need=need)
     if strict and not ok:
@@ -573,31 +573,20 @@ def verify_five_generators(pair: ExactZeroDivisorPair, a, b,
     src = PresentedModule(ring, rho1, f"Coker({rho1_plain!r})")
     tgt = PresentedModule(ring, rho2, f"Coker({rho2_plain!r})")
     hp = hom_presentation(src, tgt, bound)
-    span = _special_span(ring, psis, src.gen_degs, tgt.gen_degs)
-    escaped = []
-    for psi in hp.generators:
-        rhs = _vec_column(ring, psi.without_degrees(), span.row_degs)
-        if solve_right(span, rhs, bound) is None:
-            escaped.append(repr(psi))
-    rep.add(report("computed-generators-in-span", not escaped, scope,
-                   {"computed_generators": hp.gen_count,
-                    "escaping": escaped[:3]}))
+    span = _vec_span(src, tgt, psis, relations=False)
+    rep.add(_generators_covered(hp, span, bound, scope,
+                                "computed-generators-in-span"))
     return rep
 
 
-def _special_span(ring, psis, s1, s2) -> Matrix:
-    """vec columns of the special maps, with degrees when available."""
-    columns = [[psi.entries[i][k]
-                for i in range(psi.nrows) for k in range(psi.ncols)]
-               for psi in psis]
-    carrier = _carrier_degs(s1, s2)
-    if carrier is not None:
-        try:
-            degs = tuple(_hom_degree(psi, s1, s2) or 0 for psi in psis)
-            return _columns_matrix(ring, columns, carrier, degs)
-        except NonHomogeneous:
-            pass
-    return _columns_matrix(ring, columns, None, None)
+def _generators_covered(hp: HomPresentation, span: Matrix, bound, scope,
+                        name: str) -> VerificationReport:
+    """Every computed generator of hp lies in the column span of span."""
+    escaped = [repr(psi) for psi in hp.generators
+               if _express(span, psi, bound) is None]
+    return report(name, not escaped, scope,
+                  {"computed_generators": hp.gen_count,
+                   "escaping": escaped[:3]})
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +615,7 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b,
     is inside the claimed presentation's column span.
     """
     ring = pair.ring
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     ab = a * b
     if kind == "hg":
         rho1 = eta(pair, b, strict=False)
@@ -695,30 +684,9 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b,
                    {"witnesses": [repr(w) for _, w in reductions]}))
 
     hp = hom_presentation(source, target, bound)
-    s1, s2 = source.gen_degs, target.gen_degs
-    carrier = _carrier_degs(s1, s2)
-    rel_cols, rel_degs = _relation_columns(target, source.ngens, s1)
-    two_cols = [[psi.entries[i][k] for i in range(2) for k in range(2)]
-                for psi in psis[:2]]
-    use_degs = carrier is not None and rel_degs is not None
-    two_degs = None
-    if use_degs:
-        try:
-            two_degs = tuple(_hom_degree(psi, s1, s2) or 0
-                             for psi in psis[:2])
-        except NonHomogeneous:
-            use_degs = False
-    span = _columns_matrix(ring, two_cols + rel_cols,
-                           carrier if use_degs else None,
-                           (two_degs + rel_degs) if use_degs else None)
-    escaped = []
-    for psi in hp.generators:
-        rhs = _vec_column(ring, psi.without_degrees(), span.row_degs)
-        if solve_right(span, rhs, bound) is None:
-            escaped.append(repr(psi))
-    rep.add(report("computed-generators-covered", not escaped, scope,
-                   {"computed_generators": hp.gen_count,
-                    "escaping": escaped[:3]}))
+    span = _vec_span(source, target, psis[:2])
+    rep.add(_generators_covered(hp, span, bound, scope,
+                                "computed-generators-covered"))
 
     kernel_ok = True
     kernel_count = 0
@@ -735,7 +703,8 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b,
     rep.add(report("kernel-inside-presentation", kernel_ok, scope,
                    {"kernel_generators": kernel_count}))
 
-    rep.add(_profile_match(hp, claimed, psis[0], s1, s2, bound, scope))
+    rep.add(_profile_match(hp, claimed, psis[0], source.gen_degs,
+                           target.gen_degs, bound, scope))
     return rep
 
 
@@ -785,7 +754,7 @@ def verify_hom_hg(pair: ExactZeroDivisorPair, a, b, bound=None,
     diag(1, -1) twist.
     """
     ring = pair.ring
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     ok, info = _hypotheses(pair, bound, a=a, b=b, need="either")
     if strict and not ok:
         raise PreconditionFailed("Hom identity hypotheses unmet: "
@@ -837,7 +806,7 @@ def verify_hom_g_ab_a(pair: ExactZeroDivisorPair, a, b, bound=None,
     bijection.
     """
     ring = pair.ring
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     ok, info = _hypotheses(pair, bound, a=a, b=b, need="a")
     if strict and not ok:
         raise PreconditionFailed("Hom identity hypotheses unmet: "
@@ -913,7 +882,7 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt, bound=None,
     uniquely, and the two round trips return every generator.
     """
     ring = pair.ring
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     src_fl, src_el = src
     tgt_fl, tgt_el = tgt
     m_src = _flavor_module(pair, src_fl, src_el)
@@ -1037,7 +1006,7 @@ def verify_end_ring(pair: ExactZeroDivisorPair, a, bound=None,
     graded one.
     """
     ring = pair.ring
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     ok, info = _hypotheses(pair, bound, a=a, need="a")
     if strict and not ok:
         raise PreconditionFailed("End ring hypotheses unmet: "
@@ -1047,33 +1016,20 @@ def verify_end_ring(pair: ExactZeroDivisorPair, a, bound=None,
     for flavor in ("G", "H"):
         module = _flavor_module(pair, flavor, a)
         hp = hom_presentation(module, module, bound)
-        rep.add(_identity_generates(hp, bound, scope))
-        rep.add(_identity_faithful(hp, bound, scope))
+        span = _vec_span(module, module,
+                         [Matrix.identity(ring, module.ngens)])
+        rep.add(_identity_generates(hp, span, bound, scope))
+        rep.add(_identity_faithful(hp, span, bound, scope))
         rep.add(_idempotent_scan(hp, bound, idempotent_budget, scope))
     return rep
 
 
-def _identity_column(hp: HomPresentation):
-    ring = hp.ring
-    n = hp.source.ngens
-    ident = Matrix.identity(ring, n)
-    carrier = _carrier_degs(hp.source.gen_degs, hp.target.gen_degs)
-    flat = [ident.entries[i][k] for i in range(n) for k in range(n)]
-    cols = [flat]
-    rel_cols, rel_degs = _relation_columns(hp.target, n, hp.source.gen_degs)
-    cols.extend(rel_cols)
-    degs = ((0,) + rel_degs) if carrier is not None and rel_degs is not None \
-        else None
-    return _columns_matrix(ring, cols, carrier, degs)
-
-
-def _identity_generates(hp: HomPresentation, bound, scope):
-    span = _identity_column(hp)
+def _identity_generates(hp: HomPresentation, span: Matrix, bound, scope):
+    """span holds vec(identity) and the relation columns."""
     scalars = []
     ok = True
     for psi in hp.generators:
-        rhs = _vec_column(hp.ring, psi.without_degrees(), span.row_degs)
-        sol = solve_right(span, rhs, bound)
+        sol = _express(span, psi, bound)
         if sol is None:
             ok = False
             break
@@ -1082,8 +1038,7 @@ def _identity_generates(hp: HomPresentation, bound, scope):
                   {"scalars": scalars if ok else "incomplete"})
 
 
-def _identity_faithful(hp: HomPresentation, bound, scope):
-    span = _identity_column(hp)
+def _identity_faithful(hp: HomPresentation, span: Matrix, bound, scope):
     ok = True
     for gen in kernel_gens(span, bound):
         if not gen.entries[0][0].is_zero:
@@ -1095,26 +1050,34 @@ def _identity_faithful(hp: HomPresentation, bound, scope):
 def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
     ring = hp.ring
     module = hp.target
-    rho = module.rho.without_degrees()
     name = f"no-nontrivial-idempotent({hp.module.label})"
+    budget = budget if budget is not None else DEFAULT_IDEMPOTENT_BUDGET
     found = []
+    detail_scope = dict(scope)
     if isinstance(ring, FiniteLocalRing):
-        budget = budget if budget is not None else DEFAULT_IDEMPOTENT_BUDGET
-        classes = _endo_classes(hp, budget)
-        solver = _coset_solver(hp)
-        zero_key = solver.reduce([0] * solver.height)
-        ident = Matrix.identity(ring, module.ngens)
-        id_key = _vec_key(solver, ident)
-        for key, mat in classes.items():
-            residual = mat * mat - mat
-            if _vec_key(solver, residual) != zero_key:
+        tables, states = _map_closure(hp, _max_carrier(None), budget)
+        n = module.ngens
+        ident = tuple(tables.index_of_column(
+            [ring.one() if i == k else ring.zero() for i in range(n)])
+            for k in range(n))
+        zero = (tables.zero_idx,) * n
+        for state in sorted(states):
+            if state in (zero, ident):
                 continue
-            if key not in (zero_key, id_key):
-                found.append(repr(mat))
-        detail_scope = dict(scope)
-        detail = {"classes": len(classes)}
+            # f(f(e_k)) = sum_i c_i f(e_i) for the representative c of f(e_k)
+            square = []
+            for k in range(n):
+                acc = tables.zero_idx
+                for c, image in zip(tables.reps[state[k]], state):
+                    acc = tables.add[acc, tables.mul[c.coords][image]]
+                square.append(acc)
+            if tuple(square) == state:
+                found.append(repr(Matrix(
+                    ring, [[tables.reps[state[k]][i] for k in range(n)]
+                           for i in range(n)])))
+        detail = {"classes": len(states)}
     else:
-        budget = budget if budget is not None else DEFAULT_IDEMPOTENT_BUDGET
+        rho = module.rho.without_degrees()
         degree_zero = [psi for psi, t in zip(hp.generators, hp.gen_degrees)
                        if t == 0]
         if ring.p ** len(degree_zero) > budget:
@@ -1137,57 +1100,10 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
                 solve_right(rho, diff, bound) is not None
             if not is_zero and not is_id:
                 found.append(repr(mat))
-        detail_scope = dict(scope)
         detail_scope["idempotent_candidates"] = "degree-zero combinations"
         detail = {"degree_zero_generators": len(degree_zero)}
     detail["nontrivial_idempotents"] = found[:4]
     return report(name, not found, detail_scope, detail)
-
-
-def _coset_solver(hp: HomPresentation) -> _zn.SpanSolver:
-    ring = hp.ring
-    rel_cols, _ = _relation_columns(hp.target, hp.source.ngens, None)
-    mat = _columns_matrix(ring, rel_cols, None, None)
-    cols, height = _flatten_columns(mat)
-    return _zn.SpanSolver(cols, ring.n, height)
-
-
-def _vec_key(solver: _zn.SpanSolver, mat: Matrix):
-    ring = mat.ring
-    flat = []
-    for i in range(mat.nrows):
-        for k in range(mat.ncols):
-            flat.extend(mat.entries[i][k].coords)
-    return solver.reduce(flat)
-
-
-def _endo_classes(hp: HomPresentation, budget: int):
-    """Coset representatives of End as matrices, finite backend."""
-    ring = hp.ring
-    solver = _coset_solver(hp)
-    n = hp.target.ngens
-    zero = Matrix.zeros(ring, n, hp.source.ngens)
-    found = {_vec_key(solver, zero): zero}
-    frontier = [zero]
-    steps = []
-    for psi in hp.generators:
-        plain = psi.without_degrees()
-        for c in ring.enumerate_carrier():
-            if c.is_zero:
-                continue
-            steps.append(plain * c)
-    while frontier:
-        base = frontier.pop()
-        for step in steps:
-            cand = base + step
-            key = _vec_key(solver, cand)
-            if key not in found:
-                if len(found) >= budget:
-                    raise TooLarge("endomorphism enumeration exceeds the "
-                                   "budget")
-                found[key] = cand
-                frontier.append(cand)
-    return found
 
 
 def verify_end_op_iso(pair: ExactZeroDivisorPair, a,
@@ -1199,7 +1115,7 @@ def verify_end_op_iso(pair: ExactZeroDivisorPair, a,
     the other in reverse order, sampled over all generator pairs.
     """
     ring = pair.ring
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     rep = VerificationReport(f"end-op-transpose({ring.format(a)})", PASS,
                              scope, {"a": ring.format(a)})
     rep.add(verify_hom_transpose(pair, ("G", a), ("G", a), bound))
@@ -1364,7 +1280,7 @@ def verify_ext_swap(pair: ExactZeroDivisorPair, a, b, i_max: int = 2,
     Hom itself, the i = 0 case, is covered by the Hom identity verifiers.
     """
     ring = pair.ring
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     rep = VerificationReport(
         f"ext-interchange({ring.format(a)},{ring.format(b)},i<={i_max})",
         PASS, scope, {"a": ring.format(a), "b": ring.format(b)})
@@ -1428,7 +1344,7 @@ def noniso_certificate(m1: PresentedModule, m2: PresentedModule,
     ring = m1.ring
     if m2.ring.key != ring.key:
         raise TotrefError("modules live over different rings")
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     name = f"noniso({m1.label},{m2.label})-{strategy}"
     if strategy == "mu":
         mu1, mu2 = minimal_generator_count(m1), minimal_generator_count(m2)
@@ -1510,7 +1426,7 @@ def run_family(pair: ExactZeroDivisorPair, b_sequence, n_max=None,
     all 2 n_max modules; then every entry of the Hom table.
     """
     ring = pair.ring
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     bs = list(b_sequence) if isinstance(b_sequence, (list, tuple)) \
         else [b_sequence]
     bs = [ring.parse(e) if isinstance(e, str) else e for e in bs]

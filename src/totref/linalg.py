@@ -69,11 +69,6 @@ class Matrix:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_strings(cls, ring, rows, row_degs=None, col_degs=None) -> "Matrix":
-        parsed = [[ring.parse(cell) for cell in row] for row in rows]
-        return cls(ring, parsed, row_degs, col_degs)
-
-    @classmethod
     def identity(cls, ring, n: int, degs=None) -> "Matrix":
         one, zero = ring.one(), ring.zero()
         rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -95,14 +90,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.nrows, self.ncols
-
-    def at(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def column(self, j: int) -> "Matrix":
-        col_degs = (self.col_degs[j],) if self.col_degs is not None else None
-        return Matrix(self.ring, [[row[j]] for row in self.entries],
-                      self.row_degs, col_degs)
 
     @property
     def is_zero(self) -> bool:
@@ -195,15 +182,7 @@ class Matrix:
                     if self.row_degs is not None else None)
         return Matrix(self.ring, rows, row_degs, col_degs)
 
-    def map_entries(self, fn) -> "Matrix":
-        return Matrix(self.ring, [[fn(e) for e in row] for row in self.entries])
-
     # -- determinants -------------------------------------------------------
-
-    def det(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        return _det(self.ring, self.entries)
 
     def minors(self, size: int) -> list:
         """All size-by-size minors, in row-set then column-set order."""

@@ -16,9 +16,8 @@ from .linalg import (Matrix, _flatten_columns, _flatten_vector,
                      _twist_layout, check_exact_at, column_span_size, hstack,
                      infer_degrees, slice_matrix, solve_right)
 from .report import FAIL, PASS, VerificationReport
-from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
-                    GradedMonomialRing, ideal_membership, scope_degree,
-                    scope_exhaustive)
+from .rings import (FiniteLocalRing, GradedMonomialRing, ideal_membership,
+                    scope_of)
 
 
 class PresentedModule:
@@ -79,10 +78,6 @@ class PresentedModule:
         sl = slice_matrix(self.rho, d)
         return free_dim - (_fp.rank(sl, self.ring.p) if sl.size else 0)
 
-    def contains_in_relations(self, column: Matrix, bound=None) -> bool:
-        """Whether a generator column represents 0 in M."""
-        return solve_right(self.rho, column, bound) is not None
-
 
 def hilbert_function(module: PresentedModule, lo: int, hi: int) -> list[int]:
     return [module.slice_dim(d) for d in range(lo, hi + 1)]
@@ -139,70 +134,17 @@ class ModuleMap:
         self.target = target
         self.psi = psi
 
-    def well_defined(self, bound=None) -> tuple[bool, Matrix | None]:
-        """Find a lift xi with psi * rho_src = rho_tgt * xi."""
-        product = self.psi * self.source.rho
-        xi = solve_right(self.target.rho, product, bound)
-        return xi is not None, xi
+    def is_injective(self) -> bool:
+        """Whether the induced map is injective, finite backend only.
 
-    def is_zero_map(self, bound=None) -> bool:
-        return solve_right(self.target.rho, self.psi, bound) is not None
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        if other.target is not self.source and \
-                other.target.rho.entries != self.source.rho.entries:
-            raise DimensionMismatch("maps are not composable")
-        return ModuleMap(other.source, self.target, self.psi * other.psi)
-
-    # -- scope-exact injectivity / surjectivity -----------------------------
-
-    def _sizes_finite(self) -> tuple[int, int, int]:
+        Compares the size of the image, |colspan [psi | rho_tgt]| over
+        |colspan rho_tgt|, with the size of the source.
+        """
+        source_size = self.source.size()
         stacked = _hstack_mats(self.psi, self.target.rho)
-        image_plus_rel = column_span_size(stacked)
-        rel = self.target._span_solver().span_size()
-        induced_image = image_plus_rel // rel
-        return induced_image, self.source.size(), self.target.size()
-
-    def is_injective(self, bound=None) -> bool:
-        if isinstance(self.source.ring, FiniteLocalRing):
-            induced_image, src, _ = self._sizes_finite()
-            return induced_image == src
-        return self._graded_ranks_ok(bound, want="inj")
-
-    def is_surjective(self, bound=None) -> bool:
-        if isinstance(self.source.ring, FiniteLocalRing):
-            induced_image, _, tgt = self._sizes_finite()
-            return induced_image == tgt
-        return self._graded_ranks_ok(bound, want="surj")
-
-    def is_bijective(self, bound=None) -> bool:
-        if isinstance(self.source.ring, FiniteLocalRing):
-            induced_image, src, tgt = self._sizes_finite()
-            return induced_image == src == tgt
-        return self._graded_ranks_ok(bound, want="bij")
-
-    def _graded_ranks_ok(self, bound, want: str) -> bool:
-        ring = self.source.ring
-        if bound is None:
-            bound = DEFAULT_DEGREE_BOUND
-        psi = self.psi
-        if psi.row_degs is None or psi.col_degs is None:
-            psi = psi.with_degrees(self.target.gen_degs, self.source.gen_degs)
-        stacked = _hstack_mats(psi, self.target.rho)
-        start = min(min(self.source.gen_degs), min(self.target.gen_degs))
-        for d in range(start, bound + 1):
-            sl_all = slice_matrix(stacked, d)
-            sl_rel = slice_matrix(self.target.rho, d)
-            rank_all = _fp.rank(sl_all, ring.p) if sl_all.size else 0
-            rank_rel = _fp.rank(sl_rel, ring.p) if sl_rel.size else 0
-            dim_image = rank_all - rank_rel
-            if want in ("inj", "bij"):
-                if dim_image != self.source.slice_dim(d):
-                    return False
-            if want in ("surj", "bij"):
-                if dim_image != self.target.slice_dim(d):
-                    return False
-        return True
+        image = column_span_size(stacked) \
+            // self.target._span_solver().span_size()
+        return image == source_size
 
 
 def _hstack_mats(a: Matrix, b: Matrix) -> Matrix:
@@ -230,9 +172,7 @@ def verify_iso_witness(source: PresentedModule, target: PresentedModule,
     change of generators.
     """
     ring = source.ring
-    scope = (scope_exhaustive() if isinstance(ring, FiniteLocalRing)
-             else scope_degree(bound if bound is not None
-                               else DEFAULT_DEGREE_BOUND))
+    scope = scope_of(ring, bound)
     # twist layouts are re-derived per solve; witnesses stay layout-free
     p_matrix = p_matrix.without_degrees()
     rho_src = source.rho.without_degrees()
@@ -298,10 +238,7 @@ def validate_resolution(module: PresentedModule, differentials: list[Matrix],
     if not differentials or differentials[0].entries != module.rho.entries:
         raise InvalidResolution("first differential must be the presentation")
     rep = VerificationReport("resolution-valid", PASS,
-                             scope_exhaustive()
-                             if isinstance(module.ring, FiniteLocalRing)
-                             else scope_degree(bound if bound is not None
-                                               else DEFAULT_DEGREE_BOUND))
+                             scope_of(module.ring, bound))
     for i in range(len(differentials) - 1):
         outgoing = differentials[i]
         incoming = differentials[i + 1]
@@ -329,11 +266,7 @@ def ext_vanishing(module: PresentedModule, differentials: list[Matrix],
     if len(differentials) < i_max + 1:
         raise InvalidResolution(
             f"need {i_max + 1} differentials to reach Ext^{i_max}")
-    rep = VerificationReport(name, PASS,
-                             scope_exhaustive()
-                             if isinstance(module.ring, FiniteLocalRing)
-                             else scope_degree(bound if bound is not None
-                                               else DEFAULT_DEGREE_BOUND))
+    rep = VerificationReport(name, PASS, scope_of(module.ring, bound))
     rep.add(validate_resolution(module, differentials, bound))
     for i in range(1, i_max + 1):
         incoming = differentials[i - 1].transpose()

@@ -39,6 +39,13 @@ def scope_degree(bound: int) -> dict:
     return {"mode": "degree", "bound": bound}
 
 
+def scope_of(ring, bound) -> dict:
+    """What a check over ring establishes: exhaustive, or degrees <= bound."""
+    if isinstance(ring, FiniteLocalRing):
+        return scope_exhaustive()
+    return scope_degree(bound if bound is not None else DEFAULT_DEGREE_BOUND)
+
+
 # ---------------------------------------------------------------------------
 # expression parsing (shared by both backends)
 
@@ -590,11 +597,6 @@ class GradedMonomialRing:
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
-    def index_of(self, exp: tuple[int, ...]) -> int:
-        d = sum(exp)
-        self.basis(d)
-        return self._index_cache[d][exp]
-
     # -- slice linear algebra ----------------------------------------------
 
     def mult_matrix(self, e: GradedElement, src_deg: int) -> np.ndarray:
@@ -820,10 +822,7 @@ def ideal_membership(ring, e, generators, bound: int | None = None):
         if x is None:
             return False, None
         witnesses = [ring.element(x[i * d:(i + 1) * d]) for i in range(len(gens))]
-        total = ring.zero()
-        for w, g in zip(witnesses, gens):
-            total = total + w * g
-        assert total == e
+        _check_witnesses(ring, e, witnesses, gens)
         return True, witnesses
     if bound is None:
         bound = DEFAULT_DEGREE_BOUND
@@ -853,10 +852,7 @@ def ideal_membership(ring, e, generators, bound: int | None = None):
                 piece = ring.element_of_vector(sol[offset:offset + width, 0], src)
                 witnesses[i] = witnesses[i] + piece
                 offset += width
-        total = ring.zero()
-        for w, g in zip(witnesses, gens):
-            total = total + w * g
-        assert total == e
+        _check_witnesses(ring, e, witnesses, gens)
         return True, witnesses
     # mixed-degree generators: truncated search, sound positives only
     max_gen_deg = max((g.degree() or 0) for g in gens) if gens else 0
@@ -894,12 +890,23 @@ def ideal_membership(ring, e, generators, bound: int | None = None):
         c = int(sol[idx, 0]) % ring.p
         if c:
             witnesses[i] = witnesses[i] + ring.from_int(c) * mono
-    total = ring.zero()
-    for w, g in zip(witnesses, gens):
-        total = total + w * g
-    if total != e:
+    if _combination(ring, witnesses, gens) != e:
         return False, None
     return True, witnesses
+
+
+def _combination(ring, coeffs, gens):
+    total = ring.zero()
+    for c, g in zip(coeffs, gens):
+        total = total + c * g
+    return total
+
+
+def _check_witnesses(ring, e, witnesses, gens) -> None:
+    """Raise unless sum witnesses[i] * gens[i] reproduces e."""
+    if _combination(ring, witnesses, gens) != e:
+        raise TotrefError("ideal membership witnesses do not reproduce "
+                          f"{ring.format(e)}")
 
 
 def graded_basis(ring, d: int):

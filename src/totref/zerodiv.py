@@ -21,7 +21,7 @@ from .modules import ModuleMap, PresentedModule
 from .report import FAIL, PASS, VerificationReport
 from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
                     GradedMonomialRing, annihilator, ideal_membership,
-                    scope_degree, scope_exhaustive)
+                    scope_of)
 
 
 @dataclass
@@ -46,17 +46,11 @@ class ExactZeroDivisorPair:
                 "exact": self.is_exact, "regular": self.regular}
 
 
-def _scope(ring, bound):
-    if isinstance(ring, FiniteLocalRing):
-        return scope_exhaustive()
-    return scope_degree(bound if bound is not None else DEFAULT_DEGREE_BOUND)
-
-
 def verify_exact_pair(ring, x, y, bound=None) -> VerificationReport:
     """Certify Ann(x) = (y), Ann(y) = (x) and x y = 0."""
     if ring.is_unit(x) or ring.is_unit(y):
         raise UnitInput("members of an exact pair must be non-units")
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     details: dict = {"x": repr(x), "y": repr(y)}
     rep = VerificationReport("exact-pair", PASS, scope, details)
     details["x_nonzero"] = not x.is_zero
@@ -222,7 +216,7 @@ def verify_regular_pair(pair: ExactZeroDivisorPair, bound=None) -> VerificationR
     returned report passes only when the pair is regular.
     """
     ring = pair.ring
-    scope = _scope(ring, bound)
+    scope = scope_of(ring, bound)
     rep = VerificationReport("regular-pair", PASS, scope,
                              {"x": repr(pair.x), "y": repr(pair.y)})
     cond1 = weakly_regular_on_quotient(ring, pair.x, [pair.y], bound)

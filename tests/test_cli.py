@@ -191,3 +191,24 @@ def test_inline_vs_file_ring_descriptors(tmp_path, capsys):
                                  "--format", "json")
     assert code_inline == code_file == 0
     assert out_inline == out_file
+
+
+def test_bad_carrier_budget_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setenv("TOTREF_MAX_CARRIER", "abc")
+    code, out, _ = run(capsys, "oracle", "hom", "--ring", Z9,
+                       "--x", "3", "--y", "3", "--source", "gamma:0",
+                       "--target", "gamma:0", "--format", "json")
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "ParseError"
+    assert record["exit_code"] == 2
+
+
+def test_negative_degree_is_a_usage_error(capsys):
+    code, out, _ = run(capsys, "pair", "verify", "--ring", F5,
+                       "--x", "x", "--y", "y", "--degree", "-3",
+                       "--format", "json")
+    assert code == 2
+    record = json.loads(out)
+    assert record["kind"] == "error"
+    assert record["exit_code"] == 2

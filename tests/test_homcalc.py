@@ -6,10 +6,12 @@ oracles.py (hom_count); the tests re-run that oracle beside the library.
 
 import pytest
 
-from oracles import hom_count
+from oracles import hom_count, matrix_columns, span_closure
 from totref.errors import (InconclusiveStrategy, PreconditionFailed,
                            TooLarge)
 from totref.family import module_g, module_h
+from totref.rings import FiniteLocalRing
+from totref.zerodiv import exact_pair
 from totref.homcalc import (brute_force_hom_oracle, hom_presentation,
                             hom_maps_from_presentation, noniso_certificate,
                             run_family, special_generators_gg,
@@ -170,6 +172,41 @@ def test_end_ring_finds_idempotents_in_decomposable_case(pair_f5):
     scan = [s for s in probe.subreports
             if s.name.startswith("no-nontrivial-idempotent")][0]
     assert scan.details["nontrivial_idempotents"]
+
+
+def _parse_witness(text: str) -> list:
+    """Rows of ints from a witness printed as [[a, b]; [c, d]]."""
+    return [[int(cell) for cell in row.strip("[]").split(", ")]
+            for row in text[1:-1].split("; ")]
+
+
+@pytest.mark.parametrize("a", [3, 9, 0])
+def test_finite_end_scan_matches_oracles(a):
+    # Z/27 with the exact pair (3, 9): G_a = Coker [[x, a], [0, y]] and
+    # H_a = Coker [[y, -a], [0, x]]
+    ring = FiniteLocalRing(3, 3)
+    pair = exact_pair(ring, ring.from_int(3), ring.from_int(9))
+    rep = verify_end_ring(pair, ring.from_int(a), strict=False)
+    scans = [s for s in rep.subreports
+             if s.name.startswith("no-nontrivial-idempotent")]
+    rhos = ([[3, a], [0, 9]], [[9, (-a) % 27], [0, 3]])
+    assert len(scans) == len(rhos)
+    for scan, rho in zip(scans, rhos):
+        assert scan.details["classes"] == hom_count(27, rho, rho)
+        relations = span_closure(matrix_columns(rho), 27)
+        witnesses = [_parse_witness(w)
+                     for w in scan.details["nontrivial_idempotents"]]
+        assert witnesses and not scan.passed
+        for w in witnesses:
+            minus_id = [[w[i][k] - (i == k) for k in range(2)]
+                        for i in range(2)]
+            square = [[sum(w[i][j] * w[j][k] for j in range(2)) - w[i][k]
+                       for k in range(2)] for i in range(2)]
+            assert not set(matrix_columns(w)) <= relations
+            assert not {tuple(c % 27 for c in col)
+                        for col in matrix_columns(minus_id)} <= relations
+            assert {tuple(c % 27 for c in col)
+                    for col in matrix_columns(square)} <= relations
 
 
 def test_end_ring_strict_gate_on_z9(pair_z9):
