@@ -27,7 +27,7 @@ from .homcalc import (brute_force_hom_oracle, hom_presentation, run_family,
 from .modules import hilbert_function, minimal_generator_count
 from .report import SCHEMA_VERSION, VerificationReport
 from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
-                    ring_from_descriptor)
+                    GradedMonomialRing, ring_from_descriptor)
 from .zerodiv import exact_pair, verify_regular_pair
 
 USAGE_ERRORS = (ParseError, UnknownVariable, DimensionMismatch,
@@ -131,8 +131,18 @@ def _load_ring(source: str):
 
 
 def _pair_of(ring, args, verified: bool = True):
-    pair = exact_pair(ring, ring.parse(args.x), ring.parse(args.y),
-                      args.degree)
+    x, y = ring.parse(args.x), ring.parse(args.y)
+    if isinstance(ring, GradedMonomialRing) \
+            and not (x.is_zero or y.is_zero):
+        # below deg x + deg y the window holds no product that could
+        # separate Ann(x) from (y), so a pass there would be vacuous
+        window = DEFAULT_DEGREE_BOUND if args.degree is None \
+            else args.degree
+        floor = x.degree() + y.degree()
+        if window < floor:
+            raise ParseError(f"--degree {window} is below deg x + deg y = "
+                             f"{floor}; the window would show nothing")
+    pair = exact_pair(ring, x, y, args.degree)
     if verified and not pair.is_exact:
         raise PreconditionFailed(
             f"({args.x}, {args.y}) is not an exact pair of zero divisors: "

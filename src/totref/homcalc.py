@@ -13,6 +13,8 @@ exhaustive on the finite backend, degree bounded on the graded one.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import json
 import os
@@ -192,6 +194,32 @@ class HomPresentation:
         return _express(span, psi, bound) is not None
 
 
+# the Hom memo of the enclosing hom_memo() block, None outside one
+_HOM_MEMO: contextvars.ContextVar = contextvars.ContextVar("hom_memo",
+                                                          default=None)
+
+
+@contextlib.contextmanager
+def hom_memo():
+    """Compute each distinct Hom once while the block runs.
+
+    Inside the block hom_presentation returns the stored result for inputs
+    it has seen: the same ring, bound, and source and target labels,
+    presentation entries and degree layouts.  The memo is dropped when the
+    block exits, so nothing outlives the run that opened it.
+    """
+    token = _HOM_MEMO.set({})
+    try:
+        yield
+    finally:
+        _HOM_MEMO.reset(token)
+
+
+def _module_key(module: PresentedModule):
+    rho = module.rho
+    return (module.label, rho.entries, rho.row_degs, rho.col_degs)
+
+
 def hom_presentation(source, target, bound=None,
                      ring=None) -> HomPresentation:
     """Compute Hom(Coker rho_1, Coker rho_2) as a presented module.
@@ -199,12 +227,25 @@ def hom_presentation(source, target, bound=None,
     Arguments may be PresentedModules or raw presentation matrices.  The
     generating map matrices come from the kernel of the combined lifting
     system in the unknowns (psi, xi); the relations among their cosets come
-    from a second kernel over the generator coefficients.
+    from a second kernel over the generator coefficients.  Inside a
+    hom_memo() block a repeated input is answered from the memo.
     """
     if ring is None:
         ring = source.ring
     src = _as_module(ring, source, "M1")
     tgt = _as_module(ring, target, "M2")
+    memo = _HOM_MEMO.get()
+    if memo is None:
+        return _hom_presentation(ring, src, tgt, bound)
+    key = (ring.key, _module_key(src), _module_key(tgt), bound)
+    hp = memo.get(key)
+    if hp is None:
+        hp = memo[key] = _hom_presentation(ring, src, tgt, bound)
+    return hp
+
+
+def _hom_presentation(ring, src: PresentedModule, tgt: PresentedModule,
+                      bound) -> HomPresentation:
     if src.ring.key != tgt.ring.key:
         raise TotrefError("source and target live over different rings")
     scope = scope_of(ring, bound)
@@ -1423,8 +1464,14 @@ def run_family(pair: ExactZeroDivisorPair, b_sequence, n_max=None,
     times.  Every b_n must be weakly regular on A/(x, y) and a non-unit.
     The battery certifies, per index: total reflexivity, non-freeness and
     indecomposability of both flavors; then pairwise non-isomorphism of
-    all 2 n_max modules; then every entry of the Hom table.
+    all 2 n_max modules; then every entry of the Hom table.  Each distinct
+    Hom module is computed once per run.
     """
+    with hom_memo():
+        return _run_family(pair, b_sequence, n_max, bound, i_max)
+
+
+def _run_family(pair, b_sequence, n_max, bound, i_max) -> FamilyReport:
     ring = pair.ring
     scope = scope_of(ring, bound)
     bs = list(b_sequence) if isinstance(b_sequence, (list, tuple)) \

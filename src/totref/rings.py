@@ -30,6 +30,40 @@ from .errors import (NotAUnit, ParseError, TotrefError, UnknownVariable,
 
 DEFAULT_DEGREE_BOUND = 8
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _require_prime(p: int) -> None:
+    """Raise unless p is a prime, decided by deterministic Miller-Rabin."""
+    if p >= PRIME_LIMIT:
+        raise ParseError(f"p must be below {PRIME_LIMIT}, the range where "
+                         "the primality test is exact")
+    if p < 2 or not _is_prime(p):
+        raise TotrefError(f"{p} is not prime")
+
+
+def _is_prime(n: int) -> bool:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def scope_exhaustive() -> dict:
     return {"mode": "exhaustive"}
@@ -236,8 +270,7 @@ class FiniteLocalRing:
 
     def __init__(self, p: int, k: int, ext_var: str | None = None,
                  ext_reduction: tuple[int, ...] | None = None):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise TotrefError(f"{p} is not prime")
+        _require_prime(p)
         if k < 1:
             raise TotrefError("k must be positive")
         self.p = p
@@ -513,8 +546,10 @@ class GradedMonomialRing:
 
     def __init__(self, p: int, variables: tuple[str, ...],
                  relations: tuple[tuple[int, ...], ...]):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise TotrefError(f"{p} is not prime")
+        _require_prime(p)
+        if p >= 2 ** 63:
+            raise ParseError("graded rings need p < 2^63: their degree "
+                             "slices are int64 arrays")
         self.p = p
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
@@ -702,12 +737,38 @@ def _compositions(total: int, parts: int):
 # ---------------------------------------------------------------------------
 # descriptors and files
 
+def _int_field(desc: dict, name: str) -> int:
+    if name not in desc:
+        raise ParseError(f"ring descriptor has no {name!r} field")
+    value = desc[name]
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"ring descriptor field {name!r} must be an integer, "
+                     f"got {value!r}")
+
+
+def _str_list_field(desc: dict, name: str) -> list:
+    value = desc.get(name) or []
+    if not isinstance(value, list) or \
+            not all(isinstance(v, str) for v in value):
+        raise ParseError(f"ring descriptor field {name!r} must be a list of "
+                         f"strings, got {value!r}")
+    return value
+
+
 def ring_from_descriptor(desc: dict):
+    if not isinstance(desc, dict):
+        raise ParseError("a ring descriptor is a JSON object")
     kind = desc.get("kind")
     if kind == "finite":
-        p, k = int(desc["p"]), int(desc["k"])
-        variables = desc.get("vars") or []
-        relations = desc.get("relations") or []
+        p, k = _int_field(desc, "p"), _int_field(desc, "k")
+        variables = _str_list_field(desc, "vars")
+        relations = _str_list_field(desc, "relations")
         if not variables:
             return FiniteLocalRing(p, k)
         if len(variables) != 1 or len(relations) != 1:
@@ -717,12 +778,12 @@ def ring_from_descriptor(desc: dict):
         exp = _parse_pure_power(relations[0], name)
         return FiniteLocalRing(p, k, ext_var=name, ext_reduction=(0,) * exp)
     if kind == "graded":
-        p = int(desc["p"])
-        variables = tuple(desc.get("vars") or ())
+        p = _int_field(desc, "p")
+        variables = tuple(_str_list_field(desc, "vars"))
         if not variables:
             raise TotrefError("graded descriptor needs variables")
         rels = []
-        for text in desc.get("relations") or []:
+        for text in _str_list_field(desc, "relations"):
             rels.append(_parse_monomial(variables, text))
         return GradedMonomialRing(p, variables, tuple(rels))
     raise TotrefError(f"unknown ring kind {kind!r}")

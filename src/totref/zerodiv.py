@@ -199,9 +199,10 @@ def intersection_trivial(ring, x, y, bound=None) -> tuple[bool, object]:
             # the kernel of [mx | my], whose x-part cannot always vanish
             kern = _fp.kernel(both, ring.p)
             for j in range(kern.shape[1]):
-                coeffs = kern[:mx.shape[1], j]
+                coeffs = kern[:mx.shape[1], j:j + 1]
                 w = ring.element_of_vector(
-                    ring.mult_matrix(x, d - tx) @ coeffs % ring.p, d)
+                    _fp.mul(ring.mult_matrix(x, d - tx), coeffs,
+                            ring.p)[:, 0], d)
                 if not w.is_zero:
                     return False, w
             return False, None

@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from totref.rings import FiniteLocalRing, GradedMonomialRing
 from totref.zerodiv import exact_pair
+
+# property tests draw the same examples on every run and never time out,
+# so tier-1 stays deterministic on a slow or loaded machine
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, JSON records, determinism."""
 
 import json
+from pathlib import Path
 
 from totref.cli import main
 
@@ -212,3 +213,26 @@ def test_negative_degree_is_a_usage_error(capsys):
     record = json.loads(out)
     assert record["kind"] == "error"
     assert record["exit_code"] == 2
+
+
+def test_malformed_ring_descriptors_exit_two(capsys):
+    for ring in ('{"kind":"finite"}', '{"kind":"finite","p":"a","k":2}'):
+        code, out, _ = run(capsys, "pair", "verify", "--ring", ring,
+                           "--x", "3", "--y", "3", "--format", "json")
+        assert code == 2
+        record = json.loads(out)
+        assert record["error"] == "ParseError"
+        assert record["exit_code"] == 2
+
+
+def test_window_below_the_pair_degree_is_refused(capsys):
+    ring = str(Path(__file__).resolve().parents[1] / "rings" /
+               "f5_xyz_xy.json")
+    for y, degree, expected in (("y*z", "0", 2), ("y*z", "3", 1),
+                                ("y", "1", 2), ("y", "2", 0)):
+        code, out, _ = run(capsys, "pair", "verify", "--ring", ring,
+                           "--x", "x", "--y", y, "--degree", degree,
+                           "--format", "json")
+        assert code == expected, (y, degree)
+        if expected == 2:
+            assert json.loads(out)["error"] == "ParseError"

@@ -1,0 +1,83 @@
+"""F_p elimination against the independent Gaussian elimination oracle.
+
+The primes include 2^31 - 1 and 4294967311, where a product of two
+residues, or a sum of a few, no longer fits in int64.
+"""
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from oracles import rank_mod_p
+from totref import _fp
+
+PRIMES = (2, 3, 5, 101, 2 ** 31 - 1, 4294967311)
+
+
+def _matrix(columns, rows: int) -> np.ndarray:
+    return np.array([[col[i] for col in columns] for i in range(rows)],
+                    dtype=np.int64).reshape(rows, len(columns))
+
+
+@st.composite
+def span_and_candidates(draw):
+    """(p, span, candidates) with columns mostly drawn from a low-rank span.
+
+    Dependent columns are where wrapped arithmetic shows: a wrong residue
+    makes a dependent column look independent.
+    """
+    p = draw(st.sampled_from(PRIMES))
+    rows = draw(st.integers(0, 6))
+    held = draw(st.integers(0, 4))
+    count = draw(st.integers(0, 6))
+    rank = draw(st.integers(0, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    basis = [[rng.randrange(p) for _ in range(rows)] for _ in range(rank)]
+
+    def column():
+        if not basis or rng.random() < 0.2:
+            return [rng.randrange(p) for _ in range(rows)]
+        coeffs = [rng.randrange(p) for _ in basis]
+        return [sum(c * vec[i] for c, vec in zip(coeffs, basis)) % p
+                for i in range(rows)]
+
+    columns = [column() for _ in range(held + count)]
+    return (p, _matrix(columns[:held], rows),
+            _matrix(columns[held:], rows))
+
+
+@given(span_and_candidates())
+def test_extend_independent_picks_where_the_rank_grows(case):
+    p, span, cand = case
+    full = np.concatenate([span, cand], axis=1)
+    held = span.shape[1]
+    ranks = [rank_mod_p(full[:, :held + j].tolist(), p)
+             for j in range(cand.shape[1] + 1)]
+    expected = [j for j in range(cand.shape[1]) if ranks[j + 1] > ranks[j]]
+    picked = _fp.extend_independent(span if held else None, cand, p)
+    assert picked == expected
+
+
+@given(span_and_candidates())
+def test_kernel_columns_are_a_kernel_basis(case):
+    p, _, a = case
+    basis = _fp.kernel(a, p)
+    rank = rank_mod_p(a.tolist(), p)
+    assert basis.shape == (a.shape[1], a.shape[1] - rank)
+    product = np.array(a, dtype=object) @ np.array(basis, dtype=object)
+    assert not np.any(product % p)
+    assert rank_mod_p(basis.tolist(), p) == basis.shape[1]
+    assert _fp.rank(a, p) == rank
+
+
+@given(span_and_candidates())
+def test_solve_agrees_with_the_rank_test(case):
+    p, b, a = case
+    if not b.shape[1]:
+        return
+    x = _fp.solve(a, b[:, :1], p)
+    solvable = rank_mod_p(np.concatenate([a, b[:, :1]], axis=1).tolist(),
+                          p) == rank_mod_p(a.tolist(), p)
+    assert (x is not None) == solvable
+    if x is not None:
+        residual = np.array(a, dtype=object) @ np.array(x, dtype=object)
+        assert not np.any((residual - b[:, :1]) % p)

@@ -7,9 +7,11 @@ oracles.py (hom_count); the tests re-run that oracle beside the library.
 import pytest
 
 from oracles import hom_count, matrix_columns, span_closure
+from totref import homcalc
 from totref.errors import (InconclusiveStrategy, PreconditionFailed,
                            TooLarge)
 from totref.family import module_g, module_h
+from totref.modules import PresentedModule
 from totref.rings import FiniteLocalRing
 from totref.zerodiv import exact_pair
 from totref.homcalc import (brute_force_hom_oracle, hom_presentation,
@@ -317,3 +319,35 @@ def test_run_family_mixed_sequence(pair_f5):
                      bound=6)
     assert fam.passed
     assert fam.a_elements == ["z", "z^3"]
+
+
+def test_hom_memo_answers_repeats_and_keeps_labels_apart(pair_z9):
+    ring = pair_z9.ring
+    module = module_g(pair_z9, ring.parse("3"), strict=False)
+    twin = PresentedModule(ring, module.rho, "twin")
+    assert hom_presentation(module, module) is not \
+        hom_presentation(module, module)
+    with homcalc.hom_memo():
+        first = hom_presentation(module, module)
+        again = hom_presentation(module, module)
+        other = hom_presentation(twin, twin)
+    assert again is first
+    assert other is not first
+    assert first.module.label == f"Hom({module.label},{module.label})"
+    assert other.module.label == "Hom(twin,twin)"
+    assert other.module.rho.entries == first.module.rho.entries
+
+
+def test_run_family_closes_its_memo_on_a_failed_precondition(pair_f5,
+                                                             monkeypatch):
+    seen = []
+
+    def not_regular(pair, bound):
+        seen.append(homcalc._HOM_MEMO.get())
+        return False
+
+    monkeypatch.setattr(homcalc, "_pair_is_regular", not_regular)
+    with pytest.raises(PreconditionFailed):
+        run_family(pair_f5, ["z"], n_max=2, bound=6)
+    assert seen == [{}]
+    assert homcalc._HOM_MEMO.get() is None

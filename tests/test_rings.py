@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import MonomialQuotientOracle, annihilator as naive_ann
+from totref import rings
 from totref.errors import ParseError, TotrefError, UnknownVariable
 from totref.rings import (FiniteLocalRing, GradedMonomialRing, annihilator,
                           enumerate_carrier, graded_basis, ideal_membership,
@@ -175,3 +176,26 @@ def test_descriptor_rejects_bad_input():
         ring_from_descriptor({"kind": "mystery"})
     with pytest.raises(TotrefError):
         ring_from_descriptor({"kind": "graded", "p": 5, "vars": []})
+
+
+def test_descriptor_field_errors_are_parse_errors():
+    for desc in ({"kind": "finite"}, {"kind": "finite", "p": "a", "k": 2},
+                 {"kind": "finite", "p": 3, "k": 2.5},
+                 {"kind": "graded", "p": 5, "vars": "xyz"}, ["finite"]):
+        with pytest.raises(ParseError):
+            ring_from_descriptor(desc)
+    assert ring_from_descriptor({"kind": "finite", "p": "3", "k": 2}).n == 9
+
+
+def test_primality_is_decided_by_miller_rabin():
+    small = [n for n in range(2, 2000)
+             if all(n % q for q in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(2, 2000) if rings._is_prime(n)] == small
+    assert FiniteLocalRing(10 ** 18 + 9, 1).n == 10 ** 18 + 9
+    # a strong pseudoprime to every prime base up to 37
+    with pytest.raises(TotrefError, match="not prime"):
+        FiniteLocalRing(318665857834031151167461, 1)
+    with pytest.raises(TotrefError, match="not prime"):
+        GradedMonomialRing(561, ("x",), ())
+    with pytest.raises(ParseError):
+        FiniteLocalRing(rings.PRIME_LIMIT, 1)
