@@ -346,6 +346,8 @@ class _TargetTables:
         self.module = module
         if ring.carrier_size() ** module.ngens > budget:
             raise TooLarge("target enumeration exceeds the carrier budget")
+        if module.size() ** 2 > budget:
+            raise TooLarge("coset table exceeds the carrier budget")
         self.solver = module._span_solver()
         reps = {}
         for combo in itertools.product(ring.enumerate_carrier(),
@@ -356,8 +358,6 @@ class _TargetTables:
         self.keys = sorted(reps)
         self.reps = [reps[key] for key in self.keys]
         r = len(self.keys)
-        if r * r > budget:
-            raise TooLarge("coset table exceeds the carrier budget")
         self.index = {key: i for i, key in enumerate(self.keys)}
         height = module.ngens * ring.ext_degree
         self.zero_idx = self.index[self.solver.reduce([0] * height)]
@@ -386,8 +386,7 @@ _TABLE_CACHE: dict = {}
 
 def _target_tables(module: PresentedModule, budget: int) -> _TargetTables:
     rho = module.rho
-    key = (json.dumps(module.ring.descriptor(), sort_keys=True),
-           rho.nrows, rho.ncols,
+    key = (module.ring.key, rho.nrows, rho.ncols,
            tuple(rho.entries[i][j].coords
                  for i in range(rho.nrows) for j in range(rho.ncols)))
     cached = _TABLE_CACHE.get(key)
@@ -440,9 +439,11 @@ def _map_closure(hp: HomPresentation, budget: int, cap: int):
     """Coset tables of hp's target and the maps hp's generators reach.
 
     A map is the tuple of coset indices of the images of the source
-    generators.  Closes {0} under adding scalar multiples of the generator
-    evaluations; raises TooLarge past ``budget`` table cells or ``cap``
-    maps.
+    generators.  The maps reached from 0 by adding scalar multiples of the
+    generator evaluations form the subgroup those steps generate, so each
+    step s not yet reached appends the cosets H + s, H + 2s, ... of the
+    maps H reached so far, up to the first multiple of s already reached.
+    Raises TooLarge past ``budget`` table cells or ``cap`` maps.
     """
     ring = hp.ring
     if not isinstance(ring, FiniteLocalRing):
@@ -450,30 +451,32 @@ def _map_closure(hp: HomPresentation, budget: int, cap: int):
     tgt = hp.target
     n1 = hp.source.ngens
     tables = _target_tables(tgt, budget)
-    steps = []
+    scalars = [tables.mul[c.coords] for c in ring.enumerate_carrier()
+               if not c.is_zero]
+    reached = np.full((1, n1), tables.zero_idx, dtype=tables.add.dtype)
+    found = {(tables.zero_idx,) * n1}
     for psi in hp.generators:
-        for c in ring.enumerate_carrier():
-            if c.is_zero:
-                continue
-            step = tuple(tables.index_of_column(
-                [c * psi.entries[i][k] for i in range(tgt.ngens)])
-                for k in range(n1))
-            steps.append(step)
-    zero = (tables.zero_idx,) * n1
-    found = {zero}
-    frontier = [zero]
-    while frontier:
-        base = frontier.pop()
-        for step in steps:
-            cand = tuple(int(tables.add[b, s])
-                         for b, s in zip(base, step))
-            if cand not in found:
-                if len(found) >= cap:
-                    raise TooLarge(f"generated map set exceeds the budget "
-                                   f"of {cap} maps")
-                found.add(cand)
-                frontier.append(cand)
+        base = [tables.index_of_column(
+            [psi.entries[i][k] for i in range(tgt.ngens)])
+            for k in range(n1)]
+        for mul in scalars:
+            step = mul[base]
+            multiple = step
+            cosets = [reached]
+            while tuple(multiple.tolist()) not in found:
+                if len(found) + len(reached) > cap:
+                    raise _map_budget_error(cap)
+                coset = tables.add[reached, multiple]
+                found.update(map(tuple, coset.tolist()))
+                cosets.append(coset)
+                multiple = tables.add[multiple, step]
+            if len(cosets) > 1:
+                reached = np.concatenate(cosets)
     return tables, found
+
+
+def _map_budget_error(cap: int) -> TooLarge:
+    return TooLarge(f"generated map set exceeds the budget of {cap} maps")
 
 
 def hom_maps_from_presentation(hp: HomPresentation, budget=None):
@@ -1096,6 +1099,9 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
     found = []
     detail_scope = dict(scope)
     if isinstance(ring, FiniteLocalRing):
+        # |End| is the size of hp's module: refuse before any coset table
+        if hp.module.size() > budget:
+            raise _map_budget_error(budget)
         tables, states = _map_closure(hp, _max_carrier(None), budget)
         n = module.ngens
         ident = tuple(tables.index_of_column(

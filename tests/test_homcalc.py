@@ -4,6 +4,9 @@ Finite hom module sizes are frozen from the matrix-enumeration oracle in
 oracles.py (hom_count); the tests re-run that oracle beside the library.
 """
 
+import dataclasses
+import random
+
 import pytest
 
 from oracles import hom_count, matrix_columns, span_closure
@@ -11,6 +14,7 @@ from totref import homcalc
 from totref.errors import (InconclusiveStrategy, PreconditionFailed,
                            TooLarge)
 from totref.family import module_g, module_h
+from totref.linalg import Matrix
 from totref.modules import PresentedModule
 from totref.rings import FiniteLocalRing
 from totref.zerodiv import exact_pair
@@ -59,7 +63,6 @@ def test_hom_presentation_of_zero_hom_module(pair_z9):
     ring = pair_z9.ring
     g1 = module_g(pair_z9, ring.from_int(1))
     hp = hom_presentation(g1, g1)
-    from totref.linalg import Matrix
     ident = Matrix.identity(ring, 2)
     assert hp.contains(ident)
 
@@ -82,6 +85,70 @@ def test_hom_budget_guard(pair_z9, monkeypatch):
     with pytest.raises(TooLarge):
         brute_force_hom_oracle(module_g(pair_z9, ring.from_int(0)),
                                module_g(pair_z9, ring.from_int(0)))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
+def test_map_closure_over_dual_numbers_matches_oracle(p, k):
+    # over (Z/p^k)[t]/(t^2) multiplying by t is not an integer multiple,
+    # so the closure must step by every scalar multiple of a generator
+    ring = FiniteLocalRing(p, k, ext_var="t", ext_reduction=(0, 0))
+    nonunits = [c for c in ring.enumerate_carrier() if not ring.is_unit(c)]
+    rng = random.Random(400 + p)
+
+    def presented(label):
+        return PresentedModule(ring, Matrix(ring, [
+            [rng.choice(nonunits) for _ in range(2)] for _ in range(2)]),
+            label)
+
+    for _ in range(24):
+        src, tgt = presented("M1"), presented("M2")
+        hp = hom_presentation(src, tgt)
+        maps = hom_maps_from_presentation(hp)
+        assert maps == brute_force_hom_oracle(src, tgt)
+        assert len(maps) == hp.module.size()
+    # the identity alone generates End(A) = A, of size p^(2k)
+    free = PresentedModule(ring, Matrix(ring, [[ring.zero()]]), "A")
+    hp = dataclasses.replace(hom_presentation(free, free),
+                             generators=(Matrix.identity(ring, 1),))
+    maps = hom_maps_from_presentation(hp)
+    assert len(maps) == p ** (2 * k)
+    assert maps == brute_force_hom_oracle(free, free)
+
+
+def test_map_closure_cap_boundary(pair_z9):
+    ring = pair_z9.ring
+    g0 = module_g(pair_z9, ring.from_int(0))
+    hp = hom_presentation(g0, g0)
+    size = hom_count(9, GAMMA[0], GAMMA[0])
+    assert size == 81
+    _, found = homcalc._map_closure(hp, 10 ** 6, size)
+    assert len(found) == size
+    with pytest.raises(TooLarge, match=f"^generated map set exceeds the "
+                                       f"budget of {size - 1} maps$"):
+        homcalc._map_closure(hp, 10 ** 6, size - 1)
+
+
+def test_coset_table_refusal_precedes_enumeration(z9, monkeypatch):
+    # carrier^ngens = 9 fits the budget, the 9 x 9 sum table does not
+    module = PresentedModule(z9, Matrix(z9, [[z9.zero()]]), "free")
+
+    def enumerated(vec):
+        pytest.fail("the refusal ran the coset enumeration first")
+
+    monkeypatch.setattr(module._span_solver(), "reduce", enumerated)
+    with pytest.raises(TooLarge, match="coset table exceeds"):
+        homcalc._TargetTables(module, 80)
+
+
+def test_end_scan_refuses_before_building_coset_tables():
+    # over Z/729 with the pair (27, 27), |End(G_9)| = 3^10 > 4096
+    ring = FiniteLocalRing(3, 6)
+    pair = exact_pair(ring, ring.from_int(27), ring.from_int(27))
+    cached = set(homcalc._TABLE_CACHE)
+    with pytest.raises(TooLarge, match="^generated map set exceeds the "
+                                       "budget of 4096 maps$"):
+        verify_end_ring(pair, ring.from_int(9), strict=False)
+    assert set(homcalc._TABLE_CACHE) == cached
 
 
 # -- special generators -----------------------------------------------------
