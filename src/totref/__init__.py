@@ -12,9 +12,10 @@ or degree bounded) at which it was established.
 """
 
 from .errors import TotrefError
-from .rings import (FiniteLocalRing, GradedMonomialRing, annihilator,
-                    enumerate_carrier, graded_basis, ideal_membership,
-                    is_unit, parse_element, ring_from_descriptor)
+from .linalg import annihilator, ideal_membership
+from .rings import (FiniteLocalRing, GradedMonomialRing, enumerate_carrier,
+                    graded_basis, is_unit, parse_element,
+                    ring_from_descriptor)
 
 __all__ = [
     "TotrefError",

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from .errors import (NonHomogeneous, NotAUnit, PreconditionFailed,
                      TotrefError)
-from .linalg import Matrix, check_exact_at, kernel_gens, solve_right
+from .linalg import (Matrix, check_exact_at, ideal_membership, kernel_gens,
+                     solve_right)
 from .modules import (PresentedModule, dual_presentation, ext_vanishing,
                       verify_iso_witness)
 from .report import FAIL, PASS, VerificationReport
-from .rings import GradedMonomialRing, ideal_membership, scope_of
+from .rings import GradedMonomialRing, scope_of
 from .zerodiv import ExactZeroDivisorPair, weakly_regular_on_quotient
 
 

@@ -341,13 +341,9 @@ class _TargetTables:
     instances are cached per presentation.
     """
 
-    def __init__(self, module: PresentedModule, budget: int):
+    def __init__(self, module: PresentedModule):
         ring = module.ring
         self.module = module
-        if ring.carrier_size() ** module.ngens > budget:
-            raise TooLarge("target enumeration exceeds the carrier budget")
-        if module.size() ** 2 > budget:
-            raise TooLarge("coset table exceeds the carrier budget")
         self.solver = module._span_solver()
         reps = {}
         for combo in itertools.product(ring.enumerate_carrier(),
@@ -385,6 +381,11 @@ _TABLE_CACHE: dict = {}
 
 
 def _target_tables(module: PresentedModule, budget: int) -> _TargetTables:
+    """The coset tables of ``module``, refused past ``budget`` cached or not."""
+    if module.ring.carrier_size() ** module.ngens > budget:
+        raise TooLarge("target enumeration exceeds the carrier budget")
+    if module.size() ** 2 > budget:
+        raise TooLarge("coset table exceeds the carrier budget")
     rho = module.rho
     key = (module.ring.key, rho.nrows, rho.ncols,
            tuple(rho.entries[i][j].coords
@@ -393,7 +394,7 @@ def _target_tables(module: PresentedModule, budget: int) -> _TargetTables:
     if cached is None:
         if len(_TABLE_CACHE) > 64:
             _TABLE_CACHE.clear()
-        cached = _TargetTables(module, budget)
+        cached = _TargetTables(module)
         _TABLE_CACHE[key] = cached
     return cached
 

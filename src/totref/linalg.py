@@ -10,11 +10,16 @@ col_degs[j] - row_degs[i].  All solving is exact: the finite backend
 flattens matrices to integer block matrices and uses Howell normal forms,
 the graded backend works slice by slice over F_p.  Degree-bounded answers
 say so in their scope.
+
+Ideal questions are matrix questions over the same core: Ann(e) is the
+kernel of the column of e's homogeneous components, and e in (g_1 .. g_k)
+is solving [g_1 .. g_k] x = e.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -577,6 +582,82 @@ def column_span_size(mat: Matrix) -> int:
     ring = mat.ring
     cols, height = _flatten_columns(mat)
     return _zn.SpanSolver(cols, ring.n, height).span_size()
+
+
+# ---------------------------------------------------------------------------
+# ideals
+
+@dataclass(frozen=True)
+class IdealGenerators:
+    """A finite generator list together with the scope it was computed at."""
+
+    generators: tuple
+    scope: dict
+
+    def __iter__(self):
+        return iter(self.generators)
+
+
+def annihilator(ring, e, bound: int | None = None) -> IdealGenerators:
+    """Generators of Ann(e), exhaustive (finite) or in degrees <= bound.
+
+    Ann(e) is the kernel of the column of e's homogeneous components.  On
+    the graded backend component c sits in row degree -deg(c) and the
+    column in degree 0, so the kernel's twisted degree is the degree of
+    the annihilating element.
+    """
+    if isinstance(ring, FiniteLocalRing):
+        column, scope = Matrix(ring, [[e]]), scope_exhaustive()
+    else:
+        if bound is None:
+            bound = DEFAULT_DEGREE_BOUND
+        parts = list(e.homogeneous_components().items()) or [(0, e)]
+        column = Matrix(ring, [[c] for _, c in parts],
+                        [-d for d, _ in parts], (0,))
+        scope = scope_degree(bound)
+    gens = kernel_gens(column, bound)
+    return IdealGenerators(tuple(g.entries[0][0] for g in gens), scope)
+
+
+def ideal_membership(ring, e, generators, bound: int | None = None):
+    """Decide e in (generators); on success also return witness coefficients.
+
+    Finite backend answers are exhaustive.  On the graded backend the answer
+    is exact whenever the generator row admits a degree layout, and e is
+    then solved for one homogeneous component per column; otherwise the
+    witness search is truncated at ``bound`` and a miss only means "not
+    found within the bound".
+    """
+    gens = list(generators)
+    if not gens:
+        return (True, []) if e.is_zero else (False, None)
+    row, rhs = Matrix(ring, [gens]), Matrix(ring, [[e]])
+    if isinstance(ring, GradedMonomialRing):
+        if bound is None:
+            bound = DEFAULT_DEGREE_BOUND
+        try:
+            row = infer_degrees(row)
+        except NonHomogeneous:
+            pass
+        else:
+            parts = list(e.homogeneous_components().values()) or [e]
+            rhs = Matrix(ring, [parts])
+    solution = solve_right(row, rhs, bound)
+    if solution is None:
+        return False, None
+    witnesses = [sum(entries, ring.zero()) for entries in solution.entries]
+    _check_witnesses(ring, e, witnesses, gens)
+    return True, witnesses
+
+
+def _check_witnesses(ring, e, witnesses, gens) -> None:
+    """Raise unless sum witnesses[i] * gens[i] reproduces e."""
+    total = ring.zero()
+    for c, g in zip(witnesses, gens):
+        total = total + c * g
+    if total != e:
+        raise TotrefError("ideal membership witnesses do not reproduce "
+                          f"{ring.format(e)}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from .errors import (DimensionMismatch, InvalidResolution, NotAComplex,
                      TotrefError, WrongBackend)
 from .linalg import (Matrix, _flatten_columns, _flatten_vector,
                      _twist_layout, check_exact_at, column_span_size, hstack,
-                     infer_degrees, slice_matrix, solve_right)
+                     ideal_membership, infer_degrees, slice_matrix,
+                     solve_right)
 from .report import FAIL, PASS, VerificationReport
-from .rings import (FiniteLocalRing, GradedMonomialRing, ideal_membership,
-                    scope_of)
+from .rings import FiniteLocalRing, GradedMonomialRing, scope_of
 
 
 class PresentedModule:
@@ -117,34 +117,6 @@ def ideals_equal(ring, gens1, gens2, bound=None) -> bool:
         if not ideal_membership(ring, e, list(gens1), bound)[0]:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# maps between presented modules
-
-class ModuleMap:
-    """A map M -> N given by a matrix on generator columns."""
-
-    def __init__(self, source: PresentedModule, target: PresentedModule,
-                 psi: Matrix):
-        if psi.shape != (target.ngens, source.ngens):
-            raise DimensionMismatch(
-                f"map matrix must be {target.ngens} x {source.ngens}")
-        self.source = source
-        self.target = target
-        self.psi = psi
-
-    def is_injective(self) -> bool:
-        """Whether the induced map is injective, finite backend only.
-
-        Compares the size of the image, |colspan [psi | rho_tgt]| over
-        |colspan rho_tgt|, with the size of the source.
-        """
-        source_size = self.source.size()
-        stacked = _hstack_mats(self.psi, self.target.rho)
-        image = column_span_size(stacked) \
-            // self.target._span_solver().span_size()
-        return image == source_size
 
 
 def _hstack_mats(a: Matrix, b: Matrix) -> Matrix:

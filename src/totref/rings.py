@@ -12,15 +12,14 @@ are finite dimensional F_p spaces, so degree-bounded questions are decided
 exactly degree by degree.
 
 Both backends share an expression parser, canonical printing (degree first,
-then lexicographic by the declared variable order), and the ideal-level
-operations used by the verification layers: unit tests, annihilators with
-scope, and ideal membership with witnesses.
+then lexicographic by the declared variable order), unit tests and the
+scope helpers.  Ideal questions (annihilators, membership) are matrix
+questions and live in linalg.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -812,162 +811,6 @@ def parse_element(ring, text: str):
 
 def is_unit(ring, e) -> bool:
     return ring.is_unit(e)
-
-
-# ---------------------------------------------------------------------------
-# ideals
-
-@dataclass(frozen=True)
-class IdealGenerators:
-    """A finite generator list together with the scope it was computed at."""
-
-    generators: tuple
-    scope: dict
-
-    def __iter__(self):
-        return iter(self.generators)
-
-
-def annihilator(ring, e, bound: int | None = None) -> IdealGenerators:
-    """Generators of Ann(e), exhaustive (finite) or in degrees <= bound."""
-    if isinstance(ring, FiniteLocalRing):
-        solver = _zn.SpanSolver(ring.mult_columns(e), ring.n, ring.ext_degree)
-        gens = tuple(ring.element(v) for v in solver.kernel_generators())
-        return IdealGenerators(gens, scope_exhaustive())
-    if bound is None:
-        bound = DEFAULT_DEGREE_BOUND
-    components = ([] if e.is_zero else
-                  sorted(e.homogeneous_components().items()))
-    gens: list[GradedElement] = []
-    for d in range(bound + 1):
-        dim_d = ring.dim(d)
-        if dim_d == 0:
-            continue
-        if e.is_zero:
-            blocks = [_fp.zeros(0, dim_d)]
-        else:
-            blocks = [ring.mult_matrix(comp, d) for _, comp in components]
-        stacked = (np.concatenate(blocks, axis=0) if blocks
-                   else _fp.zeros(0, dim_d))
-        kern = _fp.kernel(stacked, ring.p) if stacked.shape[0] else \
-            np.eye(dim_d, dtype=np.int64)
-        if kern.shape[1] == 0:
-            continue
-        span_blocks = []
-        for g in gens:
-            dg = g.degree()
-            if dg is not None and dg <= d:
-                span_blocks.append(ring.mult_matrix(g, d - dg))
-        span = np.concatenate(span_blocks, axis=1) if span_blocks else None
-        for j in _fp.extend_independent(span, kern, ring.p):
-            gens.append(ring.element_of_vector(kern[:, j], d))
-    return IdealGenerators(tuple(gens), scope_degree(bound))
-
-
-def ideal_membership(ring, e, generators, bound: int | None = None):
-    """Decide e in (generators); on success also return witness coefficients.
-
-    Finite backend answers are exhaustive.  On the graded backend the answer
-    is exact whenever all generators are homogeneous; otherwise the witness
-    search is truncated at ``bound`` and a miss only means "not found within
-    the bound".
-    """
-    gens = list(generators)
-    if isinstance(ring, FiniteLocalRing):
-        d = ring.ext_degree
-        cols = []
-        for g in gens:
-            cols.extend(ring.mult_columns(g))
-        solver = _zn.SpanSolver(cols, ring.n, d)
-        x = solver.solve(list(e.coords))
-        if x is None:
-            return False, None
-        witnesses = [ring.element(x[i * d:(i + 1) * d]) for i in range(len(gens))]
-        _check_witnesses(ring, e, witnesses, gens)
-        return True, witnesses
-    if bound is None:
-        bound = DEFAULT_DEGREE_BOUND
-    if e.is_zero:
-        return True, [ring.zero() for _ in gens]
-    if all(g.is_homogeneous() and not g.is_zero for g in gens):
-        witnesses = [ring.zero() for _ in gens]
-        for d, comp in sorted(e.homogeneous_components().items()):
-            blocks = []
-            meta = []
-            for i, g in enumerate(gens):
-                dg = g.degree()
-                src = d - dg
-                if src < 0 or ring.dim(src) == 0:
-                    continue
-                blocks.append(ring.mult_matrix(g, src))
-                meta.append((i, src))
-            if not blocks:
-                return False, None
-            system = np.concatenate(blocks, axis=1)
-            sol = _fp.solve(system, ring.vector_of(comp, d), ring.p)
-            if sol is None:
-                return False, None
-            offset = 0
-            for (i, src), block in zip(meta, blocks):
-                width = block.shape[1]
-                piece = ring.element_of_vector(sol[offset:offset + width, 0], src)
-                witnesses[i] = witnesses[i] + piece
-                offset += width
-        _check_witnesses(ring, e, witnesses, gens)
-        return True, witnesses
-    # mixed-degree generators: truncated search, sound positives only
-    max_gen_deg = max((g.degree() or 0) for g in gens) if gens else 0
-    top = max(bound + max_gen_deg, e.degree() or 0)
-    rows = sum(ring.dim(d) for d in range(top + 1))
-
-    def big_vector(elt):
-        vec = _fp.zeros(rows, 1)
-        offset = 0
-        for d in range(top + 1):
-            block = ring.vector_of(elt, d)
-            vec[offset:offset + block.shape[0]] = block
-            offset += block.shape[0]
-        return vec
-
-    cols = []
-    meta2 = []
-    for i, g in enumerate(gens):
-        for d in range(bound + 1):
-            for exp in ring.basis(d):
-                mono = ring.monomial_element(exp)
-                product = mono * g
-                if (product.degree() or 0) > top and not product.is_zero:
-                    continue
-                cols.append(big_vector(product))
-                meta2.append((i, mono))
-    if not cols:
-        return False, None
-    system = np.concatenate(cols, axis=1)
-    sol = _fp.solve(system, big_vector(e), ring.p)
-    if sol is None:
-        return False, None
-    witnesses = [ring.zero() for _ in gens]
-    for idx, (i, mono) in enumerate(meta2):
-        c = int(sol[idx, 0]) % ring.p
-        if c:
-            witnesses[i] = witnesses[i] + ring.from_int(c) * mono
-    if _combination(ring, witnesses, gens) != e:
-        return False, None
-    return True, witnesses
-
-
-def _combination(ring, coeffs, gens):
-    total = ring.zero()
-    for c, g in zip(coeffs, gens):
-        total = total + c * g
-    return total
-
-
-def _check_witnesses(ring, e, witnesses, gens) -> None:
-    """Raise unless sum witnesses[i] * gens[i] reproduces e."""
-    if _combination(ring, witnesses, gens) != e:
-        raise TotrefError("ideal membership witnesses do not reproduce "
-                          f"{ring.format(e)}")
 
 
 def graded_basis(ring, d: int):

@@ -4,24 +4,22 @@ A pair (x, y) of non-units is exact when Ann(x) = (y) and Ann(y) = (x).
 Such a pair is regular when additionally (x) intersect (y) = 0; given
 exactness this is equivalent to x acting injectively on A/(y) and to y
 acting injectively on A/(x), and the checker verifies all three conditions
-independently, raising EquivalenceViolation if they ever disagree.
+independently, raising EquivalenceViolation if they ever disagree.  Each
+condition is one kernel computation over the linalg core: of [x, y] for
+the intersection, and of [x | y] and [y | x], each followed by membership
+tests, for the injectivity conditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _fp, _zn
-from .errors import (EquivalenceViolation, NonHomogeneous, TotrefError,
-                     UnitInput, UnsupportedQuotient)
-from .linalg import Matrix
-from .modules import ModuleMap, PresentedModule
+from .errors import (EquivalenceViolation, NonHomogeneous, UnitInput,
+                     UnsupportedQuotient)
+from .linalg import Matrix, annihilator, ideal_membership, kernel_gens
+from .modules import PresentedModule
 from .report import FAIL, PASS, VerificationReport
-from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
-                    GradedMonomialRing, annihilator, ideal_membership,
-                    scope_of)
+from .rings import GradedMonomialRing, scope_of
 
 
 @dataclass
@@ -107,105 +105,39 @@ def quotient_module(ring, gens) -> PresentedModule:
 
 
 def weakly_regular_on_quotient(ring, e, ideal_gens, bound=None) -> bool:
-    """Whether multiplication by e is injective on A/(ideal_gens)."""
-    if e.is_zero:
-        # zero acts injectively only on the zero module
-        one = ring.one()
-        return ideal_membership(ring, one, list(ideal_gens), bound)[0]
-    if isinstance(ring, GradedMonomialRing):
-        if not e.is_homogeneous():
-            raise NonHomogeneous("the acting element must be homogeneous")
-        return _graded_mult_injective(ring, e, ideal_gens,
-                                      bound if bound is not None
-                                      else DEFAULT_DEGREE_BOUND)
-    module = quotient_module(ring, list(ideal_gens))
-    mult = ModuleMap(module, module, Matrix(ring, [[e]]))
-    return mult.is_injective()
+    """Whether multiplication by e is injective on A/(ideal_gens).
 
-
-def _graded_mult_injective(ring, e, ideal_gens, bound: int) -> bool:
-    """Slicewise: a in A_d with e*a in I_(d+t) forces a in I_d."""
-    t = e.degree()
+    The a-parts of the kernel of [e | gens] generate (I : e), so e acts
+    injectively exactly when each of them lies in I = (gens).  On the
+    graded backend the row sits in degree -deg(e) and the a-column in
+    degree 0, so the window bounds the degree of a.
+    """
     gens = [g for g in ideal_gens if not g.is_zero]
-    for d in range(bound + 1):
-        dim_d = ring.dim(d)
-        if dim_d == 0:
-            continue
-        ideal_d = _ideal_slice(ring, gens, d)
-        ideal_up = _ideal_slice(ring, gens, d + t)
-        mult = ring.mult_matrix(e, d)
-        # kernel of (mult into A_(d+t) / I_(d+t))
-        if ideal_up is None:
-            kern = _fp.kernel(mult, ring.p)
-        else:
-            stacked = np.concatenate([mult, ideal_up], axis=1)
-            kern_full = _fp.kernel(stacked, ring.p)
-            kern = kern_full[:dim_d, :] if kern_full.size else kern_full
-        if kern.size == 0:
-            continue
-        # each kernel vector must already lie in I_d
-        extra = _fp.extend_independent(ideal_d, kern, ring.p)
-        if extra:
+    row = Matrix(ring, [[e] + gens])
+    if isinstance(ring, GradedMonomialRing):
+        t = e.degree() or 0
+        row = row.with_degrees((-t,), [0] + [g.degree() - t for g in gens])
+    for gen in kernel_gens(row, bound):
+        a = gen.entries[0][0]
+        if not a.is_zero and not ideal_membership(ring, a, gens, bound)[0]:
             return False
     return True
 
 
-def _ideal_slice(ring, gens, d: int):
-    blocks = []
-    for g in gens:
-        dg = g.degree()
-        if dg is not None and d - dg >= 0 and ring.dim(d - dg) > 0:
-            blocks.append(ring.mult_matrix(g, d - dg))
-    if not blocks:
-        return None
-    return np.concatenate(blocks, axis=1)
-
-
 def intersection_trivial(ring, x, y, bound=None) -> tuple[bool, object]:
-    """Decide (x) intersect (y) = 0; returns (verdict, witness_or_None)."""
-    if isinstance(ring, FiniteLocalRing):
-        cols_x = ring.mult_columns(x)
-        cols_y = ring.mult_columns(y)
-        d = ring.ext_degree
-        size_x = _zn.SpanSolver(cols_x, ring.n, d).span_size()
-        size_y = _zn.SpanSolver(cols_y, ring.n, d).span_size()
-        size_sum = _zn.SpanSolver(cols_x + cols_y, ring.n, d).span_size()
-        if size_x * size_y == size_sum:
-            return True, None
-        # |(x)| |(y)| = |(x)+(y)| |(x) cap (y)|, so a nonzero common
-        # element exists; find one by scanning multiples of x
-        solver_y = _zn.SpanSolver(cols_y, ring.n, d)
-        for a in ring.enumerate_carrier():
-            w = x * a
-            if not w.is_zero and solver_y.solve(list(w.coords)) is not None:
-                return False, w
-        raise TotrefError("size arithmetic and scan disagree")
-    if not (x.is_homogeneous() and y.is_homogeneous()):
-        raise NonHomogeneous("intersection check needs homogeneous elements")
-    if bound is None:
-        bound = DEFAULT_DEGREE_BOUND
-    tx, ty = x.degree(), y.degree()
-    for d in range(bound + 1):
-        mx = _ideal_slice(ring, [x], d)
-        my = _ideal_slice(ring, [y], d)
-        if mx is None or my is None:
-            continue
-        rank_x = _fp.rank(mx, ring.p)
-        rank_y = _fp.rank(my, ring.p)
-        both = np.concatenate([mx, my], axis=1)
-        rank_sum = _fp.rank(both, ring.p)
-        if rank_x + rank_y != rank_sum:
-            # a rank deficit means a nonzero common element; read one off
-            # the kernel of [mx | my], whose x-part cannot always vanish
-            kern = _fp.kernel(both, ring.p)
-            for j in range(kern.shape[1]):
-                coeffs = kern[:mx.shape[1], j:j + 1]
-                w = ring.element_of_vector(
-                    _fp.mul(ring.mult_matrix(x, d - tx), coeffs,
-                            ring.p)[:, 0], d)
-                if not w.is_zero:
-                    return False, w
-            return False, None
+    """Decide (x) intersect (y) = 0; returns (verdict, witness_or_None).
+
+    (x) intersect (y) is generated by the a*x over the generators (a, b) of
+    the kernel of [x, y], so it is zero exactly when every a*x is; the
+    witness is the first nonzero one.
+    """
+    row = Matrix(ring, [[x, y]])
+    if isinstance(ring, GradedMonomialRing):
+        row = row.with_degrees((0,), (x.degree() or 0, y.degree() or 0))
+    for gen in kernel_gens(row, bound):
+        w = gen.entries[0][0] * x
+        if not w.is_zero:
+            return False, w
     return True, None
 
 

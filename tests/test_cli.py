@@ -38,6 +38,23 @@ def test_pair_verify_regular_graded(capsys):
     assert list(conds.values()) == [True, True, True]
 
 
+def test_pair_verify_on_a_carrier_too_large_to_enumerate(capsys):
+    code, out, _ = run(capsys, "pair", "verify", "--ring",
+                       '{"kind": "finite", "p": 2, "k": 40}', "--x", "2",
+                       "--y", str(2 ** 39), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["details"]["regular"] == "false"
+
+
+def test_pair_verify_inhomogeneous_member_is_a_structured_error(capsys):
+    code, out, _ = run(capsys, "pair", "verify", "--ring", F5, "--x", "x",
+                       "--y", "y+z^2", "--format", "json")
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "NonHomogeneous"
+    assert record["exit_code"] == 2
+
+
 def test_pair_verify_non_exact_exits_one(capsys):
     code, out, _ = run(capsys, "pair", "verify", "--ring", Z8,
                        "--x", "2", "--y", "2", "--format", "json")

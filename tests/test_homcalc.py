@@ -137,7 +137,15 @@ def test_coset_table_refusal_precedes_enumeration(z9, monkeypatch):
 
     monkeypatch.setattr(module._span_solver(), "reduce", enumerated)
     with pytest.raises(TooLarge, match="coset table exceeds"):
-        homcalc._TargetTables(module, 80)
+        homcalc._target_tables(module, 80)
+
+
+def test_table_cache_does_not_bypass_the_budget(z9):
+    # tables built under a large budget must not answer a smaller one
+    module = PresentedModule(z9, Matrix(z9, [[z9.zero()]]), "free")
+    homcalc._target_tables(module, 10 ** 6)
+    with pytest.raises(TooLarge, match="coset table exceeds"):
+        homcalc._target_tables(module, 80)
 
 
 def test_end_scan_refuses_before_building_coset_tables():

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import span_closure
+from totref import linalg
 from totref.errors import DimensionMismatch, NotAComplex
 from totref.family import eta, gamma
 from totref.linalg import (Matrix, check_exact_at, column_span_size,
-                           hstack, kernel_gens, solve_right, vstack)
+                           hstack, ideal_membership, kernel_gens,
+                           solve_right, vstack)
 from totref.rings import FiniteLocalRing
 
 
@@ -150,3 +152,22 @@ def test_graded_exactness_certificate(pair_f5):
     rep = check_exact_at(diffs[1], diffs[0], 8)
     assert rep.passed
     assert rep.scope["mode"] == "degree"
+
+
+def test_graded_membership_branches(f5, monkeypatch):
+    windowed = []
+    window = linalg._solve_right_window
+    monkeypatch.setattr(linalg, "_solve_right_window",
+                        lambda *args: windowed.append(args) or window(*args))
+    # a homogeneous row is solved one component of e at a time, so the
+    # window does not cap the witness degree; zero generators stay exact
+    z = f5.parse("z")
+    ok, wit = ideal_membership(f5, f5.parse("z^9 + z"), [z], 3)
+    assert ok and [f5.format(w) for w in wit] == ["z^8 + 1"]
+    ok, wit = ideal_membership(f5, f5.parse("z^9"), [f5.zero(), z], 3)
+    assert ok and [f5.format(w) for w in wit] == ["0", "z^8"]
+    assert not windowed
+    # an inhomogeneous generator has no layout: the windowed search runs
+    g = f5.parse("x + y^2")
+    assert ideal_membership(f5, g, [g], 3) == (True, [f5.one()])
+    assert windowed

@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import MonomialQuotientOracle, annihilator as naive_ann
 from totref import rings
 from totref.errors import ParseError, TotrefError, UnknownVariable
-from totref.rings import (FiniteLocalRing, GradedMonomialRing, annihilator,
-                          enumerate_carrier, graded_basis, ideal_membership,
-                          is_unit, ring_from_descriptor)
+from totref.linalg import annihilator, ideal_membership
+from totref.rings import (FiniteLocalRing, GradedMonomialRing,
+                          enumerate_carrier, graded_basis, is_unit,
+                          ring_from_descriptor)
 
 ORACLE = MonomialQuotientOracle(5, 3, [(1, 1, 0)])
 

@@ -1,10 +1,13 @@
 """Exact pairs of zero divisors and the regularity trichotomy."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from oracles import annihilator as naive_ann
+from oracles import annihilator as naive_ann, span_closure
 from totref.errors import (PreconditionFailed, UnitInput,
                            UnsupportedQuotient)
+from totref.linalg import annihilator, ideal_membership
+from totref.rings import FiniteLocalRing
 from totref.zerodiv import (exact_pair, intersection_trivial,
                             pair_from_factorization, quotient_module,
                             verify_exact_pair, verify_regular_pair,
@@ -87,6 +90,59 @@ def test_regularity_pieces_directly(z9, pair_f5):
     nontrivial, witness = intersection_trivial(z9, z9.from_int(3),
                                                z9.from_int(3))
     assert not nontrivial and witness is not None
+
+
+def test_intersection_never_enumerates_the_carrier(monkeypatch):
+    def refuse(self):
+        pytest.fail("intersection_trivial enumerated the carrier")
+
+    monkeypatch.setattr(FiniteLocalRing, "enumerate_carrier", refuse)
+    ring = FiniteLocalRing(2, 40)
+    x, y = ring.from_int(2), ring.from_int(2 ** 39)
+    assert intersection_trivial(ring, x, y) == (False, y)
+
+
+PRIME_POWERS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+                for k in (1, 2, 3, 4) if p ** k <= 27]
+
+
+@st.composite
+def ideal_cases(draw):
+    p, k = draw(st.sampled_from(PRIME_POWERS))
+    value = st.integers(0, p ** k - 1)
+    return (FiniteLocalRing(p, k), draw(value), draw(value),
+            draw(st.lists(value, max_size=3)))
+
+
+@given(ideal_cases())
+def test_ideal_layer_matches_oracles_over_z_pk(case):
+    ring, x, y, gen_values = case
+    n = ring.n
+
+    def ideal(values):
+        return {v for (v,) in span_closure([(v,) for v in values] or [(0,)],
+                                           n)}
+
+    def value(e):
+        return e.coords[0]
+
+    gens = [ring.from_int(g) for g in gen_values]
+    ann = annihilator(ring, ring.from_int(x))
+    assert ideal([value(g) for g in ann]) == set(naive_ann(n, x))
+    inside, witnesses = ideal_membership(ring, ring.from_int(x), gens)
+    assert inside == (x in ideal(gen_values))
+    if inside:
+        assert sum(value(w) * g for w, g in zip(witnesses, gen_values)) \
+            % n == x
+    trivial, witness = intersection_trivial(ring, ring.from_int(x),
+                                            ring.from_int(y))
+    common = (ideal([x]) & ideal([y])) - {0}
+    assert trivial == (not common)
+    assert witness is None if trivial else value(witness) in common
+    quotient = ideal(gen_values)
+    injective = all(a in quotient for a in range(n) if x * a % n in quotient)
+    assert weakly_regular_on_quotient(ring, ring.from_int(x), gens) == \
+        injective
 
 
 def test_quotient_module_presentation(z9):
