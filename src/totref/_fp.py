@@ -1,15 +1,24 @@
-"""Dense linear algebra over the prime field F_p, vectorized with numpy.
+"""Linear algebra over the prime field F_p.
 
 Graded computations reduce every question to finite dimensional slices, and
 those slices land here.  Matrices hold entries in [0, p).  Pivoting is
-deterministic (first nonzero in column order), so kernels, solutions and
-quotient bases are reproducible.
+deterministic (the reduced row echelon form is unique), so kernels,
+solutions and quotient bases are reproducible.
 
-Arithmetic runs in int64 while every intermediate value fits: a sum of
-``width`` products of two residues is below width (p-1)^2, so int64 is used
-while that stays below 2^63 and Python integers (``dtype=object``) above
-it.  The elimination steps work on whole rows and blocks, never one vector
-at a time.
+The slices are sparse: a column of ``mult_matrix(e)`` has at most as many
+nonzero entries as e has terms, and a pivot step rarely clears more than a
+few rows.  So ``rref`` eliminates rows held as ``{column: residue}`` dicts
+of Python integers, which is exact for every p and costs time in the
+nonzero entries the elimination touches rather than in the matrix's area.
+A dense matrix costs more this way: a dense 120 x 120 matrix over F_5 takes
+about 120 ms, where a numpy loop over pivots took about 13 ms (Python 3.11,
+numpy 2.4, one core of a 2-core VM).
+
+Arrays still hold int64 while every intermediate value fits: a sum of
+``width`` products of two residues is below width (p-1)^2, so ``mul``
+computes in int64 while that stays below 2^63 and in Python integers
+(``dtype=object``) above it, and ``rref`` returns its dense form in the
+dtype of its reduced input.
 """
 
 from __future__ import annotations
@@ -42,32 +51,58 @@ def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (_reduced(a, p, width) @ _reduced(b, p, width)) % p
 
 
+def _subtract(row: dict, f: int, other: dict, p: int) -> None:
+    """row -= f * other in place, dropping the entries that become 0."""
+    for c, v in other.items():
+        v = (row.get(c, 0) - f * v) % p
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column list."""
+    """Reduced row echelon form and pivot column list.
+
+    The RREF depends only on the row space, so the rows are reduced one at
+    a time, as ``{column: residue}`` dicts of Python integers, against an
+    echelon basis keyed by leading column.  A row that keeps a new lead is
+    normalised to a leading 1 and joins the basis; once all rows are in,
+    back-substitution from the largest lead clears the pivot columns.
+    """
     m = _reduced(a, p)
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        below = m[r:, c].nonzero()[0]
-        if not below.size:
-            continue
-        i = r + int(below[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        # the pivot row is zero left of c, so only columns >= c change,
-        # and only in the rows that are nonzero in column c
-        lead = m[r, c:] * pow(int(m[r, c]), -1, p) % p
-        m[r, c:] = lead
-        hit = m[:, c].nonzero()[0]
-        hit = hit[hit != r]
-        if hit.size:
-            m[hit, c:] = (m[hit, c:] - m[hit, c, None] * lead) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    rows_at, cols_at = np.nonzero(m)
+    vals = m[rows_at, cols_at].tolist()
+    cols_at = cols_at.tolist()
+    # the nonzero entries come row by row; cut them where the row changes
+    cuts = (np.flatnonzero(np.diff(rows_at)) + 1).tolist()
+    basis: dict[int, dict[int, int]] = {}
+    for start, stop in zip([0] + cuts, cuts + [len(vals)]):
+        row = dict(zip(cols_at[start:stop], vals[start:stop]))
+        while row:
+            lead = min(row)
+            if lead not in basis:
+                f = row[lead]
+                if f != 1:
+                    inv = pow(f, -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                basis[lead] = row
+                break
+            _subtract(row, row[lead], basis[lead], p)
+    pivots = sorted(basis)
+    for lead in reversed(pivots):
+        row = basis[lead]
+        for c in [c for c in row if c != lead and c in basis]:
+            _subtract(row, row[c], basis[c], p)
+    red = np.zeros_like(m)
+    at_r, at_c, at_v = [], [], []
+    for i, lead in enumerate(pivots):
+        row = basis[lead]
+        at_r += [i] * len(row)
+        at_c += row
+        at_v += row.values()
+    red[at_r, at_c] = at_v
+    return red, pivots
 
 
 def rank(a: np.ndarray, p: int) -> int:
@@ -108,15 +143,31 @@ def extend_independent(span: np.ndarray | None, cand: np.ndarray, p: int) -> lis
     """Indices of candidate columns that enlarge the span, greedily.
 
     ``span`` may be None or empty.  Candidate j is picked when it lies
-    outside the span of ``span`` and the candidates before it.  The
-    candidates are projected along the reduced basis B of the span (with
-    pivot rows ``piv``) by v -> v - B^T v[piv], a map whose kernel is
-    exactly the span; the picked columns are then the pivot columns of the
-    projected candidates.
+    outside the span of ``span`` and the candidates before it, that is
+    when the rank grows at its column of ``[span | cand]``: exactly the
+    pivot columns of that matrix at or past the span's width.
     """
     cand = np.asarray(cand)
-    if span is not None and span.size:
-        red, piv = rref(span.T, p)
-        if piv:
-            cand = (cand - mul(red[:len(piv)].T, cand[piv], p)) % p
-    return rref(cand, p)[1]
+    held = span.shape[1] if span is not None and span.size else 0
+    if held:
+        cand = np.concatenate([span, cand], axis=1)
+    return [c - held for c in rref(cand, p)[1] if c >= held]
+
+
+def extend_in_kernel(span: np.ndarray | None, kern: np.ndarray,
+                     p: int) -> list[int]:
+    """``extend_independent``'s picks for a basis ``kern`` from ``kernel``.
+
+    The columns of ``span`` must lie in the column span of ``kern``.  That
+    basis is the identity on its free columns, and column j's free column
+    is its last nonzero row, so ``span`` has kernel coordinates
+    ``span[free]``.  Basis vector j enlarges the span exactly when no
+    vector in the span of those coordinates ends at j, and those last
+    positions are the pivots of ``span[free]^T`` with its columns reversed.
+    """
+    k = kern.shape[1]
+    if span is None or not span.size or not k:
+        return list(range(k))
+    free = kern.shape[0] - 1 - np.argmax(kern[::-1] != 0, axis=0)
+    ends = {k - 1 - c for c in rref(span[free].T[:, ::-1], p)[1]}
+    return [j for j in range(k) if j not in ends]

@@ -117,7 +117,7 @@ def _load_ring(source: str):
     if text.startswith("{"):
         try:
             desc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid inline ring descriptor: {exc}")
     else:
         try:
@@ -125,7 +125,7 @@ def _load_ring(source: str):
                 desc = json.load(handle)
         except OSError as exc:
             raise ParseError(f"cannot read ring file {source!r}: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid ring file {source!r}: {exc}")
     return ring_from_descriptor(desc)
 

@@ -637,15 +637,6 @@ def _generators_covered(hp: HomPresentation, span: Matrix, bound, scope,
 # ---------------------------------------------------------------------------
 # exact two-generator descriptions of the family Hom modules
 
-_CORE_DATA = {
-    # claimed presentation, pi generators, their lifts, vanishing
-    # witnesses for the two claimed relation columns, and reductions of
-    # the remaining three special generators to the span of the first two
-    "hg": {"claim_flavor": "G", "source_flavor": "H", "need": "either"},
-    "gg": {"claim_flavor": "H", "source_flavor": "Gab", "need": "a"},
-}
-
-
 def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b,
                        bound=None, name: str | None = None,
                        route: str = "direct") -> VerificationReport:

@@ -563,15 +563,13 @@ def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
                 else np.eye(dom_total, dtype=np.int64))
         if kern.shape[1] == 0:
             continue
-        span_blocks = []
-        for g in gens:
-            gd = g.col_degs[0]
-            block = slice_matrix(
-                Matrix(ring, g.entries, rho.col_degs, (gd,)), d)
-            if block.shape[1]:
-                span_blocks.append(block)
+        # the degree-d multiples of the earlier generators (each laid out
+        # as rho.col_degs -> (its degree,)) lie in K_d, so the new
+        # generators are picked in kernel coordinates
+        span_blocks = [block for block in (slice_matrix(g, d) for g in gens)
+                       if block.shape[1]]
         span = (np.concatenate(span_blocks, axis=1) if span_blocks else None)
-        for j in _fp.extend_independent(span, kern, p):
+        for j in _fp.extend_in_kernel(span, kern, p):
             gens.append(slice_vector_to_matrix(ring, kern[:, j],
                                                rho.col_degs, d))
     return gens

@@ -118,13 +118,21 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
-    """Recursive descent for +, -, *, ^ and parentheses."""
+    """Recursive descent for +, -, *, ^ and parentheses.
+
+    Each open parenthesis costs a few interpreter frames, so nesting deeper
+    than ``MAX_NESTING`` is refused as a parse error before the interpreter's
+    recursion limit is reached.
+    """
+
+    MAX_NESTING = 100
 
     def __init__(self, ring, text: str):
         self.ring = ring
         self.tokens = _tokenize(text)
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -176,7 +184,12 @@ class _Parser:
         if kind == "name":
             return self.ring.variable(text)
         if kind == "(":
+            self.depth += 1
+            if self.depth > self.MAX_NESTING:
+                raise ParseError("parentheses nested deeper than "
+                                 f"{self.MAX_NESTING}")
             value = self.expr()
+            self.depth -= 1
             if self.take()[0] != ")":
                 raise ParseError(f"unbalanced parentheses in {self.text!r}")
             return value

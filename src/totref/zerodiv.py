@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (EquivalenceViolation, NonHomogeneous, UnitInput,
-                     UnsupportedQuotient)
+from .errors import EquivalenceViolation, UnitInput, UnsupportedQuotient
 from .linalg import Matrix, annihilator, ideal_membership, kernel_gens
-from .modules import PresentedModule
 from .report import FAIL, PASS, VerificationReport
 from .rings import GradedMonomialRing, scope_of
 
@@ -87,22 +85,6 @@ def exact_pair(ring, x, y, bound=None) -> ExactZeroDivisorPair:
 
 # ---------------------------------------------------------------------------
 # regularity
-
-def quotient_module(ring, gens) -> PresentedModule:
-    """A/(gens) as a one-generator presented module."""
-    if not gens:
-        return PresentedModule.free(ring, 1, label="A")
-    if isinstance(ring, GradedMonomialRing):
-        for g in gens:
-            if not g.is_homogeneous():
-                raise NonHomogeneous("quotient ideal generators must be "
-                                     "homogeneous on the graded backend")
-        col_degs = tuple(g.degree() if not g.is_zero else 0 for g in gens)
-        rho = Matrix(ring, [list(gens)], (0,), col_degs)
-    else:
-        rho = Matrix(ring, [list(gens)])
-    return PresentedModule(ring, rho, "A/ideal")
-
 
 def weakly_regular_on_quotient(ring, e, ideal_gens, bound=None) -> bool:
     """Whether multiplication by e is injective on A/(ideal_gens).

@@ -1,14 +1,15 @@
 """Independent reference computations used to freeze expected values.
 
-Everything here is written from scratch over plain Python integers: no
-numpy, no imports from the package under test.  Slow is fine, the inputs
-are tiny.  Polynomials are dicts mapping exponent tuples to coefficients,
+Everything here is written from scratch over plain Python integers, with
+no imports from the package under test; only ``hom_count`` uses numpy, to
+enumerate every candidate matrix at once.  Slow is fine, the inputs are
+tiny.  Polynomials are dicts mapping exponent tuples to coefficients,
 matrices are lists of rows.
 """
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -51,23 +52,20 @@ def hom_count(modulus: int, rho1, rho2) -> int:
 
     A homomorphism is a class of q2 x q1 matrices psi with every column
     of psi rho1 landing in colspan(rho2); two classes agree when they
-    differ by a matrix with all columns in colspan(rho2).
+    differ by a matrix with all columns in colspan(rho2).  All m^(q2 q1)
+    matrices psi are enumerated at once as a numpy array, and a column
+    is looked up in colspan(rho2) by its base-m code.
     """
-    q1, c1 = len(rho1), len(rho1[0])
-    q2 = len(rho2)
+    q1, q2 = len(rho1), len(rho2)
     span2 = span_closure(matrix_columns(rho2), modulus)
-    lifting = 0
-    for flat in itertools.product(range(modulus), repeat=q2 * q1):
-        psi = [flat[i * q1:(i + 1) * q1] for i in range(q2)]
-        ok = True
-        for j in range(c1):
-            col = tuple(sum(psi[i][k] * rho1[k][j] for k in range(q1))
-                        % modulus for i in range(q2))
-            if col not in span2:
-                ok = False
-                break
-        if ok:
-            lifting += 1
+    in_span = np.zeros(modulus ** q2, dtype=bool)
+    for col in span2:
+        in_span[sum(c * modulus ** i for i, c in enumerate(col))] = True
+    psi = np.indices((modulus,) * (q2 * q1)).reshape(q2, q1, -1)
+    # images[i, j, t] = (psi_t rho1)[i, j]
+    images = np.einsum("ikt,kj->ijt", psi, np.array(rho1)) % modulus
+    codes = np.einsum("ijt,i->jt", images, modulus ** np.arange(q2))
+    lifting = int(np.count_nonzero(in_span[codes].all(axis=0)))
     return lifting // (len(span2) ** q1)
 
 

@@ -253,3 +253,32 @@ def test_window_below_the_pair_degree_is_refused(capsys):
         assert code == expected, (y, degree)
         if expected == 2:
             assert json.loads(out)["error"] == "ParseError"
+
+
+def test_deep_parenthesis_nesting_is_a_parse_error(capsys):
+    code, out, _ = run(capsys, "pair", "verify", "--ring", F5,
+                       "--x", "(" * 3000 + "x" + ")" * 3000, "--y", "y",
+                       "--format", "json")
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "ParseError"
+    assert record["exit_code"] == 2
+    code, _, _ = run(capsys, "pair", "verify", "--ring", F5, "--degree", "4",
+                     "--x", "(" * 100 + "x" + ")" * 100, "--y", "y")
+    assert code == 0
+    # the JSON decoder of a ring descriptor recurses on nesting too
+    deep = '{"kind": ' + "[" * 20000 + "]" * 20000 + "}"
+    code, out, _ = run(capsys, "pair", "verify", "--ring", deep,
+                       "--x", "3", "--y", "3", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+def test_run_main_has_no_probe_mode(capsys):
+    # --probe is accepted, but run-main still needs a regular pair
+    code, _, err = run(capsys, "family", "run-main", "--ring",
+                       '{"kind": "finite", "p": 2, "k": 4}', "--x", "4",
+                       "--y", "4", "--b", "2", "--n-max", "2", "--probe")
+    assert code == 3
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "PreconditionFailed"

@@ -55,6 +55,55 @@ def test_extend_independent_picks_where_the_rank_grows(case):
     expected = [j for j in range(cand.shape[1]) if ranks[j + 1] > ranks[j]]
     picked = _fp.extend_independent(span if held else None, cand, p)
     assert picked == expected
+    # the kernel-coordinate pick: a kernel basis as the candidates, and
+    # combinations of its columns as the span
+    kern = _fp.kernel(span.T, p)
+    k = kern.shape[1]
+    inside = np.array(kern, dtype=object) @ np.array(cand[:k], dtype=object)
+    inside = (inside % p).astype(np.int64)
+    full = np.concatenate([inside, kern], axis=1)
+    ranks = [rank_mod_p(full[:, :inside.shape[1] + j].tolist(), p)
+             for j in range(k + 1)]
+    expected = [j for j in range(k) if ranks[j + 1] > ranks[j]]
+    assert _fp.extend_in_kernel(inside, kern, p) == expected
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(p, a): up to 12 x 12, from one nonzero per row to dense."""
+    p = draw(st.sampled_from(PRIMES))
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 12))
+    density = draw(st.sampled_from((0.0, 0.05, 0.2, 0.5, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    a = [[rng.randrange(1, p) if rng.random() < density else 0
+          for _ in range(cols)] for _ in range(rows)]
+    if density == 0.0:
+        # monomial-sparse: at most one nonzero entry per row
+        for row in a:
+            if cols and rng.random() < 0.8:
+                row[rng.randrange(cols)] = rng.randrange(1, p)
+    return p, np.array(a, dtype=np.int64).reshape(rows, cols)
+
+
+@given(sparse_matrices())
+def test_rref_is_the_reduced_row_echelon_form(case):
+    p, a = case
+    red, pivots = _fp.rref(a, p)
+    assert red.shape == a.shape
+    rank = len(pivots)
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert not np.any(red[i, :c])
+        assert red[i, c] == 1
+        column = [int(v) for v in red[:, c]]
+        assert column == [int(r == i) for r in range(a.shape[0])]
+    assert not np.any(red[rank:])
+    assert np.all((red >= 0) & (red < p))
+    rows = a.tolist()
+    assert rank_mod_p(rows, p) == rank
+    assert rank_mod_p(red.tolist(), p) == rank
+    assert rank_mod_p(rows + red.tolist(), p) == rank
 
 
 @given(span_and_candidates())

@@ -9,9 +9,8 @@ from totref.errors import (PreconditionFailed, UnitInput,
 from totref.linalg import annihilator, ideal_membership
 from totref.rings import FiniteLocalRing
 from totref.zerodiv import (exact_pair, intersection_trivial,
-                            pair_from_factorization, quotient_module,
-                            verify_exact_pair, verify_regular_pair,
-                            weakly_regular_on_quotient)
+                            pair_from_factorization, verify_exact_pair,
+                            verify_regular_pair, weakly_regular_on_quotient)
 
 
 def test_z9_three_three_is_exact(pair_z9):
@@ -143,11 +142,6 @@ def test_ideal_layer_matches_oracles_over_z_pk(case):
     injective = all(a in quotient for a in range(n) if x * a % n in quotient)
     assert weakly_regular_on_quotient(ring, ring.from_int(x), gens) == \
         injective
-
-
-def test_quotient_module_presentation(z9):
-    module = quotient_module(z9, [z9.from_int(3)])
-    assert module.size() == 3
 
 
 def test_pair_from_factorization(f5):
