@@ -8,11 +8,22 @@ the span closed under "leading zeros" truncation.
 
 Solving A*x = b and computing right kernels both go through one augmented
 Howell computation on [A^T | I].
+
+``SpanSolver.reduce`` applies each Howell value row to a whole (m, height)
+batch at once, in int64 while n^2 < 2^63 and in Python integers
+(``dtype=object``) above, since an update subtracts a product of residues.
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+import numpy as np
+
+
+def int_dtype(bound: int):
+    """int64 if ``bound`` < 2^63 bounds every intermediate, else ``object``."""
+    return np.int64 if bound < 2 ** 63 else object
 
 
 def modinv(a: int, n: int) -> int:
@@ -149,16 +160,19 @@ class SpanSolver:
                 self.value_rows.append(row)
             else:
                 self.kernel_rows.append(row[height:])
+        self._dtype = int_dtype(n * n)
+        # (pivot column, pivot, row from the pivot on) of each value row
+        pivots = [_pivot(row) for row in self.value_rows]
+        self._steps = [(j, row[j], np.array(row[j:height], dtype=self._dtype))
+                       for j, row in zip(pivots, self.value_rows)]
 
     def solve(self, b: list[int]) -> list[int] | None:
         """x with A*x = b, or None; free choices are pinned to zero."""
         n = self.n
         v = [x % n for x in b] + [0] * self.width
-        for row in self.value_rows:
-            j = _pivot(row)
+        for row, (j, piv, _) in zip(self.value_rows, self._steps):
             if v[j] == 0:
                 continue
-            piv = row[j]
             if v[j] % piv:
                 return None
             q = v[j] // piv
@@ -167,22 +181,30 @@ class SpanSolver:
             return None
         return [(-x) % n for x in v[self.height:]]
 
-    def reduce(self, b: list[int]) -> tuple[int, ...]:
-        """Canonical representative of b modulo the column span of A.
+    def reduce(self, vectors) -> np.ndarray:
+        """Canonical representatives of the rows of ``vectors`` modulo the
+        column span of A, as an (m, height) array.
 
-        Two vectors reduce to the same tuple exactly when their difference
+        Two vectors reduce to the same row exactly when their difference
         lies in the span, because the value rows are in Howell form.
         """
         n = self.n
-        v = [x % n for x in b]
-        for row in self.value_rows:
-            j = _pivot(row)
-            piv = row[j]
-            q = v[j] // piv
-            if q:
-                for t in range(j, self.height):
-                    v[t] = (v[t] - q * row[t]) % n
-        return tuple(v)
+        v = np.array(vectors, dtype=self._dtype).reshape(-1, self.height) % n
+        for j, piv, row in self._steps:
+            q = v[:, j] // piv
+            v[:, j:] = (v[:, j:] - q[:, None] * row) % n
+        return v
+
+    def reduced_bounds(self) -> list[int]:
+        """Entry bounds of the reduced vectors (the pivot in a pivot column,
+        n elsewhere): the reduced vectors are exactly their product, and
+        each is the lexicographically first of its coset, since another
+        vector of the coset first differs from it by a multiple of a pivot.
+        """
+        bounds = [self.n] * self.height
+        for j, piv, _ in self._steps:
+            bounds[j] = piv
+        return bounds
 
     def kernel_generators(self) -> list[list[int]]:
         return [list(r) for r in self.kernel_rows]

@@ -4,7 +4,8 @@ Verbs: ``pair verify``, ``family build|verify-complex|verify-tr``,
 ``hom compute|verify-hg|verify-gaba|verify-end|verify-ext``,
 ``family run-main`` and ``oracle hom``.  Exit codes: 0 all checks pass,
 1 a mathematical check failed (the report names the first failing
-certificate), 2 usage or parse error, 3 a theorem precondition is unmet.
+certificate), 2 usage or parse error, 3 a theorem precondition is unmet,
+4 an internal error (an exception that is not a ``TotrefError``).
 Every error also appears as a structured JSON record.
 """
 
@@ -13,12 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
-from .errors import (DimensionMismatch, EquivalenceViolation,
-                     InvalidResolution, NonHomogeneous, NotAComplex,
-                     NotAUnit, ParseError, PreconditionFailed, TooLarge,
-                     TotrefError, UnitInput, UnknownVariable,
-                     UnsupportedQuotient, WrongBackend)
+from .errors import (EquivalenceViolation, NotAUnit, ParseError,
+                     PreconditionFailed, TotrefError, UnitInput)
 from .family import (module_g, module_h, verify_complex,
                      verify_total_reflexivity)
 from .homcalc import (brute_force_hom_oracle, hom_presentation, run_family,
@@ -30,9 +29,6 @@ from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
                     GradedMonomialRing, ring_from_descriptor)
 from .zerodiv import exact_pair, verify_regular_pair
 
-USAGE_ERRORS = (ParseError, UnknownVariable, DimensionMismatch,
-                WrongBackend, NonHomogeneous, UnsupportedQuotient,
-                TooLarge, NotAComplex, InvalidResolution)
 PRECONDITION_ERRORS = (PreconditionFailed, UnitInput, NotAUnit)
 
 
@@ -394,10 +390,11 @@ def main(argv=None) -> int:
         return _emit_error(args, exc, 3)
     except EquivalenceViolation as exc:
         return _emit_error(args, exc, 1)
-    except USAGE_ERRORS as exc:
-        return _emit_error(args, exc, 2)
     except TotrefError as exc:
         return _emit_error(args, exc, 2)
+    except Exception as exc:
+        traceback.print_exc()
+        return _emit_error(args, exc, 4)
     _emit(args, _render(args, payload, code))
     return code
 

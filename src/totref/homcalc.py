@@ -17,6 +17,7 @@ import contextlib
 import contextvars
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -28,7 +29,8 @@ from .errors import (InconclusiveStrategy, NonHomogeneous, ParseError,
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
                      phi_matrix, verify_total_reflexivity)
 from .linalg import (Matrix, _flatten_columns, _flatten_vector, _twist_layout,
-                     hstack, kernel_gens, slice_matrix, solve_right)
+                     _unflatten_vector, hstack, kernel_gens, slice_matrix,
+                     solve_right)
 from .modules import (PresentedModule, fitting_ideal, hilbert_function,
                       ideals_equal, minimal_generator_count,
                       verify_iso_witness)
@@ -334,69 +336,61 @@ def _hom_presentation(ring, src: PresentedModule, tgt: PresentedModule,
 class _TargetTables:
     """Indexed coset arithmetic for a finite presented module.
 
-    Cosets are numbered 0..r-1 by their canonical keys; reps[i] is a
-    generator-coefficient tuple of coset i, add is the r x r sum table and
-    mul maps each ring element (by coordinate key) to the r-vector of
-    scalar multiples.  Building the tables costs r^2 reductions, so
-    instances are cached per presentation.
+    Cosets are numbered 0..r-1 by their canonical keys in lexicographic
+    order; reps[i] is the lexicographically first generator-coefficient
+    tuple of coset i, add is the r x r sum table and mul maps each ring
+    element (by coordinate key) to the r-vector of scalar multiples.  The
+    keys are the product of the solver's reduced bounds, each the first
+    vector of its coset and indexed by its mixed-radix rank.  A row of add
+    or of mul costs one batched reduction, r + |A| in all.
     """
 
     def __init__(self, module: PresentedModule):
         ring = module.ring
-        self.module = module
+        g, d = module.ngens, ring.ext_degree
+        self.ring = ring
         self.solver = module._span_solver()
-        reps = {}
-        for combo in itertools.product(ring.enumerate_carrier(),
-                                       repeat=module.ngens):
-            key = self.solver.reduce(_flatten_vector(ring, combo))
-            if key not in reps:
-                reps[key] = combo
-        self.keys = sorted(reps)
-        self.reps = [reps[key] for key in self.keys]
+        bounds = self.solver.reduced_bounds()
+        self.keys = list(itertools.product(*map(range, bounds)))
+        self.reps = [tuple(_unflatten_vector(ring, key, g))
+                     for key in self.keys]
         r = len(self.keys)
-        self.index = {key: i for i, key in enumerate(self.keys)}
-        height = module.ngens * ring.ext_degree
-        self.zero_idx = self.index[self.solver.reduce([0] * height)]
-        n = ring.n
+        # every partial sum of a rank is below r
+        self._strides = np.array([math.prod(bounds[t + 1:]) for t in
+                                  range(g * d)], dtype=_zn.int_dtype(r))
+        # the zero vector is the lexicographically first key
+        self.zero_idx = 0
+        # a scalar multiple of a key block sums d products of residues
+        dtype = _zn.int_dtype(d * ring.n ** 2)
+        keys = np.array(self.keys, dtype=dtype)
         self.add = np.empty((r, r), dtype=np.int32)
-        for i, ki in enumerate(self.keys):
-            for j, kj in enumerate(self.keys):
-                s = self.solver.reduce([(u + v) % n for u, v in zip(ki, kj)])
-                self.add[i, j] = self.index[s]
+        for i in range(r):
+            self.add[i] = self._lookup(keys[i] + keys)
+        blocks = keys.reshape(r, g, d)
         self.mul = {}
         for c in ring.enumerate_carrier():
-            vec = np.empty(r, dtype=np.int32)
-            for i, rep in enumerate(self.reps):
-                scaled = [c * e for e in rep]
-                vec[i] = self.index[
-                    self.solver.reduce(_flatten_vector(ring, scaled))]
-            self.mul[c.coords] = vec
+            cols = np.array(ring.mult_columns(c), dtype=dtype)
+            scaled = (blocks @ cols).reshape(r, g * d)
+            self.mul[c.coords] = self._lookup(scaled).astype(np.int32)
 
-    def index_of_column(self, elements) -> int:
-        flat = _flatten_vector(self.module.ring, elements)
-        return self.index[self.solver.reduce(flat)]
+    def _lookup(self, vectors) -> np.ndarray:
+        return self.solver.reduce(vectors) @ self._strides
 
-
-_TABLE_CACHE: dict = {}
+    def indices_of_columns(self, columns) -> list[int]:
+        """Coset indices of ``columns``, each a list of ring elements."""
+        return self._lookup([_flatten_vector(self.ring, col)
+                             for col in columns]).tolist()
 
 
 def _target_tables(module: PresentedModule, budget: int) -> _TargetTables:
-    """The coset tables of ``module``, refused past ``budget`` cached or not."""
+    """The coset tables of ``module``, refused past ``budget`` held or not."""
     if module.ring.carrier_size() ** module.ngens > budget:
         raise TooLarge("target enumeration exceeds the carrier budget")
     if module.size() ** 2 > budget:
         raise TooLarge("coset table exceeds the carrier budget")
-    rho = module.rho
-    key = (module.ring.key, rho.nrows, rho.ncols,
-           tuple(rho.entries[i][j].coords
-                 for i in range(rho.nrows) for j in range(rho.ncols)))
-    cached = _TABLE_CACHE.get(key)
-    if cached is None:
-        if len(_TABLE_CACHE) > 64:
-            _TABLE_CACHE.clear()
-        cached = _TargetTables(module)
-        _TABLE_CACHE[key] = cached
-    return cached
+    if module._tables is None:
+        module._tables = _TargetTables(module)
+    return module._tables
 
 
 def brute_force_hom_oracle(source, target, budget=None, ring=None):
@@ -449,17 +443,15 @@ def _map_closure(hp: HomPresentation, budget: int, cap: int):
     ring = hp.ring
     if not isinstance(ring, FiniteLocalRing):
         raise WrongBackend("map enumeration needs the finite backend")
-    tgt = hp.target
     n1 = hp.source.ngens
-    tables = _target_tables(tgt, budget)
+    tables = _target_tables(hp.target, budget)
     scalars = [tables.mul[c.coords] for c in ring.enumerate_carrier()
                if not c.is_zero]
     reached = np.full((1, n1), tables.zero_idx, dtype=tables.add.dtype)
     found = {(tables.zero_idx,) * n1}
-    for psi in hp.generators:
-        base = [tables.index_of_column(
-            [psi.entries[i][k] for i in range(tgt.ngens)])
-            for k in range(n1)]
+    images = tables.indices_of_columns(
+        [col for psi in hp.generators for col in psi.transpose().entries])
+    for base in np.reshape(images, (-1, n1)):
         for mul in scalars:
             step = mul[base]
             multiple = step
@@ -1096,9 +1088,9 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
             raise _map_budget_error(budget)
         tables, states = _map_closure(hp, _max_carrier(None), budget)
         n = module.ngens
-        ident = tuple(tables.index_of_column(
-            [ring.one() if i == k else ring.zero() for i in range(n)])
-            for k in range(n))
+        # the identity's columns are its rows
+        ident = tuple(tables.indices_of_columns(
+            Matrix.identity(ring, n).entries))
         zero = (tables.zero_idx,) * n
         for state in sorted(states):
             if state in (zero, ident):

@@ -231,20 +231,6 @@ def hstack(mats: list[Matrix]) -> Matrix:
     return Matrix(first.ring, rows, row_degs, col_degs)
 
 
-def vstack(mats: list[Matrix]) -> Matrix:
-    first = mats[0]
-    if any(m.ncols != first.ncols for m in mats):
-        raise DimensionMismatch("column counts differ")
-    rows = [row for m in mats for row in m.entries]
-    col_degs = first.col_degs
-    if any(m.col_degs != col_degs for m in mats):
-        col_degs = None
-    row_degs = None
-    if all(m.row_degs is not None for m in mats) and col_degs is not None:
-        row_degs = sum((list(m.row_degs) for m in mats), [])
-    return Matrix(first.ring, rows, row_degs, col_degs)
-
-
 # ---------------------------------------------------------------------------
 # degree inference
 

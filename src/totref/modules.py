@@ -12,8 +12,8 @@ from __future__ import annotations
 from . import _fp, _zn
 from .errors import (DimensionMismatch, InvalidResolution, NotAComplex,
                      TotrefError, WrongBackend)
-from .linalg import (Matrix, _flatten_columns, _flatten_vector,
-                     _twist_layout, check_exact_at, column_span_size, hstack,
+from .linalg import (Matrix, _flatten_columns, _twist_layout,
+                     check_exact_at, column_span_size, hstack,
                      ideal_membership, infer_degrees, slice_matrix,
                      solve_right)
 from .report import FAIL, PASS, VerificationReport
@@ -34,6 +34,7 @@ class PresentedModule:
         self.ngens = rho.nrows
         self.gen_degs = rho.row_degs
         self._solver = None
+        self._tables = None  # coset tables, built by homcalc._target_tables
 
     @classmethod
     def free(cls, ring, n: int = 1, degs=None, label: str = "A") -> "PresentedModule":
@@ -55,12 +56,6 @@ class PresentedModule:
             cols, height = _flatten_columns(self.rho)
             self._solver = _zn.SpanSolver(cols, self.ring.n, height)
         return self._solver
-
-    def canonical_rep(self, column: Matrix) -> tuple[int, ...]:
-        """Canonical coordinates of the coset of ``column`` in M."""
-        vec = _flatten_vector(self.ring,
-                              [column.entries[i][0] for i in range(self.ngens)])
-        return self._span_solver().reduce(vec)
 
     def size(self) -> int:
         """Cardinality of M, finite backend only."""

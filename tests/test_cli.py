@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+from totref import cli
 from totref.cli import main
 
 Z9 = '{"kind": "finite", "p": 3, "k": 2}'
@@ -112,6 +113,21 @@ def test_json_error_record_on_json_format(capsys):
     assert code == 3
     record = json.loads(out)
     assert record["kind"] == "error"
+
+
+def test_internal_error_exits_four_with_a_record(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("defect")
+
+    monkeypatch.setitem(cli._HANDLERS, ("pair", "verify"), broken)
+    code, out, err = run(capsys, "pair", "verify", "--ring", Z9,
+                         "--x", "3", "--y", "3", "--format", "json")
+    assert code == 4
+    assert "RuntimeError: defect" in err
+    record = json.loads(out)
+    assert record["kind"] == "error"
+    assert record["error"] == "RuntimeError"
+    assert record["exit_code"] == 4
 
 
 def test_family_build_payload(capsys):

@@ -5,12 +5,14 @@ oracles.py (hom_count); the tests re-run that oracle beside the library.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import hom_count, matrix_columns, span_closure
-from totref import homcalc
+from totref import _zn, homcalc
 from totref.errors import (InconclusiveStrategy, PreconditionFailed,
                            TooLarge)
 from totref.family import module_g, module_h
@@ -128,11 +130,25 @@ def test_map_closure_cap_boundary(pair_z9):
         homcalc._map_closure(hp, 10 ** 6, size - 1)
 
 
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The modules whose coset tables get built while the test runs."""
+    builds = []
+
+    class Counted(homcalc._TargetTables):
+        def __init__(self, module):
+            builds.append(module)
+            super().__init__(module)
+
+    monkeypatch.setattr(homcalc, "_TargetTables", Counted)
+    return builds
+
+
 def test_coset_table_refusal_precedes_enumeration(z9, monkeypatch):
     # carrier^ngens = 9 fits the budget, the 9 x 9 sum table does not
     module = PresentedModule(z9, Matrix(z9, [[z9.zero()]]), "free")
 
-    def enumerated(vec):
+    def enumerated(vectors):
         pytest.fail("the refusal ran the coset enumeration first")
 
     monkeypatch.setattr(module._span_solver(), "reduce", enumerated)
@@ -140,23 +156,110 @@ def test_coset_table_refusal_precedes_enumeration(z9, monkeypatch):
         homcalc._target_tables(module, 80)
 
 
-def test_table_cache_does_not_bypass_the_budget(z9):
+def test_table_cache_does_not_bypass_the_budget(z9, table_builds):
     # tables built under a large budget must not answer a smaller one
     module = PresentedModule(z9, Matrix(z9, [[z9.zero()]]), "free")
     homcalc._target_tables(module, 10 ** 6)
+    homcalc._target_tables(module, 10 ** 6)
+    assert table_builds == [module]
     with pytest.raises(TooLarge, match="coset table exceeds"):
         homcalc._target_tables(module, 80)
 
 
-def test_end_scan_refuses_before_building_coset_tables():
+def test_end_scan_refuses_before_building_coset_tables(table_builds):
     # over Z/729 with the pair (27, 27), |End(G_9)| = 3^10 > 4096
     ring = FiniteLocalRing(3, 6)
     pair = exact_pair(ring, ring.from_int(27), ring.from_int(27))
-    cached = set(homcalc._TABLE_CACHE)
     with pytest.raises(TooLarge, match="^generated map set exceeds the "
                                        "budget of 4096 maps$"):
         verify_end_ring(pair, ring.from_int(9), strict=False)
-    assert set(homcalc._TABLE_CACHE) == cached
+    assert table_builds == []
+
+
+def _reference_tables(module):
+    """The coset tables cell by cell, from the A-span of the relations.
+
+    Combinations are visited in lexicographic order, so the first vector
+    of each coset is its key and its representative.
+    """
+    ring, g, rho = module.ring, module.ngens, module.rho
+    n = ring.n
+    carrier = list(ring.enumerate_carrier())
+
+    def flat(elements):
+        return tuple(x for e in elements for x in e.coords)
+
+    def plus(u, v):
+        return tuple((x + y) % n for x, y in zip(u, v))
+
+    span = {flat([ring.zero()] * g)}
+    for j in range(rho.ncols):
+        column = [rho.entries[i][j] for i in range(g)]
+        multiples = {flat([c * e for e in column]) for c in carrier}
+        span = {plus(s, m) for s in span for m in multiples}
+    key_of, keys, reps = {}, [], []
+    for combo in itertools.product(carrier, repeat=g):
+        v = flat(combo)
+        if v not in key_of:
+            keys.append(v)
+            reps.append(combo)
+            key_of.update((plus(v, s), v) for s in span)
+    index = {key: i for i, key in enumerate(keys)}
+    add = [[index[key_of[plus(u, v)]] for v in keys] for u in keys]
+    mul = {c.coords: [index[key_of[flat([c * e for e in rep])]]
+                      for rep in reps] for c in carrier}
+    return keys, reps, add, mul, index[key_of[flat([ring.zero()] * g)]]
+
+
+# Z/p^k for p^k <= 27, Z/4[t]/(t^2) and Z/3[t]/(t^2)
+TABLE_RINGS = [FiniteLocalRing(p, k) for p, k in
+               [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                (5, 1), (5, 2), (7, 1), (11, 1), (13, 1), (23, 1)]] + \
+    [FiniteLocalRing(2, 2, "t", (0, 0)), FiniteLocalRing(3, 1, "t", (0, 0))]
+
+
+@given(st.data())
+def test_coset_tables_match_cell_by_cell_reference(data):
+    ring = data.draw(st.sampled_from(TABLE_RINGS))
+    size = ring.carrier_size()
+    g = data.draw(st.integers(1, max(k for k in (1, 2, 3)
+                                     if size ** k <= 256)))
+    carrier = list(ring.enumerate_carrier())
+    # mostly nonzero nonunits, so the quotient is neither 0 nor free
+    nonunits = [c for c in carrier[1:] if not ring.is_unit(c)]
+    entry = st.one_of(st.sampled_from(nonunits or carrier),
+                      st.sampled_from(carrier))
+    ncols = data.draw(st.integers(1, 3))
+    rho = Matrix(ring, [[data.draw(entry) for _ in range(ncols)]
+                        for _ in range(g)])
+    module = PresentedModule(ring, rho, "M")
+    tables = homcalc._target_tables(module, 10 ** 6)
+    keys, reps, add, mul, zero_idx = _reference_tables(module)
+    assert tables.keys == keys
+    assert tables.reps == reps
+    assert tables.add.tolist() == add
+    assert {c: vec.tolist() for c, vec in tables.mul.items()} == mul
+    assert list(tables.mul) == list(mul)
+    assert tables.zero_idx == zero_idx
+
+
+def test_table_build_reduces_once_per_row(monkeypatch):
+    # r rows of the sum table and |A| scalar tables, never one per cell
+    ring = FiniteLocalRing(3, 4)
+    pair = exact_pair(ring, ring.from_int(9), ring.from_int(9))
+    module = module_g(pair, ring.from_int(3))
+    calls = []
+    reduce = _zn.SpanSolver.reduce
+
+    def counted(self, vectors):
+        calls.append(len(vectors))
+        return reduce(self, vectors)
+
+    monkeypatch.setattr(_zn.SpanSolver, "reduce", counted)
+    tables = homcalc._target_tables(module, 10 ** 6)
+    r = len(tables.keys)
+    assert r == module.size() > 1
+    assert len(calls) <= r + ring.carrier_size() + 2
 
 
 # -- special generators -----------------------------------------------------

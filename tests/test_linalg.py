@@ -9,7 +9,7 @@ from totref.errors import DimensionMismatch, NotAComplex
 from totref.family import eta, gamma
 from totref.linalg import (Matrix, check_exact_at, column_span_size,
                            hstack, ideal_membership, kernel_gens,
-                           solve_right, vstack)
+                           solve_right)
 from totref.rings import FiniteLocalRing
 
 
@@ -35,11 +35,10 @@ def test_matrix_shape_errors(z9):
         a * b
 
 
-def test_hstack_vstack(z9):
+def test_hstack(z9):
     a = mat_z9(z9, [[1], [2]])
     b = mat_z9(z9, [[3], [4]])
     assert hstack([a, b]).entries == mat_z9(z9, [[1, 3], [2, 4]]).entries
-    assert vstack([a, b]).entries == mat_z9(z9, [[1], [2], [3], [4]]).entries
 
 
 def test_column_span_size_matches_closure_oracle(z9):
