@@ -7,18 +7,19 @@ solutions and quotient bases are reproducible.
 
 The slices are sparse: a column of ``mult_matrix(e)`` has at most as many
 nonzero entries as e has terms, and a pivot step rarely clears more than a
-few rows.  So ``rref`` eliminates rows held as ``{column: residue}`` dicts
-of Python integers, which is exact for every p and costs time in the
-nonzero entries the elimination touches rather than in the matrix's area.
-A dense matrix costs more this way: a dense 120 x 120 matrix over F_5 takes
-about 120 ms, where a numpy loop over pivots took about 13 ms (Python 3.11,
-numpy 2.4, one core of a 2-core VM).
+few rows.  So every question starts from one forward pass, ``_echelon``,
+over the nonzero entries, with rows held as ``{column: residue}`` dicts of
+Python integers: exact for every p, and costing time in the entries the
+elimination touches rather than in the matrix's area.  ``rank`` and the
+``extend_*`` picks need only its leading columns, which are the RREF's
+pivots; ``kernel`` and ``solve`` back-substitute on the sparse rows, and
+only ``rref`` writes a dense reduced matrix.
 
-Arrays still hold int64 while every intermediate value fits: a sum of
-``width`` products of two residues is below width (p-1)^2, so ``mul``
-computes in int64 while that stays below 2^63 and in Python integers
-(``dtype=object``) above it, and ``rref`` returns its dense form in the
-dtype of its reduced input.
+Arrays hold int64 while every intermediate value fits: a sum of ``width``
+products of two residues is below width (p-1)^2, so ``mul`` computes in
+int64 while that stays below 2^63 and in Python integers (``dtype=object``)
+above it.  ``rref``, ``kernel`` and ``solve`` return arrays in the dtype of
+``_reduced(a, p)``.
 """
 
 from __future__ import annotations
@@ -61,23 +62,22 @@ def _subtract(row: dict, f: int, other: dict, p: int) -> None:
             del row[c]
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column list.
-
-    The RREF depends only on the row space, so the rows are reduced one at
-    a time, as ``{column: residue}`` dicts of Python integers, against an
-    echelon basis keyed by leading column.  A row that keeps a new lead is
-    normalised to a leading 1 and joins the basis; once all rows are in,
-    back-substitution from the largest lead clears the pivot columns.
-    """
-    m = _reduced(a, p)
-    rows_at, cols_at = np.nonzero(m)
-    vals = m[rows_at, cols_at].tolist()
-    cols_at = cols_at.tolist()
+def _echelon(a: np.ndarray, p: int) -> dict[int, dict[int, int]]:
+    """Echelon rows of ``a`` mod p with leading 1s, keyed by leading column."""
+    rows_at, cols_at = np.nonzero(a)
+    vals = a[rows_at, cols_at] % p
+    kept = np.flatnonzero(vals)
+    rows_at = rows_at[kept]
+    cols_at = cols_at[kept].tolist()
+    vals = vals[kept].tolist()
     # the nonzero entries come row by row; cut them where the row changes
     cuts = (np.flatnonzero(np.diff(rows_at)) + 1).tolist()
     basis: dict[int, dict[int, int]] = {}
     for start, stop in zip([0] + cuts, cuts + [len(vals)]):
+        if stop - start == 1 and cols_at[start] not in basis:
+            # one entry in a new column: its own leading 1
+            basis[cols_at[start]] = {cols_at[start]: 1}
+            continue
         row = dict(zip(cols_at[start:stop], vals[start:stop]))
         while row:
             lead = min(row)
@@ -89,12 +89,24 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                 basis[lead] = row
                 break
             _subtract(row, row[lead], basis[lead], p)
+    return basis
+
+
+def _back_substitute(basis: dict[int, dict[int, int]], p: int) -> list[int]:
+    """Reduce ``basis`` to the RREF's rows in place; the sorted pivots."""
     pivots = sorted(basis)
     for lead in reversed(pivots):
         row = basis[lead]
         for c in [c for c in row if c != lead and c in basis]:
             _subtract(row, row[c], basis[c], p)
-    red = np.zeros_like(m)
+    return pivots
+
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivot column list."""
+    basis = _echelon(a, p)
+    pivots = _back_substitute(basis, p)
+    red = np.zeros(a.shape, dtype=_dtype(p))
     at_r, at_c, at_v = [], [], []
     for i, lead in enumerate(pivots):
         row = basis[lead]
@@ -106,9 +118,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
+    return len(_echelon(a, p))
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -116,27 +126,33 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     m, n = a.shape
     if b.shape[0] != m:
         raise ValueError("shape mismatch")
-    red, pivots = rref(np.concatenate([a, b], axis=1), p)
-    if pivots and pivots[-1] >= n:
+    basis = _echelon(np.concatenate([a, b], axis=1), p)
+    if basis and max(basis) >= n:
         return None
-    x = np.zeros((n, b.shape[1]), dtype=red.dtype)
-    x[pivots] = red[:len(pivots), n:]
+    x = np.zeros((n, b.shape[1]), dtype=_dtype(p))
+    for lead in _back_substitute(basis, p):
+        x[lead] = [basis[lead].get(c, 0) for c in range(n, n + b.shape[1])]
     return x
 
 
 def kernel(a: np.ndarray, p: int) -> np.ndarray:
-    """Columns form a basis of the right kernel."""
+    """A right-kernel basis: the identity on free columns, -RREF on pivots."""
     n = a.shape[1]
     if n == 0:
         return zeros(0, 0)
-    red, pivots = rref(a, p)
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    free_cols = np.flatnonzero(free)
-    basis = np.zeros((n, free_cols.size), dtype=red.dtype)
-    basis[free_cols, np.arange(free_cols.size)] = 1
-    basis[pivots] = -red[:len(pivots), free_cols] % p
-    return basis
+    basis = _echelon(a, p)
+    free = [c for c in range(n) if c not in basis]
+    where = {c: j for j, c in enumerate(free)}
+    at_r, at_c, at_v = free[:], list(where.values()), [1] * len(free)
+    for lead in _back_substitute(basis, p):
+        row = basis[lead]
+        del row[lead]
+        at_r += [lead] * len(row)
+        at_c += [where[c] for c in row]
+        at_v += [p - v for v in row.values()]
+    out = np.zeros((n, len(free)), dtype=_dtype(p))
+    out[at_r, at_c] = at_v
+    return out
 
 
 def extend_independent(span: np.ndarray | None, cand: np.ndarray, p: int) -> list[int]:
@@ -151,7 +167,7 @@ def extend_independent(span: np.ndarray | None, cand: np.ndarray, p: int) -> lis
     held = span.shape[1] if span is not None and span.size else 0
     if held:
         cand = np.concatenate([span, cand], axis=1)
-    return [c - held for c in rref(cand, p)[1] if c >= held]
+    return [c - held for c in sorted(_echelon(cand, p)) if c >= held]
 
 
 def extend_in_kernel(span: np.ndarray | None, kern: np.ndarray,
@@ -169,5 +185,5 @@ def extend_in_kernel(span: np.ndarray | None, kern: np.ndarray,
     if span is None or not span.size or not k:
         return list(range(k))
     free = kern.shape[0] - 1 - np.argmax(kern[::-1] != 0, axis=0)
-    ends = {k - 1 - c for c in rref(span[free].T[:, ::-1], p)[1]}
+    ends = {k - 1 - c for c in _echelon(span[free].T[:, ::-1], p)}
     return [j for j in range(k) if j not in ends]

@@ -12,6 +12,7 @@ Every error also appears as a structured JSON record.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import traceback
@@ -361,10 +362,11 @@ def _emit_error(args, exc: BaseException, code: int) -> int:
               "error": type(exc).__name__, "message": str(exc),
               "exit_code": code}
     if getattr(args, "format", "text") == "json":
-        _emit(args, json.dumps(record, indent=2))
-    else:
-        print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps(record), file=sys.stderr)
+        with contextlib.suppress(OSError):  # else stderr takes the record
+            _emit(args, json.dumps(record, indent=2))
+            return code
+    print(f"error: {exc}", file=sys.stderr)
+    print(json.dumps(record), file=sys.stderr)
     return code
 
 
@@ -386,6 +388,7 @@ def main(argv=None) -> int:
             raise ParseError(f"--degree must be non-negative, "
                              f"got {args.degree}")
         payload, code = handler(args)
+        text = _render(args, payload, code)
     except PRECONDITION_ERRORS as exc:
         return _emit_error(args, exc, 3)
     except EquivalenceViolation as exc:
@@ -395,7 +398,10 @@ def main(argv=None) -> int:
     except Exception as exc:
         traceback.print_exc()
         return _emit_error(args, exc, 4)
-    _emit(args, _render(args, payload, code))
+    try:
+        _emit(args, text)
+    except OSError as exc:  # an unwritable --output
+        return _emit_error(args, ParseError(str(exc)), 2)
     return code
 
 

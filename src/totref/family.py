@@ -170,6 +170,8 @@ def verify_total_reflexivity(pair: ExactZeroDivisorPair, a, i_max: int = 2,
     the duality pairing identifies H_a with the dual of G_a and G_a with
     the dual of H_a through the half-turn witness.
     """
+    if i_max < 1:  # the duality check needs d_2 of the resolution
+        raise TotrefError(f"i_max must be at least 1, got {i_max}")
     if strict and not pair.is_exact:
         raise PreconditionFailed("the pair is not a verified exact pair")
     rep = VerificationReport("total-reflexivity", PASS,

@@ -290,6 +290,9 @@ def _flatten_columns(mat: Matrix) -> tuple[list[list[int]], int]:
     ring = mat.ring
     d = ring.ext_degree
     height = mat.nrows * d
+    if d == 1:  # over Z/p^k each entry is its own 1 x 1 block
+        return [[row[j].coords[0] for row in mat.entries]
+                for j in range(mat.ncols)], height
     cols = []
     for j in range(mat.ncols):
         blocks = [ring.mult_columns(mat.entries[i][j]) for i in range(mat.nrows)]

@@ -1,7 +1,11 @@
 """Command line behavior: exit codes, JSON records, determinism."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from totref import cli
 from totref.cli import main
@@ -298,3 +302,113 @@ def test_run_main_has_no_probe_mode(capsys):
     assert code == 3
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "PreconditionFailed"
+
+
+def test_fuzz_findings_are_structured_errors(capsys):
+    # verify-tr read d_2 off a resolution of length i_max + 1 (exit 4 at
+    # i_max 0), and an unwritable --output escaped as a traceback
+    for extra in (["--i-max", "0"], ["--output", "no_such_dir/out.json"]):
+        code, out, err = run(capsys, "family", "verify-tr", "--ring", Z9,
+                             "--x", "3", "--y", "3", "--a", "1",
+                             "--format", "json", *extra)
+        assert code == 2, extra
+        assert "Traceback" not in err
+        record = json.loads(out or err.strip().splitlines()[-1])
+        assert record["exit_code"] == 2
+
+
+# -- exit-code fuzz ---------------------------------------------------------
+
+Z4T = ('{"kind": "finite", "p": 2, "k": 2, "vars": ["t"], '
+       '"relations": ["t^2"]}')
+# well-formed inputs (ring, x, y, module element) the fuzz starts from
+SETUPS = ((Z9, "3", "3", "1"), (Z8, "2", "4", "3"), (F5, "x", "y", "z"),
+          (Z4T, "t", "t", "1"))
+# descriptor fields: well-formed small values beside wrong types and values
+DESCRIPTORS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["finite", "graded", "mystery", None, 3])},
+    optional={
+        "p": st.sampled_from([2, 3, 5, 4, 1, 0, -3, "3", "a", 2.5, True,
+                              None, [3]]),
+        "k": st.sampled_from([1, 2, 3, 0, -1, "2", 2.5, None]),
+        "vars": st.sampled_from([[], ["x"], ["x", "y"], ["t"], "x", [1],
+                                 ["x", "x"], [""], ["x y"]]),
+        "relations": st.sampled_from([[], ["x^2"], ["x*y"], ["t^2"],
+                                      ["t^2", "t^3"], "x", [3], ["x+1"],
+                                      ["1"], ["0"], ["y^2"], ["t"]])})
+BAD_RINGS = st.one_of(DESCRIPTORS.map(json.dumps),
+                      st.sampled_from(["{", "[1, 2]", "", "{\"kind\": "]),
+                      st.text(max_size=10))
+BAD_ELEMENTS = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "x", "y", "z", "t", "x+y", "x*y",
+                     "3*x", "(x", "x)", "x^-1", "x^", "", "1/2", "2x",
+                     "x y", "x^^2", "((z))", "z^2+z", "x+1"]),
+    st.text(alphabet="xyzt0123+-*^() ", max_size=6))
+FLAVORS = st.sampled_from(["eta", "g", "h", "beta", ""])
+# verb -> (element flags it requires, integer flags it takes)
+VERBS = {("pair", "verify"): ((), ()),
+         ("family", "build"): (("--a",), ()),
+         ("family", "verify-complex"): (("--a",), ("--length",)),
+         ("family", "verify-tr"): (("--a",), ("--i-max",)),
+         ("family", "run-main"): (("--b",), ("--n-max", "--i-max")),
+         ("hom", "compute"): (("--source", "--target"), ()),
+         ("hom", "verify-hg"): (("--a", "--b"), ()),
+         ("hom", "verify-gaba"): (("--a", "--b"), ()),
+         ("hom", "verify-end"): (("--a",), ("--idempotent-budget",)),
+         ("hom", "verify-ext"): (("--a", "--b"), ("--i-max",)),
+         ("oracle", "hom"): (("--source", "--target"), ("--budget",))}
+# numbers stay small so every run is quick: the degree window is 3 unless
+# a drawn --degree replaces it (a huge window on a graded ring is not
+# refused yet and grows without bound; see ROADMAP item 6)
+NUMBERS = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "1", "2", "a"])
+COMMON = st.sampled_from([
+    ("--degree", NUMBERS), ("--probe", None),
+    ("--format", st.sampled_from(["json", "text", "json", "xml"])),
+    ("--output", st.just("no_such_dir/out.json"))])
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line with at most one malformed field."""
+    group, action = draw(st.sampled_from(sorted(VERBS)))
+    required, numeric = VERBS[group, action]
+    ring, x, y, elem = draw(st.sampled_from(SETUPS))
+    bad = draw(st.sampled_from([None, None, None, "--ring", "--x", "--y",
+                                *required]))
+    argv = [group, action, "--degree", "3"]
+    for flag, value in (("--ring", ring), ("--x", x), ("--y", y),
+                        *((flag, elem) for flag in required)):
+        if flag == bad:
+            value = draw(BAD_RINGS if flag == "--ring" else BAD_ELEMENTS)
+        if flag in ("--source", "--target"):
+            value = f"{draw(FLAVORS) if flag == bad else 'gamma'}:{value}"
+        argv += [flag, value]
+    optional = st.one_of(COMMON, st.sampled_from(numeric).map(
+        lambda flag: (flag, NUMBERS))) if numeric else COMMON
+    for flag, values in draw(st.lists(optional, max_size=2)):
+        argv += [flag] if values is None else [flag, draw(values)]
+    junk = draw(st.sampled_from([None] * 7 + ["--bogus", "--degree",
+                                             "extra"]))
+    return argv if junk is None else argv + [junk]
+
+
+def _error_record(out: str, err: str) -> dict:
+    """The JSON error record: on stdout under --format json, else stderr."""
+    try:
+        return json.loads(out)
+    except json.JSONDecodeError:
+        return json.loads(err.strip().splitlines()[-1])
+
+
+@settings(max_examples=150)
+@given(command_lines())
+def test_malformed_command_lines_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (2, 3):
+        record = _error_record(out.getvalue(), err.getvalue())
+        assert record["kind"] == "error", argv
+        assert record["exit_code"] == code, argv

@@ -130,3 +130,61 @@ def test_solve_agrees_with_the_rank_test(case):
     if x is not None:
         residual = np.array(a, dtype=object) @ np.array(x, dtype=object)
         assert not np.any((residual - b[:, :1]) % p)
+
+
+# the exact forms below are what kernel_gens picks generators from, and the
+# run_family JSON prints those generators
+
+@given(sparse_matrices())
+def test_kernel_and_solve_are_read_off_the_rref(case):
+    p, a = case
+    red, pivots = _fp.rref(a, p)
+    assert red.dtype == _fp._reduced(a, p).dtype
+    rows, n = a.shape
+    free = [c for c in range(n) if c not in pivots]
+    if n:
+        expected = np.zeros((n, len(free)), dtype=red.dtype)
+        expected[free, range(len(free))] = 1
+        expected[pivots] = -red[:len(pivots)][:, free] % p
+        basis = _fp.kernel(a, p)
+        assert basis.dtype == red.dtype
+        assert np.array_equal(basis, expected)
+        # a = [a' | b]: solve(a', b) reads x off the same RREF
+        x = _fp.solve(a[:, :-1], a[:, -1:], p)
+        if pivots and pivots[-1] == n - 1:
+            assert x is None
+        else:
+            expected = np.zeros((n - 1, 1), dtype=red.dtype)
+            expected[pivots] = red[:len(pivots), n - 1:]
+            assert x.dtype == red.dtype
+            assert np.array_equal(x, expected)
+
+
+def _answers(a, p):
+    """What every entry point answers on a, split as [a' | b] for the pairs."""
+    n = a.shape[1]
+    half = n // 2
+    out = [_fp.rref(a, p), _fp.rank(a, p), _fp.kernel(a, p),
+           _fp.extend_independent(a[:, :half], a[:, half:], p)]
+    if n:
+        out.append(_fp.solve(a[:, :-1], a[:, -1:], p))
+    return out
+
+
+def _same(x, y):
+    if isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    return x == y
+
+
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_entries_are_read_mod_p(case, rng):
+    """a + p k answers as a does, with negative and vanishing entries."""
+    p, a = case
+    k = np.array([[rng.randrange(-3, 4) for _ in range(a.shape[1])]
+                  for _ in range(a.shape[0])], dtype=np.int64)
+    k = k.reshape(a.shape)
+    shifted = a + p * k
+    assert _same(_answers(shifted, p), _answers(a, p))

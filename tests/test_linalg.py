@@ -100,6 +100,29 @@ def test_kernel_gens_annihilate_and_are_complete(vals):
         assert brute == 1
 
 
+# Z/27, Z/8, Z/4[t]/(t^2) and Z/3[t]/(t^2)
+FLATTEN_RINGS = (FiniteLocalRing(3, 3), FiniteLocalRing(2, 3),
+                 FiniteLocalRing(2, 2, "t", (0, 0)),
+                 FiniteLocalRing(3, 1, "t", (0, 0)))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(FLATTEN_RINGS), st.integers(1, 3), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+def test_flatten_columns_are_the_multiplication_blocks(ring, m, n, rng):
+    """Each entry flattens to its block of mult_columns, down the column."""
+    d = ring.ext_degree
+    mat = Matrix(ring, [[ring.element([rng.randrange(ring.n)
+                                       for _ in range(d)])
+                         for _ in range(n)] for _ in range(m)])
+    expected = []
+    for j in range(n):
+        blocks = [ring.mult_columns(mat.entries[i][j]) for i in range(m)]
+        expected += [[v for block in blocks for v in block[t]]
+                     for t in range(d)]
+    assert linalg._flatten_columns(mat) == (expected, m * d)
+
+
 def test_check_exact_at_accepts_periodic_pair(pair_z9):
     g = gamma(pair_z9, pair_z9.ring.from_int(1))
     e = eta(pair_z9, pair_z9.ring.from_int(1))
