@@ -306,12 +306,16 @@ def test_run_main_has_no_probe_mode(capsys):
 
 def test_fuzz_findings_are_structured_errors(capsys):
     # verify-tr read d_2 off a resolution of length i_max + 1 (exit 4 at
-    # i_max 0), and an unwritable --output escaped as a traceback
-    for extra in (["--i-max", "0"], ["--output", "no_such_dir/out.json"]):
-        code, out, err = run(capsys, "family", "verify-tr", "--ring", Z9,
-                             "--x", "3", "--y", "3", "--a", "1",
-                             "--format", "json", *extra)
-        assert code == 2, extra
+    # i_max 0), verify-ext passed with no Ext degree compared at i_max 0,
+    # and an unwritable --output escaped as a traceback
+    tr = ("family", "verify-tr", "--a", "1")
+    for argv in ((*tr, "--i-max", "0"),
+                 (*tr, "--output", "no_such_dir/out.json"),
+                 ("hom", "verify-ext", "--a", "1", "--b", "1", "--i-max",
+                  "0")):
+        code, out, err = run(capsys, *argv, "--ring", Z9, "--x", "3",
+                             "--y", "3", "--format", "json")
+        assert code == 2, argv
         assert "Traceback" not in err
         record = json.loads(out or err.strip().splitlines()[-1])
         assert record["exit_code"] == 2

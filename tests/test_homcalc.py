@@ -18,7 +18,7 @@ from totref.errors import (InconclusiveStrategy, PreconditionFailed,
 from totref.family import module_g, module_h
 from totref.linalg import Matrix
 from totref.modules import PresentedModule
-from totref.rings import FiniteLocalRing
+from totref.rings import FiniteLocalRing, GradedMonomialRing
 from totref.zerodiv import exact_pair
 from totref.homcalc import (brute_force_hom_oracle, hom_presentation,
                             hom_maps_from_presentation, noniso_certificate,
@@ -309,12 +309,22 @@ def test_hom_hg_identity(pair_f5):
     ring = pair_f5.ring
     rep = verify_hom_hg(pair_f5, ring.parse("z"), ring.parse("z^2"), 8)
     assert rep.passed, rep.first_failure()
+    assert [s.name for s in rep.subreports] == [
+        "hom(H(z^2),G(z))-is-G(z^3)", "hom(H(z),G(z^2))-is-G(z^3)",
+        "swapped-pair-realizations",
+        "hom(G(z),H(z^2))-is-H(z^3)", "swapped-image-matches-H(z^3)",
+        "hom(G(z^2),H(z))-is-H(z^3)", "swapped-image-matches-H(z^3)"]
 
 
 def test_hom_g_ab_a_identity(pair_f5):
     ring = pair_f5.ring
     rep = verify_hom_g_ab_a(pair_f5, ring.parse("z"), ring.parse("z"), 8)
     assert rep.passed, rep.first_failure()
+    assert [s.name for s in rep.subreports] == [
+        "hom(G(z^2),G(z))-is-H(z)", "swapped-pair-realizations",
+        "hom(G(z),G(z^2))-matches-hom(H(z^2),H(z))",
+        "hom(H(z^2),H(z))-is-G(z)", "swapped-image-matches-G(z)",
+        "hom(H(z),H(z^2))-matches-hom(G(z^2),G(z))"]
 
 
 def test_hom_identities_probe_on_degenerate_data(pair_z9):
@@ -387,6 +397,25 @@ def test_finite_end_scan_matches_oracles(a):
                         for col in matrix_columns(minus_id)} <= relations
             assert {tuple(c % 27 for c in col)
                     for col in matrix_columns(square)} <= relations
+
+
+@pytest.mark.parametrize("k, x, y", [(3, 3, 9), (8, 81, 81)])
+def test_end_ring_certificate_settles_idempotents(k, x, y, table_builds):
+    # once End = A is certified, A local gives the verdict: no coset
+    # tables, no budget (|End| = 3^8 exceeds the default 4096)
+    ring = FiniteLocalRing(3, k)
+    pair = exact_pair(ring, ring.from_int(x), ring.from_int(y))
+    rep = verify_end_ring(pair, ring.one(), strict=False)
+    assert rep.passed, rep.first_failure()
+    scans = [s for s in rep.subreports
+             if s.name.startswith("no-nontrivial-idempotent")]
+    assert [s.details["classes"] for s in scans] == [3 ** k, 3 ** k]
+    names = [s.name for s in rep.subreports]
+    for scan in scans:
+        at = names.index(scan.name)
+        assert scan.details["derived_from"] == names[at - 2:at]
+        assert scan.details["nontrivial_idempotents"] == []
+    assert table_builds == []
 
 
 def test_end_ring_strict_gate_on_z9(pair_z9):
@@ -478,6 +507,48 @@ def test_run_family_small(pair_f5):
     payload = fam.to_dict()
     assert payload["schema"] == 1
     assert payload["kind"] == "family-report"
+
+
+def test_run_family_hom_table_follows_the_paper(pair_f5):
+    # Hom(H_m, G_n) = G(a_m a_n), Hom(G_n, H_m) = H(a_m a_n),
+    # Hom(G_m, G_n) = H(a_m / a_n), A or G(a_n / a_m), and
+    # Hom(H_m, H_n) = Hom(G_n, G_m), with a_n = z^n
+    ring = pair_f5.ring
+    fam = run_family(pair_f5, ["z"], n_max=3, bound=8)
+    a = {n: ring.parse(f"z^{n}") for n in range(1, 4)}
+
+    def label(flavor, elem):
+        return f"{flavor}({ring.format(elem)})"
+
+    def hom_gg(m, n):
+        if m > n:
+            return label("H", ring.parse(f"z^{m - n}")), "direct"
+        if m == n:
+            return "A", "direct"
+        return label("G", ring.parse(f"z^{n - m}")), \
+            "transpose+swapped-pair"
+
+    pairs = list(itertools.product(range(1, 4), repeat=2))
+    expected = []
+    for m, n in pairs:
+        g_m, g_n, h_m = label("G", a[m]), label("G", a[n]), label("H", a[m])
+        expected += [(h_m, g_n, label("G", a[m] * a[n]), "direct"),
+                     (g_n, h_m, label("H", a[m] * a[n]), "swapped-pair"),
+                     (g_m, g_n, *hom_gg(m, n))]
+    expected += [(label("H", a[m]), label("H", a[n]), hom_gg(n, m)[0],
+                  "transpose") for m, n in pairs]
+    assert [(row["source"], row["target"], row["claimed"], row["route"])
+            for row in fam.hom_table] == expected
+    assert all(row["verdict"] == "pass" for row in fam.hom_table)
+
+
+def test_run_family_over_a_large_residue_field():
+    # the degree-zero idempotent scan would need 101^k candidates; the
+    # End = A certificate settles the verdict instead
+    ring = GradedMonomialRing(101, ("x", "y", "z"), ((1, 1, 0),))
+    pair = exact_pair(ring, ring.parse("x"), ring.parse("y"), 8)
+    fam = run_family(pair, ["z"], n_max=3, bound=8)
+    assert fam.passed, fam.certificates.first_failure()
 
 
 def test_run_family_rejects_unit_multiplier(pair_f5):
