@@ -171,3 +171,32 @@ def coker_hilbert(oracle: MonomialQuotientOracle, rho, row_degs, col_degs,
                   top: int) -> list:
     return [coker_dimension(oracle, rho, row_degs, col_degs, d)
             for d in range(top + 1)]
+
+
+def ext_size(modulus: int, diffs, rho_n, i: int) -> int:
+    """|Ext^i(Coker d_1, Coker rho_n)| over Z/m from a free resolution.
+
+    ``diffs`` lists d_1, d_2, ... as integer rows, d_j mapping F_j to
+    F_(j-1), and must reach d_(i+1).  Ext^i is the cohomology of
+    Hom(F_., N) at F_i.  Its cycles are the maps F_i -> N that kill the
+    image of d_(i+1), that is Hom(Coker d_(i+1), N).  Its boundaries are
+    the classes of v d_i modulo the columns of rho_n, for v running over
+    the matrices F_(i-1) -> A^g; they are counted as the span of the
+    products E_rc d_i with the matrix units E_rc, beside the relation
+    block of F_i copies of the columns of rho_n.
+    """
+    cycles = hom_count(modulus, diffs[i], rho_n)
+    d_i = diffs[i - 1]
+    g, rank = len(rho_n), len(d_i[0])
+
+    def flat(matrix):
+        return tuple(v for row in matrix for v in row)
+
+    products = [flat([d_i[c] if s == r else [0] * rank for s in range(g)])
+                for r in range(g) for c in range(len(d_i))]
+    relations = [flat([[col[s] if k == t else 0 for t in range(rank)]
+                       for s in range(g)])
+                 for col in matrix_columns(rho_n) for k in range(rank)]
+    held = len(span_closure(relations, modulus))
+    boundaries = len(span_closure(products + relations, modulus)) // held
+    return cycles // boundaries

@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import hom_count, matrix_columns, span_closure
+from oracles import ext_size, hom_count, matrix_columns, span_closure
 from totref import _zn, homcalc
 from totref.errors import (InconclusiveStrategy, PreconditionFailed,
                            TooLarge)
@@ -438,10 +438,36 @@ def test_ext_swap_graded(pair_f5):
     sub = rep.subreports[0]
     assert sub.details["mismatches"] == []
     # non-vacuity: the compared Ext modules are not all zero
-    from totref.homcalc import _ext_profile
-    profile = _ext_profile(pair_f5, "H", ring.parse("z"),
-                           module_g(pair_f5, ring.parse("z^2")), 2, 6)
-    assert any(any(v for v in entry.values()) for entry in profile)
+    profile = homcalc._ext_profile(pair_f5, "H", ring.parse("z"),
+                                   module_g(pair_f5, ring.parse("z^2")), 2, 6)
+    assert profile == [{0: 1}, {-2: 1}]
+
+
+@pytest.mark.parametrize("pair_name", ["pair_z9", "pair_z8"])
+def test_ext_sizes_match_cochain_oracle(pair_name, request):
+    # Ext^i(G_a or H_a, G_b or H_b) for every a and b in {0, 1, y}, i <= 2,
+    # against cycles and boundaries counted over plain integer rows
+    pair = request.getfixturevalue(pair_name)
+    ring = pair.ring
+    n, x, y = ring.n, pair.x.coords[0], pair.y.coords[0]
+
+    def gamma_rows(a):
+        return [[x, a], [0, y]]
+
+    def eta_rows(a):
+        return [[y, (-a) % n], [0, x]]
+
+    rows_of = {"G": gamma_rows, "H": eta_rows}
+    modules = {"G": module_g, "H": module_h}
+    for a, phase, flavor, b in itertools.product(range(n), "GH", "GH",
+                                                 (0, 1, y)):
+        first, second = rows_of[phase], rows_of["H" if phase == "G" else "G"]
+        diffs = [first(a), second(a), first(a)]
+        target = modules[flavor](pair, ring.from_int(b), strict=False)
+        want = [ext_size(n, diffs, rows_of[flavor](b), i) for i in (1, 2)]
+        got = homcalc._ext_profile(pair, phase, ring.from_int(a), target, 2,
+                                   None)
+        assert got == want, (a, phase, flavor, b)
 
 
 def test_ext_swap_finite(pair_z9):
