@@ -14,20 +14,22 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
+import os
 import sys
 import traceback
 
 from .errors import (EquivalenceViolation, NotAUnit, ParseError,
-                     PreconditionFailed, TotrefError, UnitInput)
+                     PreconditionFailed, TooLarge, TotrefError, UnitInput)
 from .family import (module_g, module_h, verify_complex,
                      verify_total_reflexivity)
-from .homcalc import (brute_force_hom_oracle, hom_presentation, run_family,
-                      verify_end_ring, verify_ext_swap, verify_hom_g_ab_a,
-                      verify_hom_hg)
+from .homcalc import (_max_carrier, brute_force_hom_oracle, hom_presentation,
+                      run_family, verify_end_ring, verify_ext_swap,
+                      verify_hom_g_ab_a, verify_hom_hg)
 from .modules import hilbert_function, minimal_generator_count
 from .report import SCHEMA_VERSION, VerificationReport
 from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
-                    GradedMonomialRing, ring_from_descriptor)
+                    GradedMonomialRing, degree_bound, ring_from_descriptor)
 from .zerodiv import exact_pair, verify_regular_pair
 
 PRECONDITION_ERRORS = (PreconditionFailed, UnitInput, NotAUnit)
@@ -129,13 +131,17 @@ def _load_ring(source: str):
 
 def _pair_of(ring, args, verified: bool = True):
     x, y = ring.parse(args.x), ring.parse(args.y)
-    if isinstance(ring, GradedMonomialRing) \
-            and not (x.is_zero or y.is_zero):
+    if isinstance(ring, GradedMonomialRing):
+        window = degree_bound(args.degree)
+        # the window enumerates every monomial of degree <= window
+        nvars = len(ring.variables)
+        monomials = math.comb(window + nvars, nvars)
+        if monomials > _max_carrier(None):
+            raise TooLarge(f"--degree {window} spans {monomials} monomials, "
+                           "past the carrier budget")
         # below deg x + deg y the window holds no product that could
         # separate Ann(x) from (y), so a pass there would be vacuous
-        window = DEFAULT_DEGREE_BOUND if args.degree is None \
-            else args.degree
-        floor = x.degree() + y.degree()
+        floor = 0 if x.is_zero or y.is_zero else x.degree() + y.degree()
         if window < floor:
             raise ParseError(f"--degree {window} is below deg x + deg y = "
                              f"{floor}; the window would show nothing")
@@ -169,8 +175,8 @@ def _module_stats(module, bound) -> dict:
     if isinstance(module.ring, FiniteLocalRing):
         stats["size"] = module.size()
     else:
-        top = bound if bound is not None else DEFAULT_DEGREE_BOUND
-        stats["hilbert_function"] = hilbert_function(module, 0, top)
+        stats["hilbert_function"] = hilbert_function(module, 0,
+                                                     degree_bound(bound))
     return stats
 
 
@@ -354,7 +360,7 @@ def _emit(args, text: str) -> None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)
 
 
 def _emit_error(args, exc: BaseException, code: int) -> int:
@@ -400,8 +406,12 @@ def main(argv=None) -> int:
         return _emit_error(args, exc, 4)
     try:
         _emit(args, text)
-    except OSError as exc:  # an unwritable --output
-        return _emit_error(args, ParseError(str(exc)), 2)
+    except OSError as exc:
+        if args.output or not isinstance(exc, BrokenPipeError):
+            return _emit_error(args, ParseError(str(exc)), 2)
+        # the reader closed stdout early: the verdict stands, and the
+        # flush at exit goes to the null device instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

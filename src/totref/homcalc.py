@@ -23,20 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fp, _zn
+from . import _zn
 from .errors import (InconclusiveStrategy, NonHomogeneous, ParseError,
                      PreconditionFailed, TooLarge, TotrefError, WrongBackend)
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
                      phi_matrix, verify_total_reflexivity)
-from .linalg import (Matrix, _flatten_columns, _flatten_vector, _twist_layout,
-                     _unflatten_vector, hstack, kernel_gens, slice_matrix,
-                     solve_right)
+from .linalg import (Matrix, _flatten_vector, _unflatten_vector, homology,
+                     hstack, kernel_gens, kron, solve_right)
 from .modules import (PresentedModule, fitting_ideal, hilbert_function,
                       ideals_equal, minimal_generator_count,
                       verify_iso_witness)
 from .report import FAIL, PASS, SCHEMA_VERSION, VerificationReport, report
-from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
-                    GradedMonomialRing, scope_of)
+from .rings import (FiniteLocalRing, GradedMonomialRing, degree_bound,
+                    scope_of)
 from .zerodiv import ExactZeroDivisorPair, verify_regular_pair, \
     weakly_regular_on_quotient
 
@@ -111,21 +110,16 @@ def _hom_degree(psi: Matrix, s1, s2) -> int | None:
 
 def _vec_span(source: PresentedModule, target: PresentedModule, maps,
               degs=None, relations: bool = True) -> Matrix:
-    """Columns vec(psi_t), then the vec(rho_2 E_uv) relation columns.
+    """Columns vec(psi_t), then the relation columns kron(rho_2, I).
 
-    E_uv runs over the matrix units of the q2 x n1 lift space, so relation
-    column (u, v) places column u of rho_2 in column v of the map matrix;
-    these span (rho_2 M) vectorised.  degs are the hom degrees of maps,
-    read off their entries when omitted.  The span carries degrees only
-    when every column degree is known.
+    Relation column (u, v) places column u of rho_2 in column v of the map
+    matrix, so these span (rho_2 M) vectorised.  degs are the hom degrees
+    of maps, read off their entries when omitted.  The span carries
+    degrees only when every column degree is known.
     """
     ring = target.ring
-    rho = target.rho
-    n1, s1, s2 = source.ngens, source.gen_degs, target.gen_degs
+    s1, s2 = source.gen_degs, target.gen_degs
     carrier = _carrier_degs(s1, s2)
-    columns = [[psi.entries[i][k]
-                for i in range(psi.nrows) for k in range(psi.ncols)]
-               for psi in maps]
     col_degs = None
     if carrier is not None:
         try:
@@ -133,21 +127,20 @@ def _vec_span(source: PresentedModule, target: PresentedModule, maps,
                 [_hom_degree(psi, s1, s2) or 0 for psi in maps]
         except NonHomogeneous:
             pass
+    if col_degs is None or None in col_degs:
+        carrier = col_degs = None
+    columns = [[e for row in psi.entries for e in row] for psi in maps]
+    blocks = [_columns_matrix(ring, columns, carrier, col_degs)]
     if relations:
-        zero = ring.zero()
-        for u in range(rho.ncols):
-            for v in range(n1):
-                columns.append([rho.entries[i][u] if k == v else zero
-                                for i in range(rho.nrows)
-                                for k in range(n1)])
-        if rho.col_degs is None:
-            col_degs = None
-        elif col_degs is not None:
-            col_degs += [rho.col_degs[u] - s1[v]
-                         for u in range(rho.ncols) for v in range(n1)]
-    if col_degs is None or any(t is None for t in col_degs):
-        return _columns_matrix(ring, columns, None, None)
-    return _columns_matrix(ring, columns, carrier, col_degs)
+        blocks.append(kron(target.rho,
+                           _dual_identity(ring, source.ngens, s1)))
+    return hstack(blocks)
+
+
+def _dual_identity(ring, n: int, degs) -> Matrix:
+    """The identity on sum_k A(degs[k]); layout-free when degs is None."""
+    return Matrix.identity(ring, n,
+                           None if degs is None else [-s for s in degs])
 
 
 def _express(span: Matrix, psi: Matrix, bound):
@@ -257,26 +250,9 @@ def _hom_presentation(ring, src: PresentedModule, tgt: PresentedModule,
     s1, s2 = src.gen_degs, tgt.gen_degs
     graded = isinstance(ring, GradedMonomialRing)
 
-    # lifting system: psi rho1 = rho2 xi, rows (i, j), unknowns psi then xi
-    zero = ring.zero()
-    rows = []
-    for i in range(n2):
-        for j in range(q1):
-            row = [zero] * (n2 * n1 + q2 * q1)
-            for k in range(n1):
-                row[i * n1 + k] = rho1.entries[k][j]
-            for ell in range(q2):
-                row[n2 * n1 + ell * q1 + j] = -rho2.entries[i][ell]
-            rows.append(row)
-    row_degs = col_degs = None
-    if graded and s1 is not None and s2 is not None \
-            and rho1.col_degs is not None and rho2.col_degs is not None:
-        row_degs = tuple(s2[i] - rho1.col_degs[j]
-                         for i in range(n2) for j in range(q1))
-        col_degs = tuple(_carrier_degs(s1, s2)) + tuple(
-            rho2.col_degs[ell] - rho1.col_degs[j]
-            for ell in range(q2) for j in range(q1))
-    system = Matrix(ring, rows, row_degs, col_degs)
+    # lifting system psi rho1 = rho2 xi: rows (i, j), unknowns psi then xi
+    system = hstack([kron(Matrix.identity(ring, n2, s2), rho1.transpose()),
+                     kron(-rho2, _dual_identity(ring, q1, rho1.col_degs))])
 
     generators = []
     lifts = []
@@ -383,10 +359,12 @@ class _TargetTables:
 
 
 def _target_tables(module: PresentedModule, budget: int) -> _TargetTables:
-    """The coset tables of ``module``, refused past ``budget`` held or not."""
-    if module.ring.carrier_size() ** module.ngens > budget:
-        raise TooLarge("target enumeration exceeds the carrier budget")
-    if module.size() ** 2 > budget:
+    """The coset tables of ``module``, refused past ``budget`` held or not.
+
+    The tables hold r (r + |A|) cells: r rows of add and |A| of mul.
+    """
+    r = module.size()
+    if r * (r + module.ring.carrier_size()) > budget:
         raise TooLarge("coset table exceeds the carrier budget")
     if module._tables is None:
         module._tables = _TargetTables(module)
@@ -741,7 +719,7 @@ def _profile_match(hp: HomPresentation, claimed: PresentedModule, psi1,
         got, want = hp.module.size(), claimed.size()
         return report("size-matches", got == want, scope,
                       {"hom_size": got, "claimed_size": want})
-    top = bound if bound is not None else DEFAULT_DEGREE_BOUND
+    top = degree_bound(bound)
     try:
         shift = _hom_degree(psi1, s1, s2)
     except NonHomogeneous:
@@ -1213,122 +1191,32 @@ def verify_end_op_iso(pair: ExactZeroDivisorPair, a,
 # ---------------------------------------------------------------------------
 # Ext symmetry
 
-def _kron_transpose(diff: Matrix, n_t: int, row_degs, col_degs) -> Matrix:
-    """Matrix of precomposition with diff on maps into a rank n_t module."""
-    ring = diff.ring
-    zero = ring.zero()
-    rows = []
-    for k in range(diff.ncols):
-        for j in range(n_t):
-            row = []
-            for k2 in range(diff.nrows):
-                for j2 in range(n_t):
-                    row.append(diff.entries[k2][k] if j == j2 else zero)
-            rows.append(row)
-    return Matrix(ring, rows, row_degs, col_degs)
-
-
-def _block_diag_relations(target: PresentedModule, copies: int,
-                          gen_degs) -> Matrix:
-    ring = target.ring
-    rho = target.rho
-    zero = ring.zero()
-    rows = []
-    for k in range(copies):
-        for j in range(rho.nrows):
-            row = []
-            for k2 in range(copies):
-                for c in range(rho.ncols):
-                    row.append(rho.entries[j][c] if k == k2 else zero)
-            rows.append(row)
-    col_degs = None
-    if gen_degs is not None and rho.col_degs is not None \
-            and target.gen_degs is not None:
-        shifts = [gen_degs[k * rho.nrows] - target.gen_degs[0]
-                  for k in range(copies)]
-        col_degs = tuple(rho.col_degs[c] + shifts[k]
-                         for k in range(copies) for c in range(rho.ncols))
-    return Matrix(ring, rows, gen_degs, col_degs)
-
-
 def _ext_profile(pair: ExactZeroDivisorPair, flavor: str, elem,
                  target: PresentedModule, i_max: int, bound):
     """Ext^i(family module, target) for i = 1..i_max.
 
-    Finite backend: list of cardinalities.  Graded backend: list of
-    degree-to-dimension maps, exact for degrees up to the bound.
+    Hom(F_i, N) has coordinates (generator of F_i, generator of N); the
+    cochain map is precomposition with d_i, kron(d_i^T, I), and the
+    relations are one copy of rho_N per generator of F_i.  Finite backend:
+    list of cardinalities.  Graded backend: list of degree-to-dimension
+    maps, exact for degrees up to the bound.
     """
     ring = pair.ring
     diffs = periodic_resolution(pair, elem, i_max + 1, phase=flavor,
                                 strict=False)
-    n_t = target.ngens
-    g = target.gen_degs
-
-    def cochain_degs(i: int):
-        if g is None:
-            return None
-        s = diffs[0].row_degs if i == 0 else diffs[i - 1].col_degs
-        if s is None:
-            return None
-        return tuple(g[j] - s[k] for k in range(len(s)) for j in range(n_t))
-
-    def delta(i: int) -> Matrix:
-        return _kron_transpose(diffs[i - 1], n_t, cochain_degs(i),
-                               cochain_degs(i - 1))
-
-    if isinstance(ring, FiniteLocalRing):
-        sizes = []
-        for i in range(1, i_max + 1):
-            rel = _block_diag_relations(target, 2, None)
-            aug = hstack([delta(i + 1), rel])
-            width = delta(i + 1).ncols
-            u_cols = []
-            for gen in kernel_gens(aug, bound):
-                u_cols.append([gen.entries[r][0] for r in range(width)])
-            rel_cols = [[rel.entries[r][c] for r in range(rel.nrows)]
-                        for c in range(rel.ncols)]
-            num = _span_cardinality(ring, u_cols + rel_cols, width)
-            d_prev = delta(i)
-            im_cols = [[d_prev.entries[r][c] for r in range(d_prev.nrows)]
-                       for c in range(d_prev.ncols)]
-            den = _span_cardinality(ring, im_cols + rel_cols, width)
-            sizes.append(num // den)
-        return sizes
-    top = bound if bound is not None else DEFAULT_DEGREE_BOUND
+    ident = Matrix.identity(ring, target.ngens, target.gen_degs)
+    deltas = [kron(d.transpose(), ident) for d in diffs]
+    rels = [kron(_dual_identity(ring, d.ncols, d.col_degs), target.rho)
+            for d in diffs]
     profiles = []
     for i in range(1, i_max + 1):
-        degs_i = cochain_degs(i)
-        rel_i = _block_diag_relations(target, 2, degs_i)
-        rel_next = _block_diag_relations(target, 2, cochain_degs(i + 1))
-        d_next = delta(i + 1)
-        d_prev = delta(i)
-        prof = {}
-        lo = min(degs_i)
-        for d in range(lo, top + 1):
-            _, _, free_dim = _twist_layout(ring, degs_i, d)
-            if free_dim == 0:
-                continue
-            up = _rank_at(hstack([d_next, rel_next]), d)
-            up_rel = _rank_at(rel_next, d)
-            down = _rank_at(hstack([rel_i, d_prev]), d)
-            dim = free_dim - up + up_rel - down
-            if dim:
-                prof[d] = dim
-        profiles.append(prof)
+        counts = homology(deltas[i - 1], deltas[i], bound, rels[i - 1],
+                          rels[i])
+        if isinstance(ring, FiniteLocalRing):
+            profiles.append(counts[0] // counts[1])
+        else:
+            profiles.append({d: z - b for d, z, b in counts if z != b})
     return profiles
-
-
-def _rank_at(mat: Matrix, d: int) -> int:
-    sl = slice_matrix(mat, d)
-    return _fp.rank(sl, mat.ring.p) if sl.size else 0
-
-
-def _span_cardinality(ring, element_columns, height_elements: int) -> int:
-    if not element_columns:
-        return 1
-    mat = _columns_matrix(ring, element_columns, None, None)
-    cols, _ = _flatten_columns(mat)
-    return _zn.span_size(cols, ring.n)
 
 
 def verify_ext_swap(pair: ExactZeroDivisorPair, a, b, i_max: int = 2,
@@ -1373,7 +1261,7 @@ def verify_ext_swap(pair: ExactZeroDivisorPair, a, b, i_max: int = 2,
             rep.add(report(name, ok, scope,
                            {"sizes": prof1, "other": prof2}))
             continue
-        top = bound if bound is not None else DEFAULT_DEGREE_BOUND
+        top = degree_bound(bound)
         mismatches = []
         for i in range(i_max):
             keys1 = prof1[i].keys()
@@ -1549,7 +1437,7 @@ def _run_family(pair, b_sequence, n_max, bound, i_max) -> FamilyReport:
             if isinstance(ring, FiniteLocalRing):
                 entry["size"] = module.size()
             else:
-                top = bound if bound is not None else DEFAULT_DEGREE_BOUND
+                top = degree_bound(bound)
                 entry["hilbert"] = hilbert_function(module, 0, top)
             modules_info.append(entry)
 

@@ -13,7 +13,9 @@ say so in their scope.
 
 Ideal questions are matrix questions over the same core: Ann(e) is the
 kernel of the column of e's homogeneous components, and e in (g_1 .. g_k)
-is solving [g_1 .. g_k] x = e.
+is solving [g_1 .. g_k] x = e.  Hom and Ext are too: ``kron`` builds every
+lifting and cochain matrix as a Kronecker product, and ``homology`` counts
+cycles and boundaries for both exactness and Ext.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ from . import _fp, _zn
 from .errors import (DimensionMismatch, NonHomogeneous, NotAComplex,
                      TotrefError)
 from .report import FAIL, PASS, VerificationReport
-from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
-                    GradedMonomialRing, scope_degree, scope_exhaustive)
+from .rings import (FiniteLocalRing, GradedMonomialRing, degree_bound,
+                    scope_degree, scope_exhaustive)
 
 
 class Matrix:
     __slots__ = ("ring", "entries", "nrows", "ncols", "row_degs", "col_degs")
 
     def __init__(self, ring, rows, row_degs=None, col_degs=None):
-        entries = tuple(tuple(row) for row in rows)
+        entries = tuple(map(tuple, rows))
         if not entries or not entries[0]:
             raise DimensionMismatch("matrices must have at least one row and "
                                     "one column")
@@ -44,7 +46,9 @@ class Matrix:
             raise DimensionMismatch("ragged rows")
         for row in entries:
             for e in row:
-                if getattr(e, "ring", None) is None or e.ring.key != ring.key:
+                owner = getattr(e, "ring", None)
+                if owner is not ring and (owner is None
+                                          or owner.key != ring.key):
                     raise TotrefError("entry from a different ring")
         self.ring = ring
         self.entries = entries
@@ -229,6 +233,24 @@ def hstack(mats: list[Matrix]) -> Matrix:
     if all(m.col_degs is not None for m in mats) and row_degs is not None:
         col_degs = sum((list(m.col_degs) for m in mats), [])
     return Matrix(first.ring, rows, row_degs, col_degs)
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product: entry ((i, k), (j, l)) is a[i][j] * b[k][l].
+
+    Twists add, so two degree layouts give a layout.  Products with a
+    zero factor are not formed.
+    """
+    zero = a.ring.zero()
+    rows = [[x * y if x and y else zero for x in row_a for y in row_b]
+            for row_a in a.entries for row_b in b.entries]
+
+    def summed(da, db):
+        return None if da is None or db is None else \
+            [s + t for s in da for t in db]
+
+    return Matrix(a.ring, rows, summed(a.row_degs, b.row_degs),
+                  summed(a.col_degs, b.col_degs))
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +552,13 @@ def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
     """
     ring = rho.ring
     if isinstance(ring, FiniteLocalRing):
-        cols, height = _flatten_columns(rho)
-        solver = _zn.SpanSolver(cols, ring.n, height)
-        gens = []
-        for vec in solver.kernel_generators():
-            elements = _unflatten_vector(ring, vec, rho.ncols)
-            gens.append(Matrix(ring, [[e] for e in elements]))
-        return gens
+        return [Matrix(ring, [[e] for e in
+                              _unflatten_vector(ring, vec, rho.ncols)])
+                for vec in _kernel_rows(rho)]
     rho = infer_degrees(rho)
-    if bound is None:
-        bound = DEFAULT_DEGREE_BOUND
     p = ring.p
-    start = min(rho.col_degs)
     gens: list[Matrix] = []
-    for d in range(start, bound + 1):
+    for d in range(min(rho.col_degs), degree_bound(bound) + 1):
         _, _, dom_total = _twist_layout(ring, rho.col_degs, d)
         if dom_total == 0:
             continue
@@ -564,11 +579,21 @@ def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
     return gens
 
 
+def _kernel_rows(mat: Matrix) -> list[list[int]]:
+    """Generators over Z/n of the kernel of the flattened ``mat``."""
+    cols, height = _flatten_columns(mat)
+    return _zn.SpanSolver(cols, mat.ring.n, height).kernel_generators()
+
+
 def column_span_size(mat: Matrix) -> int:
     """Cardinality of the column span, finite backend only."""
-    ring = mat.ring
-    cols, height = _flatten_columns(mat)
-    return _zn.SpanSolver(cols, ring.n, height).span_size()
+    return _zn.span_size(_flatten_columns(mat)[0], mat.ring.n)
+
+
+def slice_rank(mat: Matrix, d: int) -> int:
+    """Rank over F_p of the degree-d slice of ``mat``."""
+    sl = slice_matrix(mat, d)
+    return _fp.rank(sl, mat.ring.p) if sl.size else 0
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +621,7 @@ def annihilator(ring, e, bound: int | None = None) -> IdealGenerators:
     if isinstance(ring, FiniteLocalRing):
         column, scope = Matrix(ring, [[e]]), scope_exhaustive()
     else:
-        if bound is None:
-            bound = DEFAULT_DEGREE_BOUND
+        bound = degree_bound(bound)
         parts = list(e.homogeneous_components().items()) or [(0, e)]
         column = Matrix(ring, [[c] for _, c in parts],
                         [-d for d, _ in parts], (0,))
@@ -620,8 +644,7 @@ def ideal_membership(ring, e, generators, bound: int | None = None):
         return (True, []) if e.is_zero else (False, None)
     row, rhs = Matrix(ring, [gens]), Matrix(ring, [[e]])
     if isinstance(ring, GradedMonomialRing):
-        if bound is None:
-            bound = DEFAULT_DEGREE_BOUND
+        bound = degree_bound(bound)
         try:
             row = infer_degrees(row)
         except NonHomogeneous:
@@ -648,7 +671,43 @@ def _check_witnesses(ring, e, witnesses, gens) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exactness
+# homology and exactness
+
+def homology(incoming: Matrix, outgoing: Matrix, bound: int | None = None,
+             rel_mid: Matrix | None = None, rel_out: Matrix | None = None):
+    """Sizes of the cycles Z and boundaries B at the shared middle module.
+
+    Z is the v with outgoing * v in span(rel_out) and B is im(incoming),
+    and both include span(rel_mid); Z does so because outgoing must carry
+    span(rel_mid) into span(rel_out), as a map of presented modules does.
+    Finite backend: (|Z|, |B|).  Graded backend: [d, dim Z_d, dim B_d]
+    for each degree d from the lowest middle twist up to ``bound`` at
+    which the middle slice is nonzero.
+    """
+    ring = incoming.ring
+    if isinstance(ring, GradedMonomialRing):
+        incoming = infer_degrees(incoming)
+        outgoing = infer_degrees(outgoing)
+        if outgoing.col_degs != incoming.row_degs:
+            raise DimensionMismatch("middle twists disagree; supply explicit "
+                                    "degree layouts")
+    up = outgoing if rel_out is None else hstack([outgoing, rel_out])
+    down = incoming if rel_mid is None else hstack([rel_mid, incoming])
+    if isinstance(ring, FiniteLocalRing):
+        # the kernel rows generate ker(up) over Z/n, so their leading
+        # coordinates, those of the middle module, generate Z
+        width = outgoing.ncols * ring.ext_degree
+        return (_zn.span_size([v[:width] for v in _kernel_rows(up)], ring.n),
+                column_span_size(down))
+    dims = []
+    for d in range(min(outgoing.col_degs), degree_bound(bound) + 1):
+        width = _twist_layout(ring, outgoing.col_degs, d)[2]
+        if width:
+            held = slice_rank(rel_out, d) if rel_out is not None else 0
+            dims.append([d, width - slice_rank(up, d) + held,
+                         slice_rank(down, d)])
+    return dims
+
 
 def check_exact_at(incoming: Matrix, outgoing: Matrix,
                    bound: int | None = None,
@@ -666,60 +725,39 @@ def check_exact_at(incoming: Matrix, outgoing: Matrix,
     if not composite.is_zero:
         raise NotAComplex(f"{name}: composite of consecutive maps is nonzero")
     ring = incoming.ring
+    counts = homology(incoming, outgoing, bound)
     if isinstance(ring, FiniteLocalRing):
-        out_cols, out_h = _flatten_columns(outgoing)
-        out_solver = _zn.SpanSolver(out_cols, ring.n, out_h)
-        kernel_rows = out_solver.kernel_generators()
-        kernel_size = _zn.span_size(kernel_rows, ring.n) if kernel_rows else 1
-        image_size = column_span_size(incoming)
-        details = {"kernel_size": kernel_size, "image_size": image_size}
-        rep = VerificationReport(name,
-                                 PASS if kernel_size == image_size else FAIL,
-                                 scope_exhaustive(), details)
-        if kernel_size != image_size:
-            in_cols, in_h = _flatten_columns(incoming)
-            in_solver = _zn.SpanSolver(in_cols, ring.n, in_h)
-            for vec in kernel_rows:
-                if in_solver.solve(list(vec)) is None:
-                    witness = _unflatten_vector(ring, list(vec), outgoing.ncols)
-                    details["witness_in_kernel_not_image"] = \
-                        "(" + ", ".join(ring.format(e) for e in witness) + ")"
+        details = {"kernel_size": counts[0], "image_size": counts[1]}
+        exact = counts[0] == counts[1]
+        if not exact:
+            for gen in kernel_gens(outgoing):
+                if solve_right(incoming, gen) is None:
+                    details["witness_in_kernel_not_image"] = "(" + ", ".join(
+                        ring.format(row[0]) for row in gen.entries) + ")"
                     break
-        return rep
-    incoming = infer_degrees(incoming)
-    outgoing = infer_degrees(outgoing)
-    if outgoing.col_degs != incoming.row_degs:
-        raise DimensionMismatch("middle twists disagree; supply explicit "
-                                "degree layouts")
-    if bound is None:
-        bound = DEFAULT_DEGREE_BOUND
-    p = ring.p
-    start = min(outgoing.col_degs)
-    per_degree = []
-    verdict = True
-    witness_text = None
-    for d in range(start, bound + 1):
-        _, _, mid_total = _twist_layout(ring, outgoing.col_degs, d)
-        if mid_total == 0:
-            continue
-        out_slice = slice_matrix(outgoing, d)
-        in_slice = slice_matrix(incoming, d)
-        rank_out = _fp.rank(out_slice, p) if out_slice.shape[0] else 0
-        dim_ker = mid_total - rank_out
-        dim_im = _fp.rank(in_slice, p) if in_slice.size else 0
-        per_degree.append([d, dim_ker, dim_im])
-        if dim_ker != dim_im and verdict:
-            verdict = False
-            kern = (_fp.kernel(out_slice, p) if out_slice.shape[0]
-                    else np.eye(mid_total, dtype=np.int64))
-            extra = _fp.extend_independent(
-                in_slice if in_slice.size else None, kern, p)
-            if extra:
-                col = slice_vector_to_matrix(ring, kern[:, extra[0]],
-                                             outgoing.col_degs, d)
-                witness_text = repr(col)
-    details = {"dims_per_degree": per_degree}
-    if witness_text is not None:
-        details["witness_in_kernel_not_image"] = witness_text
-    return VerificationReport(name, PASS if verdict else FAIL,
-                              scope_degree(bound), details)
+        return VerificationReport(name, PASS if exact else FAIL,
+                                  scope_exhaustive(), details)
+    details = {"dims_per_degree": counts}
+    failing = [d for d, z, b in counts if z != b]
+    if failing:
+        witness = _slice_witness(infer_degrees(incoming),
+                                 infer_degrees(outgoing), failing[0])
+        if witness is not None:
+            details["witness_in_kernel_not_image"] = witness
+    return VerificationReport(name, FAIL if failing else PASS,
+                              scope_degree(degree_bound(bound)), details)
+
+
+def _slice_witness(incoming: Matrix, outgoing: Matrix, d: int) -> str | None:
+    """The first kernel basis vector of the degree-d slice off the image."""
+    p = incoming.ring.p
+    out_slice = slice_matrix(outgoing, d)
+    in_slice = slice_matrix(incoming, d)
+    kern = (_fp.kernel(out_slice, p) if out_slice.shape[0]
+            else np.eye(out_slice.shape[1], dtype=np.int64))
+    extra = _fp.extend_independent(in_slice if in_slice.size else None,
+                                   kern, p)
+    if not extra:
+        return None
+    return repr(slice_vector_to_matrix(incoming.ring, kern[:, extra[0]],
+                                       outgoing.col_degs, d))

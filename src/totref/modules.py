@@ -14,7 +14,7 @@ from .errors import (DimensionMismatch, InvalidResolution, NotAComplex,
                      TotrefError, WrongBackend)
 from .linalg import (Matrix, _flatten_columns, _twist_layout,
                      check_exact_at, column_span_size, hstack,
-                     ideal_membership, infer_degrees, slice_matrix,
+                     ideal_membership, infer_degrees, slice_rank,
                      solve_right)
 from .report import FAIL, PASS, VerificationReport
 from .rings import FiniteLocalRing, GradedMonomialRing, scope_of
@@ -67,11 +67,8 @@ class PresentedModule:
     def slice_dim(self, d: int) -> int:
         if not isinstance(self.ring, GradedMonomialRing):
             raise WrongBackend("graded slices need the graded backend")
-        _, _, free_dim = _twist_layout(self.ring, self.gen_degs, d)
-        if free_dim == 0:
-            return 0
-        sl = slice_matrix(self.rho, d)
-        return free_dim - (_fp.rank(sl, self.ring.p) if sl.size else 0)
+        free_dim = _twist_layout(self.ring, self.gen_degs, d)[2]
+        return free_dim and free_dim - slice_rank(self.rho, d)
 
 
 def hilbert_function(module: PresentedModule, lo: int, hi: int) -> list[int]:
@@ -112,14 +109,6 @@ def ideals_equal(ring, gens1, gens2, bound=None) -> bool:
         if not ideal_membership(ring, e, list(gens1), bound)[0]:
             return False
     return True
-
-
-def _hstack_mats(a: Matrix, b: Matrix) -> Matrix:
-    if a.row_degs is not None and b.row_degs is not None \
-            and a.row_degs != b.row_degs:
-        raise DimensionMismatch("cannot stack maps with different codomain "
-                                "twists")
-    return hstack([a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +249,7 @@ def finite_module_invariants(module: PresentedModule) -> tuple[int, ...]:
     rel_size = module._span_solver().span_size()
     for j in range(ring.k):
         scale = Matrix.identity(ring, module.ngens) * (ring.p ** j)
-        stacked = _hstack_mats(scale, module.rho)
+        stacked = hstack([scale, module.rho])
         sizes.append(column_span_size(stacked) // rel_size)
     return tuple(sizes)
 

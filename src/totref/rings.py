@@ -72,11 +72,16 @@ def scope_degree(bound: int) -> dict:
     return {"mode": "degree", "bound": bound}
 
 
+def degree_bound(bound) -> int:
+    """``bound``, or DEFAULT_DEGREE_BOUND when it is None."""
+    return DEFAULT_DEGREE_BOUND if bound is None else bound
+
+
 def scope_of(ring, bound) -> dict:
     """What a check over ring establishes: exhaustive, or degrees <= bound."""
     if isinstance(ring, FiniteLocalRing):
         return scope_exhaustive()
-    return scope_degree(bound if bound is not None else DEFAULT_DEGREE_BOUND)
+    return scope_degree(degree_bound(bound))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -273,6 +276,41 @@ def test_window_below_the_pair_degree_is_refused(capsys):
         assert code == expected, (y, degree)
         if expected == 2:
             assert json.loads(out)["error"] == "ParseError"
+
+
+def test_degree_window_past_the_carrier_budget_is_refused(capsys,
+                                                          monkeypatch):
+    monkeypatch.delenv("TOTREF_MAX_CARRIER", raising=False)
+    ring = str(Path(__file__).resolve().parents[1] / "rings" /
+               "f5_xyz_xy.json")
+
+    def reached(*args):
+        raise cli.PreconditionFailed("the window was accepted")
+
+    monkeypatch.setattr(cli, "exact_pair", reached)
+    # a window of C(D + 3, 3) monomials: C(229, 3) = 1,975,354 fits the
+    # default budget of 2,000,000, C(230, 3) = 2,001,460 does not
+    for degree, expected in (("99999999999", 2), ("227", 2), ("226", 3)):
+        code, out, _ = run(capsys, "pair", "verify", "--ring", ring,
+                           "--x", "x", "--y", "y", "--degree", degree,
+                           "--format", "json")
+        assert code == expected, degree
+        if expected == 2:
+            assert json.loads(out)["error"] == "TooLarge"
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "totref.cli", "pair", "verify", "--ring", Z9,
+         "--x", "3", "--y", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_deep_parenthesis_nesting_is_a_parse_error(capsys):

@@ -156,6 +156,21 @@ def test_coset_table_refusal_precedes_enumeration(z9, monkeypatch):
         homcalc._target_tables(module, 80)
 
 
+def test_coset_table_budget_counts_the_cells_held():
+    # |M| = 9 over Z/27: the tables hold 9 (9 + 27) = 324 cells, within a
+    # budget of 500 though carrier^ngens = 729 is not
+    ring = FiniteLocalRing(3, 3)
+    three, zero = ring.from_int(3), ring.zero()
+    module = PresentedModule(ring, Matrix(ring, [[three, zero],
+                                                 [zero, three]]), "M")
+    maps = brute_force_hom_oracle(module, module, budget=500)
+    assert len(maps) == hom_count(27, [[3, 0], [0, 3]], [[3, 0], [0, 3]])
+    assert len(maps) == 81
+    with pytest.raises(TooLarge, match="^coset table exceeds the carrier "
+                                       "budget$"):
+        brute_force_hom_oracle(module, module, budget=300)
+
+
 def test_table_cache_does_not_bypass_the_budget(z9, table_builds):
     # tables built under a large budget must not answer a smaller one
     module = PresentedModule(z9, Matrix(z9, [[z9.zero()]]), "free")

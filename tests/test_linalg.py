@@ -1,14 +1,16 @@
 """Matrices over both backends: solving, kernels, span sizes, exactness."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import span_closure
 from totref import linalg
-from totref.errors import DimensionMismatch, NotAComplex
+from totref.errors import DimensionMismatch, NotAComplex, TotrefError
 from totref.family import eta, gamma
 from totref.linalg import (Matrix, check_exact_at, column_span_size,
-                           hstack, ideal_membership, kernel_gens,
+                           hstack, ideal_membership, kernel_gens, kron,
                            solve_right)
 from totref.rings import FiniteLocalRing
 
@@ -35,10 +37,52 @@ def test_matrix_shape_errors(z9):
         a * b
 
 
+def test_matrix_entries_must_come_from_the_ring(z9):
+    # an equal ring built again is the same ring; a plain int is no entry
+    assert Matrix(FiniteLocalRing(3, 2), [[z9.one()]]).entries == \
+        ((z9.one(),),)
+    for rows in ([[1]], [[z9.one(), 3]], [[FiniteLocalRing(2, 3).one()]]):
+        with pytest.raises(TotrefError, match="entry from a different ring"):
+            Matrix(z9, rows)
+
+
 def test_hstack(z9):
     a = mat_z9(z9, [[1], [2]])
     b = mat_z9(z9, [[3], [4]])
     assert hstack([a, b]).entries == mat_z9(z9, [[1, 3], [2, 4]]).entries
+
+
+@given(st.sampled_from((FiniteLocalRing(3, 2),
+                        FiniteLocalRing(2, 2, "t", (0, 0)))), st.data())
+def test_kron_entries_and_mixed_product(ring, data):
+    carrier = list(ring.enumerate_carrier())
+    m, n, k, l, r, s = (data.draw(st.integers(1, 3)) for _ in range(6))
+
+    def matrix(rows, cols):
+        return Matrix(ring, [[data.draw(st.sampled_from(carrier))
+                              for _ in range(cols)] for _ in range(rows)])
+
+    a, b, c, d = matrix(m, n), matrix(k, l), matrix(n, r), matrix(l, s)
+    ab = kron(a, b)
+    assert ab.shape == (m * k, n * l)
+    for i, i2, j, j2 in itertools.product(range(m), range(k), range(n),
+                                          range(l)):
+        assert ab.entries[i * k + i2][j * l + j2] == \
+            a.entries[i][j] * b.entries[i2][j2]
+    # (A (x) B)(C (x) D) = AC (x) BD
+    assert ab * kron(c, d) == kron(a * c, b * d)
+
+
+def test_kron_adds_twist_layouts(pair_f5):
+    ring = pair_f5.ring
+    rho1 = gamma(pair_f5, ring.parse("z^2"))
+    s2 = eta(pair_f5, ring.parse("z^3")).row_degs
+    assert rho1.row_degs == (0, 1) and s2 == (0, 2)
+    # the Hom lifting block: twists s2[i] - col_degs[j] by s2[i] - s1[k]
+    block = kron(Matrix.identity(ring, 2, s2), rho1.transpose())
+    assert block.row_degs == (-1, -2, 1, 0)
+    assert block.col_degs == (0, -1, 2, 1)
+    assert kron(Matrix.identity(ring, 2), rho1).row_degs is None
 
 
 def test_column_span_size_matches_closure_oracle(z9):
