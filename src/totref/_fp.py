@@ -10,10 +10,11 @@ nonzero entries as e has terms, and a pivot step rarely clears more than a
 few rows.  So every question starts from one forward pass, ``_echelon``,
 over the nonzero entries, with rows held as ``{column: residue}`` dicts of
 Python integers: exact for every p, and costing time in the entries the
-elimination touches rather than in the matrix's area.  ``rank`` and the
-``extend_*`` picks need only its leading columns, which are the RREF's
-pivots; ``kernel`` and ``solve`` back-substitute on the sparse rows, and
-only ``rref`` writes a dense reduced matrix.
+elimination touches rather than in the matrix's area.  ``rank``,
+``extend_independent`` and ``kernel``'s picks need only its leading
+columns, which are the RREF's pivots; ``kernel`` and ``solve``
+back-substitute on the sparse rows, and only ``rref`` writes a dense
+reduced matrix.
 
 Arrays hold int64 while every intermediate value fits: a sum of ``width``
 products of two residues is below width (p-1)^2, so ``mul`` computes in
@@ -64,19 +65,19 @@ def _subtract(row: dict, f: int, other: dict, p: int) -> None:
 
 def _echelon(a: np.ndarray, p: int) -> dict[int, dict[int, int]]:
     """Echelon rows of ``a`` mod p with leading 1s, keyed by leading column."""
-    rows_at, cols_at = np.nonzero(a)
+    rows_at, cols_at = a.nonzero()
     vals = a[rows_at, cols_at] % p
-    kept = np.flatnonzero(vals)
+    kept = vals.nonzero()[0]
     rows_at = rows_at[kept]
     cols_at = cols_at[kept].tolist()
     vals = vals[kept].tolist()
     # the nonzero entries come row by row; cut them where the row changes
-    cuts = (np.flatnonzero(np.diff(rows_at)) + 1).tolist()
+    cuts = ((rows_at[1:] != rows_at[:-1]).nonzero()[0] + 1).tolist()
     basis: dict[int, dict[int, int]] = {}
     for start, stop in zip([0] + cuts, cuts + [len(vals)]):
-        if stop - start == 1 and cols_at[start] not in basis:
-            # one entry in a new column: its own leading 1
-            basis[cols_at[start]] = {cols_at[start]: 1}
+        # one entry: a new leading 1, or 0 against a leading 1 alone
+        if stop - start == 1 and len(basis.setdefault(
+                cols_at[start], {cols_at[start]: 1})) == 1:
             continue
         row = dict(zip(cols_at[start:stop], vals[start:stop]))
         while row:
@@ -135,22 +136,42 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     return x
 
 
-def kernel(a: np.ndarray, p: int) -> np.ndarray:
-    """A right-kernel basis: the identity on free columns, -RREF on pivots."""
-    n = a.shape[1]
-    if n == 0:
-        return zeros(0, 0)
+def kernel(a: np.ndarray, p: int, span: np.ndarray | None = None) -> np.ndarray:
+    """A right-kernel basis: the identity on free columns, -RREF on pivots.
+
+    With ``span``, whose columns must lie in the kernel, only the basis
+    vectors that enlarge it are returned: ``extend_independent``'s picks
+    among them.  Basis vector j is the kernel vector that is 1 at the j-th
+    free column and 0 at the others, so ``span`` has kernel coordinates
+    ``span[free]``.  Vector j enlarges the span exactly when no vector in
+    the span of those coordinates ends at j, and those last positions are
+    the pivots of ``span[free]^T`` with its columns reversed.  The picks
+    need only the forward pass, so back-substitution runs for the picked
+    vectors alone, pivot rows from the last up.
+    """
     basis = _echelon(a, p)
-    free = [c for c in range(n) if c not in basis]
-    where = {c: j for j, c in enumerate(free)}
-    at_r, at_c, at_v = free[:], list(where.values()), [1] * len(free)
-    for lead in _back_substitute(basis, p):
-        row = basis[lead]
-        del row[lead]
-        at_r += [lead] * len(row)
-        at_c += [where[c] for c in row]
-        at_v += [p - v for v in row.values()]
-    out = np.zeros((n, len(free)), dtype=_dtype(p))
+    free = [c for c in range(a.shape[1]) if c not in basis]
+    picked = range(len(free))
+    if span is not None and span.size and free:
+        ends = {len(free) - 1 - c
+                for c in _echelon(span[free].T[:, ::-1], p)}
+        picked = [j for j in picked if j not in ends]
+    out = np.zeros((a.shape[1], len(picked)), dtype=_dtype(p))
+    if not picked:
+        return out
+    # at[c] = {output column: entry in row c} of the picked vectors
+    at = {free[j]: {k: 1} for k, j in enumerate(picked)}
+    for lead in sorted(basis, reverse=True):
+        acc: dict[int, int] = {}
+        for c, v in basis[lead].items():
+            for k, w in at.get(c, {}).items():
+                acc[k] = acc.get(k, 0) - v * w
+        acc = {k: w % p for k, w in acc.items() if w % p}
+        if acc:
+            at[lead] = acc
+    at_r = [c for c, row in at.items() for _ in row]
+    at_c = [k for row in at.values() for k in row]
+    at_v = [w for row in at.values() for w in row.values()]
     out[at_r, at_c] = at_v
     return out
 
@@ -168,22 +189,3 @@ def extend_independent(span: np.ndarray | None, cand: np.ndarray, p: int) -> lis
     if held:
         cand = np.concatenate([span, cand], axis=1)
     return [c - held for c in sorted(_echelon(cand, p)) if c >= held]
-
-
-def extend_in_kernel(span: np.ndarray | None, kern: np.ndarray,
-                     p: int) -> list[int]:
-    """``extend_independent``'s picks for a basis ``kern`` from ``kernel``.
-
-    The columns of ``span`` must lie in the column span of ``kern``.  That
-    basis is the identity on its free columns, and column j's free column
-    is its last nonzero row, so ``span`` has kernel coordinates
-    ``span[free]``.  Basis vector j enlarges the span exactly when no
-    vector in the span of those coordinates ends at j, and those last
-    positions are the pivots of ``span[free]^T`` with its columns reversed.
-    """
-    k = kern.shape[1]
-    if span is None or not span.size or not k:
-        return list(range(k))
-    free = kern.shape[0] - 1 - np.argmax(kern[::-1] != 0, axis=0)
-    ends = {k - 1 - c for c in _echelon(span[free].T[:, ::-1], p)}
-    return [j for j in range(k) if j not in ends]

@@ -78,6 +78,18 @@ class Matrix:
     # -- construction -------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, ring, rows, row_degs=None, col_degs=None) -> "Matrix":
+        """A matrix without ``__init__``'s checks, for builders whose entries
+        come from ring operations on valid matrices and fit the layout."""
+        mat = cls.__new__(cls)
+        mat.ring = ring
+        mat.entries = tuple(map(tuple, rows))
+        mat.nrows, mat.ncols = len(mat.entries), len(mat.entries[0])
+        mat.row_degs = None if row_degs is None else tuple(row_degs)
+        mat.col_degs = None if col_degs is None else tuple(col_degs)
+        return mat
+
+    @classmethod
     def identity(cls, ring, n: int, degs=None) -> "Matrix":
         one, zero = ring.one(), ring.zero()
         rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -92,7 +104,7 @@ class Matrix:
         return Matrix(self.ring, self.entries, row_degs, col_degs)
 
     def without_degrees(self) -> "Matrix":
-        return Matrix(self.ring, self.entries)
+        return Matrix._trusted(self.ring, self.entries)
 
     # -- basic access -------------------------------------------------------
 
@@ -131,14 +143,14 @@ class Matrix:
                 for r1, r2 in zip(self.entries, other.entries)]
         row_degs = self.row_degs if self.row_degs == other.row_degs else None
         col_degs = self.col_degs if self.col_degs == other.col_degs else None
-        return Matrix(self.ring, rows, row_degs, col_degs)
+        return Matrix._trusted(self.ring, rows, row_degs, col_degs)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
         rows = [[-e for e in row] for row in self.entries]
-        return Matrix(self.ring, rows, self.row_degs, self.col_degs)
+        return Matrix._trusted(self.ring, rows, self.row_degs, self.col_degs)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -160,7 +172,7 @@ class Matrix:
             if (self.col_degs is not None and other.row_degs is not None
                     and self.col_degs == other.row_degs):
                 row_degs, col_degs = self.row_degs, other.col_degs
-            return Matrix(self.ring, rows, row_degs, col_degs)
+            return Matrix._trusted(self.ring, rows, row_degs, col_degs)
         return self._scale(other)
 
     def __rmul__(self, other):
@@ -189,7 +201,7 @@ class Matrix:
                     if self.col_degs is not None else None)
         col_degs = (tuple(-r for r in self.row_degs)
                     if self.row_degs is not None else None)
-        return Matrix(self.ring, rows, row_degs, col_degs)
+        return Matrix._trusted(self.ring, rows, row_degs, col_degs)
 
     # -- determinants -------------------------------------------------------
 
@@ -222,9 +234,11 @@ def _det(ring, entries):
 
 def hstack(mats: list[Matrix]) -> Matrix:
     first = mats[0]
+    if any(m.ring.key != first.ring.key for m in mats):
+        raise TotrefError("matrix from a different ring")
     if any(m.nrows != first.nrows for m in mats):
         raise DimensionMismatch("row counts differ")
-    rows = [sum((list(m.entries[i]) for m in mats), [])
+    rows = [[e for m in mats for e in m.entries[i]]
             for i in range(first.nrows)]
     row_degs = first.row_degs
     if any(m.row_degs != row_degs for m in mats):
@@ -232,7 +246,7 @@ def hstack(mats: list[Matrix]) -> Matrix:
     col_degs = None
     if all(m.col_degs is not None for m in mats) and row_degs is not None:
         col_degs = sum((list(m.col_degs) for m in mats), [])
-    return Matrix(first.ring, rows, row_degs, col_degs)
+    return Matrix._trusted(first.ring, rows, row_degs, col_degs)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -249,8 +263,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         return None if da is None or db is None else \
             [s + t for s in da for t in db]
 
-    return Matrix(a.ring, rows, summed(a.row_degs, b.row_degs),
-                  summed(a.col_degs, b.col_degs))
+    return Matrix._trusted(a.ring, rows, summed(a.row_degs, b.row_degs),
+                           summed(a.col_degs, b.col_degs))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +315,7 @@ def infer_degrees(mat: Matrix) -> Matrix:
                     queue.append(neighbor)
     row_degs = tuple(assignment[("r", i)] for i in range(m))
     col_degs = tuple(assignment[("c", j)] for j in range(n))
-    return mat.with_degrees(row_degs, col_degs)
+    return Matrix._trusted(mat.ring, mat.entries, row_degs, col_degs)
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +355,18 @@ def _unflatten_vector(ring, vec: list[int], count: int):
 # ---------------------------------------------------------------------------
 # graded slices
 
-def _twist_layout(ring, degs, d: int):
-    """Offsets and widths of the degree-d slice of sum_j A(-degs[j])."""
-    offsets = []
-    widths = []
-    total = 0
-    for s in degs:
-        w = ring.dim(d - s) if d - s >= 0 else 0
-        offsets.append(total)
-        widths.append(w)
-        total += w
-    return offsets, widths, total
+def _twist_layout(ring, degs: tuple, d: int):
+    """Offsets and widths of the degree-d slice of sum_j A(-degs[j]).
+
+    Kept on the ring per (degs, d): a run asks for the same few layouts
+    tens of thousands of times.
+    """
+    hit = ring._layout_cache.get((degs, d))
+    if hit is None:
+        widths = tuple(ring.dim(d - s) for s in degs)
+        offsets = tuple(itertools.accumulate(widths, initial=0))
+        hit = ring._layout_cache[degs, d] = offsets[:-1], widths, offsets[-1]
+    return hit
 
 
 def slice_matrix(mat: Matrix, d: int) -> np.ndarray:
@@ -385,7 +400,7 @@ def slice_vector_to_matrix(ring, vec, degs, d: int) -> Matrix:
             col.append([ring.zero()])
         else:
             col.append([ring.element_of_vector(vec[off:off + w], d - s)])
-    return Matrix(ring, col, degs, (d,))
+    return Matrix._trusted(ring, col, degs, (d,))
 
 
 def matrix_column_to_slice(col: Matrix, d: int) -> np.ndarray:
@@ -488,7 +503,7 @@ def _solve_right_graded(rho: Matrix, rhs: Matrix) -> Matrix | None:
         out_degs.append(u)
     rows = [[out_columns[k][j] for k in range(rhs.ncols)]
             for j in range(rho.ncols)]
-    return Matrix(ring, rows, rho.col_degs, tuple(out_degs))
+    return Matrix._trusted(ring, rows, rho.col_degs, out_degs)
 
 
 def _solve_right_window(rho: Matrix, rhs: Matrix, bound: int) -> Matrix | None:
@@ -556,26 +571,19 @@ def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
                               _unflatten_vector(ring, vec, rho.ncols)])
                 for vec in _kernel_rows(rho)]
     rho = infer_degrees(rho)
-    p = ring.p
     gens: list[Matrix] = []
     for d in range(min(rho.col_degs), degree_bound(bound) + 1):
-        _, _, dom_total = _twist_layout(ring, rho.col_degs, d)
-        if dom_total == 0:
+        if not _twist_layout(ring, rho.col_degs, d)[2]:
             continue
-        system = slice_matrix(rho, d)
-        kern = (_fp.kernel(system, p) if system.shape[0]
-                else np.eye(dom_total, dtype=np.int64))
-        if kern.shape[1] == 0:
-            continue
-        # the degree-d multiples of the earlier generators (each laid out
-        # as rho.col_degs -> (its degree,)) lie in K_d, so the new
-        # generators are picked in kernel coordinates
-        span_blocks = [block for block in (slice_matrix(g, d) for g in gens)
-                       if block.shape[1]]
-        span = (np.concatenate(span_blocks, axis=1) if span_blocks else None)
-        for j in _fp.extend_in_kernel(span, kern, p):
-            gens.append(slice_vector_to_matrix(ring, kern[:, j],
-                                               rho.col_degs, d))
+        # the degree-d multiples of the earlier generators, held side by
+        # side as rho.col_degs -> their degrees, lie in K_d; only the kernel
+        # basis vectors off their span are built
+        span = slice_matrix(held, d) if gens else None
+        kern = _fp.kernel(slice_matrix(rho, d), ring.p, span)
+        if kern.shape[1]:
+            gens += [slice_vector_to_matrix(ring, kern[:, j], rho.col_degs, d)
+                     for j in range(kern.shape[1])]
+            held = hstack(gens)
     return gens
 
 
@@ -694,11 +702,7 @@ def homology(incoming: Matrix, outgoing: Matrix, bound: int | None = None,
     up = outgoing if rel_out is None else hstack([outgoing, rel_out])
     down = incoming if rel_mid is None else hstack([rel_mid, incoming])
     if isinstance(ring, FiniteLocalRing):
-        # the kernel rows generate ker(up) over Z/n, so their leading
-        # coordinates, those of the middle module, generate Z
-        width = outgoing.ncols * ring.ext_degree
-        return (_zn.span_size([v[:width] for v in _kernel_rows(up)], ring.n),
-                column_span_size(down))
+        return _finite_homology(up, down, outgoing.ncols)[1:]
     dims = []
     for d in range(min(outgoing.col_degs), degree_bound(bound) + 1):
         width = _twist_layout(ring, outgoing.col_degs, d)[2]
@@ -707,6 +711,18 @@ def homology(incoming: Matrix, outgoing: Matrix, bound: int | None = None,
             dims.append([d, width - slice_rank(up, d) + held,
                          slice_rank(down, d)])
     return dims
+
+
+def _finite_homology(up: Matrix, down: Matrix, middle: int):
+    """Generators of Z as flat rows, |Z| and |B|, on the finite backend.
+
+    The kernel rows generate ker(up) over Z/n, so their leading
+    coordinates, those of the ``middle`` module entries, generate Z.
+    """
+    width = middle * up.ring.ext_degree
+    cycles = [v[:width] for v in _kernel_rows(up)]
+    return (cycles, _zn.span_size(cycles, up.ring.n),
+            column_span_size(down))
 
 
 def check_exact_at(incoming: Matrix, outgoing: Matrix,
@@ -725,18 +741,24 @@ def check_exact_at(incoming: Matrix, outgoing: Matrix,
     if not composite.is_zero:
         raise NotAComplex(f"{name}: composite of consecutive maps is nonzero")
     ring = incoming.ring
-    counts = homology(incoming, outgoing, bound)
     if isinstance(ring, FiniteLocalRing):
-        details = {"kernel_size": counts[0], "image_size": counts[1]}
-        exact = counts[0] == counts[1]
+        # one factorization of outgoing gives both |Z| and the witnesses
+        cycles, kernel_size, image_size = _finite_homology(
+            outgoing, incoming, outgoing.ncols)
+        details = {"kernel_size": kernel_size, "image_size": image_size}
+        exact = kernel_size == image_size
         if not exact:
-            for gen in kernel_gens(outgoing):
-                if solve_right(incoming, gen) is None:
+            cols, height = _flatten_columns(incoming)
+            image = _zn.SpanSolver(cols, ring.n, height)
+            for vec in cycles:
+                if image.solve(vec) is None:
                     details["witness_in_kernel_not_image"] = "(" + ", ".join(
-                        ring.format(row[0]) for row in gen.entries) + ")"
+                        map(ring.format, _unflatten_vector(
+                            ring, vec, outgoing.ncols))) + ")"
                     break
         return VerificationReport(name, PASS if exact else FAIL,
                                   scope_exhaustive(), details)
+    counts = homology(incoming, outgoing, bound)
     details = {"dims_per_degree": counts}
     failing = [d for d, z, b in counts if z != b]
     if failing:
@@ -751,10 +773,8 @@ def check_exact_at(incoming: Matrix, outgoing: Matrix,
 def _slice_witness(incoming: Matrix, outgoing: Matrix, d: int) -> str | None:
     """The first kernel basis vector of the degree-d slice off the image."""
     p = incoming.ring.p
-    out_slice = slice_matrix(outgoing, d)
+    kern = _fp.kernel(slice_matrix(outgoing, d), p)
     in_slice = slice_matrix(incoming, d)
-    kern = (_fp.kernel(out_slice, p) if out_slice.shape[0]
-            else np.eye(out_slice.shape[1], dtype=np.int64))
     extra = _fp.extend_independent(in_slice if in_slice.size else None,
                                    kern, p)
     if not extra:

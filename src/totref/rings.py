@@ -590,6 +590,7 @@ class GradedMonomialRing:
         self._basis_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._index_cache: dict[int, dict[tuple[int, ...], int]] = {}
         self._mult_cache: dict = {}
+        self._layout_cache: dict = {}  # linalg._twist_layout's results
 
     # -- construction -----------------------------------------------------
 
@@ -653,13 +654,13 @@ class GradedMonomialRing:
 
     def mult_matrix(self, e: GradedElement, src_deg: int) -> np.ndarray:
         """Matrix of multiplication by homogeneous e from degree src_deg."""
-        t = e.degree()
-        if t is None:
-            raise TotrefError("mult_matrix needs a nonzero element")
         cache_key = (e.terms, src_deg)
         hit = self._mult_cache.get(cache_key)
         if hit is not None:
             return hit
+        t = e.degree()
+        if t is None:
+            raise TotrefError("mult_matrix needs a nonzero element")
         src = self.basis(src_deg)
         dst = self.basis(src_deg + t)
         dst_index = self._index_cache[src_deg + t]

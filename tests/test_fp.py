@@ -55,17 +55,24 @@ def test_extend_independent_picks_where_the_rank_grows(case):
     expected = [j for j in range(cand.shape[1]) if ranks[j + 1] > ranks[j]]
     picked = _fp.extend_independent(span if held else None, cand, p)
     assert picked == expected
-    # the kernel-coordinate pick: a kernel basis as the candidates, and
-    # combinations of its columns as the span
+    # kernel's picks: with a span inside the kernel, exactly the basis
+    # vectors that extend_independent picks after it; checked on a kernel
+    # and on the identity basis of a zero-row matrix
     kern = _fp.kernel(span.T, p)
     k = kern.shape[1]
     inside = np.array(kern, dtype=object) @ np.array(cand[:k], dtype=object)
     inside = (inside % p).astype(np.int64)
-    full = np.concatenate([inside, kern], axis=1)
-    ranks = [rank_mod_p(full[:, :inside.shape[1] + j].tolist(), p)
-             for j in range(k + 1)]
-    expected = [j for j in range(k) if ranks[j + 1] > ranks[j]]
-    assert _fp.extend_in_kernel(inside, kern, p) == expected
+    for a, basis in ((span.T, kern),
+                     (np.zeros((0, kern.shape[0]), dtype=np.int64),
+                      np.eye(kern.shape[0], dtype=np.int64))):
+        full = np.concatenate([inside, basis], axis=1)
+        ranks = [rank_mod_p(full[:, :inside.shape[1] + j].tolist(), p)
+                 for j in range(basis.shape[1] + 1)]
+        expected = [j for j in range(basis.shape[1])
+                    if ranks[j + 1] > ranks[j]]
+        picked = _fp.kernel(a, p, inside)
+        assert picked.dtype == _fp._reduced(a, p).dtype
+        assert np.array_equal(picked, basis[:, expected])
 
 
 @st.composite

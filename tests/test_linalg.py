@@ -5,14 +5,16 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import span_closure
-from totref import linalg
+from oracles import MonomialQuotientOracle, rank_mod_p, span_closure
+from totref import _zn, linalg
 from totref.errors import DimensionMismatch, NotAComplex, TotrefError
-from totref.family import eta, gamma
+from totref.family import eta, gamma, periodic_resolution
 from totref.linalg import (Matrix, check_exact_at, column_span_size,
-                           hstack, ideal_membership, kernel_gens, kron,
+                           hstack, ideal_membership, infer_degrees,
+                           kernel_gens, kron, slice_vector_to_matrix,
                            solve_right)
-from totref.rings import FiniteLocalRing
+from totref.rings import FiniteLocalRing, GradedMonomialRing
+from totref.zerodiv import exact_pair
 
 
 def mat_z9(z9, rows):
@@ -190,6 +192,30 @@ def test_check_exact_at_detects_inexactness(z9):
     assert not rep.passed
 
 
+def test_failing_finite_exactness_factors_each_map_once(monkeypatch):
+    # Z/27 with the pair (9, 9) and a = 0: ker(0) has 81 elements and
+    # im(9) only 9, at both interior positions of the G resolution; one
+    # solver on outgoing gives the cycles, one on incoming tries them all
+    ring = FiniteLocalRing(3, 3)
+    pair = exact_pair(ring, ring.parse("9"), ring.parse("9"))
+    diffs = periodic_resolution(pair, ring.zero(), 3, "G", strict=False)
+    built = []
+
+    class CountedSolver(_zn.SpanSolver):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(_zn, "SpanSolver", CountedSolver)
+    for i in (1, 2):
+        built.clear()
+        rep = check_exact_at(diffs[i], diffs[i - 1])
+        assert not rep.passed
+        assert rep.details == {"kernel_size": 81, "image_size": 9,
+                               "witness_in_kernel_not_image": "(3, 0)"}
+        assert len(built) == 2
+
+
 # -- graded layouts ---------------------------------------------------------
 
 def test_graded_solve_right_round_trip(pair_f5):
@@ -237,3 +263,129 @@ def test_graded_membership_branches(f5, monkeypatch):
     g = f5.parse("x + y^2")
     assert ideal_membership(f5, g, [g], 3) == (True, [f5.one()])
     assert windowed
+
+
+# F_5[x,y,z]/(xy) and F_3[x,y]/(x^2, y^2), each beside its oracle
+GRADED_CASES = ((GradedMonomialRing(5, ("x", "y", "z"), ((1, 1, 0),)),
+                 MonomialQuotientOracle(5, 3, [(1, 1, 0)])),
+                (GradedMonomialRing(3, ("x", "y"), ((2, 0), (0, 2))),
+                 MonomialQuotientOracle(3, 2, [(2, 0), (0, 2)])))
+
+
+def _graded_entry(ring, oracle, degree, rng):
+    """A random element of the given degree, as (element, oracle dict)."""
+    poly = {exp: rng.randrange(oracle.p) for exp in oracle.basis(degree)
+            if rng.random() < 0.5}
+    poly = {exp: c for exp, c in poly.items() if c}
+    element = ring.zero()
+    for exp, c in poly.items():
+        element = element + ring.monomial_element(exp, c)
+    return element, poly
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(GRADED_CASES), st.integers(1, 2), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+def test_graded_kernel_gens_match_the_oracle(case, m, n, rng):
+    ring, oracle = case
+    bound = 4
+    row_degs = [rng.randrange(2) for _ in range(m)]
+    col_degs = [rng.randrange(3) for _ in range(n)]
+    polys = [[{} for _ in range(n)] for _ in range(m)]
+    rows = [[ring.zero()] * n for _ in range(m)]
+    for i, j in itertools.product(range(m), range(n)):
+        if rng.random() < 0.8:
+            rows[i][j], polys[i][j] = _graded_entry(
+                ring, oracle, col_degs[j] - row_degs[i], rng)
+    rho = Matrix(ring, rows, row_degs, col_degs)
+    gens = [([dict(g.entries[j][0].terms) for j in range(n)], g.col_degs[0])
+            for g in kernel_gens(rho, bound)]
+
+    def source(d):
+        return [(j, mono) for j in range(n)
+                for mono in oracle.basis(d - col_degs[j])]
+
+    def multiples(d, chosen):
+        """Coordinates of the degree-d multiples of the chosen generators."""
+        index = {key: pos for pos, key in enumerate(source(d))}
+        out = []
+        for vec, e in chosen:
+            for mono in oracle.basis(d - e):
+                row = [0] * len(index)
+                for j, poly in enumerate(vec):
+                    for exp, c in oracle.mul({mono: 1}, poly).items():
+                        row[index[(j, exp)]] = c
+                out.append(row)
+        return out
+
+    for vec, _ in gens:
+        for i in range(m):
+            image = {}
+            for j in range(n):
+                image = oracle.add(image, oracle.mul(polys[i][j], vec[j]))
+            assert not image
+    for d in range(min(col_degs), bound + 1):
+        target = {(i, mono): pos for pos, (i, mono) in enumerate(
+            (i, mono) for i in range(m)
+            for mono in oracle.basis(d - row_degs[i]))}
+        cols = source(d)
+        system = [[0] * len(cols) for _ in target]
+        for pos, (j, mono) in enumerate(cols):
+            for i in range(m):
+                for exp, c in oracle.mul(polys[i][j], {mono: 1}).items():
+                    system[target[(i, exp)]][pos] = c
+        kernel_dim = len(cols) - rank_mod_p(system, oracle.p)
+        assert rank_mod_p(multiples(d, gens), oracle.p) == kernel_dim
+    # no generator is a combination of the others' multiples in its degree
+    for k, (vec, e) in enumerate(gens):
+        others = multiples(e, gens[:k] + gens[k + 1:])
+        assert rank_mod_p(others + multiples(e, [(vec, e)]), oracle.p) \
+            == rank_mod_p(others, oracle.p) + 1
+
+
+LAYOUT_RINGS = (FiniteLocalRing(3, 2), FiniteLocalRing(2, 2, "t", (0, 0)),
+                GRADED_CASES[0][0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LAYOUT_RINGS), st.data())
+def test_unchecked_builders_pass_the_checks(ring, data):
+    """What every builder without the constructor's checks returns, the
+    checked constructor accepts with the same entries and layout."""
+    graded = isinstance(ring, GradedMonomialRing)
+    rng = data.draw(st.randoms(use_true_random=False))
+    oracle = GRADED_CASES[0][1]
+    m, n, k = (data.draw(st.integers(1, 3)) for _ in range(3))
+
+    def element(degree):
+        if not graded:
+            return ring.element([rng.randrange(ring.n)
+                                 for _ in range(ring.ext_degree)])
+        return _graded_entry(ring, oracle, degree, rng)[0]
+
+    def degs(count):
+        return [rng.randrange(3) for _ in range(count)]
+
+    def matrix(row_degs, col_degs):
+        return Matrix(ring, [[element(c - r) for c in col_degs]
+                             for r in row_degs], row_degs, col_degs)
+
+    def checked(mat):
+        again = Matrix(ring, mat.entries, mat.row_degs, mat.col_degs)
+        assert (again.entries, again.row_degs, again.col_degs, again.shape) \
+            == (mat.entries, mat.row_degs, mat.col_degs, mat.shape)
+
+    a = matrix(degs(m), degs(n))
+    b = matrix(a.row_degs, a.col_degs)
+    c = matrix(a.col_degs, degs(k))
+    beside = matrix(a.row_degs, degs(k))
+    for out in (a + b, a - b, -a, a * c, a.transpose(), a.without_degrees(),
+                infer_degrees(a.without_degrees()), hstack([a, beside]),
+                kron(a, c), solve_right(a, a * c)):
+        checked(out)
+    if graded:
+        d = max(a.col_degs) + rng.randrange(3)
+        width = linalg._twist_layout(ring, a.col_degs, d)[2]
+        checked(slice_vector_to_matrix(
+            ring, [rng.randrange(ring.p) for _ in range(width)],
+            a.col_degs, d))
