@@ -85,9 +85,8 @@ def _vec_column(ring, psi: Matrix, carrier_degs) -> Matrix:
 
 
 def _matrix_from_flat(ring, elements, nrows: int, ncols: int) -> Matrix:
-    rows = [[elements[i * ncols + k] for k in range(ncols)]
-            for i in range(nrows)]
-    return Matrix(ring, rows)
+    return Matrix._trusted(ring, [elements[i * ncols:(i + 1) * ncols]
+                                  for i in range(nrows)])
 
 
 def _hom_degree(psi: Matrix, s1, s2) -> int | None:
@@ -402,18 +401,16 @@ def brute_force_hom_oracle(source, target, budget=None, ring=None):
             idx = (None,) * acc.ndim + (slice(None),)
             acc = tables.add[acc[..., None], vec[idx]]
         valid &= acc == tables.zero_idx
-    maps = set()
-    for flat in np.argwhere(valid):
-        maps.add(tuple(tables.keys[i] for i in flat))
-    return maps
+    key = tables.keys.__getitem__
+    return {tuple(map(key, row)) for row in np.argwhere(valid).tolist()}
 
 
 def _map_closure(hp: HomPresentation, budget: int, cap: int):
     """Coset tables of hp's target and the maps hp's generators reach.
 
     A map is the tuple of coset indices of the images of the source
-    generators.  The maps reached from 0 by adding scalar multiples of the
-    generator evaluations form the subgroup those steps generate, so each
+    generators.  A is spanned over Z/n by 1, t, ..., t^(d-1), so the A-span
+    of the generators g is the subgroup generated by the steps t^j g.  Each
     step s not yet reached appends the cosets H + s, H + 2s, ... of the
     maps H reached so far, up to the first multiple of s already reached.
     Raises TooLarge past ``budget`` table cells or ``cap`` maps.
@@ -423,8 +420,7 @@ def _map_closure(hp: HomPresentation, budget: int, cap: int):
         raise WrongBackend("map enumeration needs the finite backend")
     n1 = hp.source.ngens
     tables = _target_tables(hp.target, budget)
-    scalars = [tables.mul[c.coords] for c in ring.enumerate_carrier()
-               if not c.is_zero]
+    scalars = [tables.mul[t_j] for t_j in ring._powers[:ring.ext_degree]]
     reached = np.full((1, n1), tables.zero_idx, dtype=tables.add.dtype)
     found = {(tables.zero_idx,) * n1}
     images = tables.indices_of_columns(
@@ -451,13 +447,15 @@ def _map_budget_error(cap: int) -> TooLarge:
 
 
 def hom_maps_from_presentation(hp: HomPresentation, budget=None):
-    """The map set generated by hp's generators, element by element.
+    """The map set hp's generators span, closed coset by coset under the
+    steps t^j g for the generators g and j below the extension degree.
 
     The result is comparable with brute_force_hom_oracle output.
     """
     budget = _max_carrier(budget)
     tables, found = _map_closure(hp, budget, budget)
-    return {tuple(tables.keys[i] for i in state) for state in found}
+    key = tables.keys.__getitem__
+    return {tuple(map(key, state)) for state in found}
 
 
 # ---------------------------------------------------------------------------

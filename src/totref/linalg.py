@@ -29,8 +29,8 @@ from . import _fp, _zn
 from .errors import (DimensionMismatch, NonHomogeneous, NotAComplex,
                      TotrefError)
 from .report import FAIL, PASS, VerificationReport
-from .rings import (FiniteLocalRing, GradedMonomialRing, degree_bound,
-                    scope_degree, scope_exhaustive)
+from .rings import (FiniteElement, FiniteLocalRing, GradedMonomialRing,
+                    degree_bound, scope_degree, scope_exhaustive)
 
 
 class Matrix:
@@ -253,10 +253,11 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """The Kronecker product: entry ((i, k), (j, l)) is a[i][j] * b[k][l].
 
     Twists add, so two degree layouts give a layout.  Products with a
-    zero factor are not formed.
+    zero factor are not formed, and a factor one gives the other factor.
     """
-    zero = a.ring.zero()
-    rows = [[x * y if x and y else zero for x in row_a for y in row_b]
+    zero, one = a.ring.zero(), a.ring.one()
+    rows = [[(y if x == one else x if y == one else x * y) if x and y
+             else zero for x in row_a for y in row_b]
             for row_a in a.entries for row_b in b.entries]
 
     def summed(da, db):
@@ -348,8 +349,10 @@ def _flatten_vector(ring, elements) -> list[int]:
 
 
 def _unflatten_vector(ring, vec: list[int], count: int):
+    """Elements from a flat vector of residues, Python ints in [0, n)."""
     d = ring.ext_degree
-    return [ring.element(vec[i * d:(i + 1) * d]) for i in range(count)]
+    return [FiniteElement(ring, tuple(vec[i * d:(i + 1) * d]))
+            for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +430,8 @@ def solve_right(rho: Matrix, rhs: Matrix, bound: int | None = None) -> Matrix | 
     matrices carry (or admit) a degree layout; otherwise a truncated search
     up to ``bound`` is made and only positive answers are meaningful.
     """
+    if rhs.ring.key != rho.ring.key:
+        raise TotrefError("matrix from a different ring")
     if rho.nrows != rhs.nrows:
         raise DimensionMismatch("right hand side has wrong height")
     ring = rho.ring
@@ -567,9 +572,8 @@ def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
     """
     ring = rho.ring
     if isinstance(ring, FiniteLocalRing):
-        return [Matrix(ring, [[e] for e in
-                              _unflatten_vector(ring, vec, rho.ncols)])
-                for vec in _kernel_rows(rho)]
+        return [Matrix._trusted(ring, [[e] for e in _unflatten_vector(
+            ring, vec, rho.ncols)]) for vec in _kernel_rows(rho)]
     rho = infer_degrees(rho)
     gens: list[Matrix] = []
     for d in range(min(rho.col_degs), degree_bound(bound) + 1):

@@ -333,7 +333,7 @@ class FiniteLocalRing:
         return FiniteElement(self, coords)
 
     def zero(self) -> FiniteElement:
-        return self.element([0] * self.ext_degree)
+        return FiniteElement(self, (0,) * self.ext_degree)
 
     def one(self) -> FiniteElement:
         return self.from_int(1)

@@ -89,11 +89,12 @@ def test_hom_budget_guard(pair_z9, monkeypatch):
                                module_g(pair_z9, ring.from_int(0)))
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
-def test_map_closure_over_dual_numbers_matches_oracle(p, k):
-    # over (Z/p^k)[t]/(t^2) multiplying by t is not an integer multiple,
-    # so the closure must step by every scalar multiple of a generator
-    ring = FiniteLocalRing(p, k, ext_var="t", ext_reduction=(0, 0))
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3)],
+                         ids=["3-1", "2-2", "2-1-t^3", "2-2-t^3"])
+def test_map_closure_over_dual_numbers_matches_oracle(p, k, d):
+    # over (Z/p^k)[t]/(t^d) multiplying by t is not an integer multiple,
+    # so the closure steps by t^j g for every generator g and j < d
+    ring = FiniteLocalRing(p, k, ext_var="t", ext_reduction=(0,) * d)
     nonunits = [c for c in ring.enumerate_carrier() if not ring.is_unit(c)]
     rng = random.Random(400 + p)
 
@@ -108,12 +109,12 @@ def test_map_closure_over_dual_numbers_matches_oracle(p, k):
         maps = hom_maps_from_presentation(hp)
         assert maps == brute_force_hom_oracle(src, tgt)
         assert len(maps) == hp.module.size()
-    # the identity alone generates End(A) = A, of size p^(2k)
+    # the identity alone generates End(A) = A, of size p^(dk)
     free = PresentedModule(ring, Matrix(ring, [[ring.zero()]]), "A")
     hp = dataclasses.replace(hom_presentation(free, free),
                              generators=(Matrix.identity(ring, 1),))
     maps = hom_maps_from_presentation(hp)
-    assert len(maps) == p ** (2 * k)
+    assert len(maps) == p ** (d * k)
     assert maps == brute_force_hom_oracle(free, free)
 
 

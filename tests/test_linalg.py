@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import MonomialQuotientOracle, rank_mod_p, span_closure
-from totref import _zn, linalg
+from totref import _zn, homcalc, linalg
 from totref.errors import DimensionMismatch, NotAComplex, TotrefError
 from totref.family import eta, gamma, periodic_resolution
 from totref.linalg import (Matrix, check_exact_at, column_span_size,
                            hstack, ideal_membership, infer_degrees,
                            kernel_gens, kron, slice_vector_to_matrix,
                            solve_right)
+from totref.modules import PresentedModule
 from totref.rings import FiniteLocalRing, GradedMonomialRing
 from totref.zerodiv import exact_pair
 
@@ -108,6 +109,12 @@ def test_solve_right_reports_unsolvable(z9):
     rho = mat_z9(z9, [[3, 0], [0, 3]])
     rhs = mat_z9(z9, [[1], [0]])
     assert solve_right(rho, rhs) is None
+
+
+def test_solve_right_refuses_a_foreign_right_hand_side(z9, z8):
+    # a Z/8 entry's coordinates are no Z/9 residues
+    with pytest.raises(TotrefError, match="matrix from a different ring"):
+        solve_right(mat_z9(z9, [[3]]), Matrix(z8, [[z8.from_int(6)]]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -389,3 +396,56 @@ def test_unchecked_builders_pass_the_checks(ring, data):
         checked(slice_vector_to_matrix(
             ring, [rng.randrange(ring.p) for _ in range(width)],
             a.col_degs, d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((FiniteLocalRing(3, 2), FiniteLocalRing(2, 3),
+                        FiniteLocalRing(2, 2, "t", (0, 0)))), st.data())
+def test_trusted_finite_builders_hold_residues(ring, data):
+    """Elements built from solver residues without ring.element, and the
+    kernel and Hom matrices built from them without the constructor's
+    checks, are what the checked constructors build."""
+    carrier = list(ring.enumerate_carrier())
+    m, n = (data.draw(st.integers(1, 2)) for _ in range(2))
+
+    def matrix(rows, cols):
+        return Matrix(ring, [[data.draw(st.sampled_from(carrier))
+                              for _ in range(cols)] for _ in range(rows)])
+
+    def checked(mat):
+        again = Matrix(ring, mat.entries)
+        assert (again.entries, again.shape) == (mat.entries, mat.shape)
+
+    unflatten, from_flat = linalg._unflatten_vector, homcalc._matrix_from_flat
+    made, flat = [], []
+
+    def recorded(ring_, vec, count):
+        made.append((vec, count, unflatten(ring_, vec, count)))
+        return made[-1][2]
+
+    def recorded_flat(*args):
+        flat.append(from_flat(*args))
+        return flat[-1]
+
+    a, c, b = matrix(m, n), matrix(n, 1), matrix(data.draw(
+        st.integers(1, 2)), data.draw(st.integers(1, 2)))
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (linalg, homcalc):
+            mp.setattr(module, "_unflatten_vector", recorded)
+        mp.setattr(homcalc, "_matrix_from_flat", recorded_flat)
+        solve_right(a, a * c)  # SpanSolver.solve residues
+        gens = kernel_gens(a)  # Howell kernel rows
+        homcalc._TargetTables(PresentedModule(ring, a))  # table keys
+        # a failing check reads its witness off the kernel rows
+        check_exact_at(Matrix.zeros(ring, n, 1), a)
+        homcalc.hom_presentation(PresentedModule(ring, a),
+                                 PresentedModule(ring, b))
+    assert made and flat
+    for gen in gens + flat:
+        checked(gen)
+    for vec, count, elements in made:
+        assert [x for e in elements for x in e.coords] == \
+            list(vec[:count * ring.ext_degree])
+        for e in elements:
+            assert all(type(x) is int and 0 <= x < ring.n for x in e.coords)
+            assert e == ring.element(e.coords)
