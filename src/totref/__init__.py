@@ -13,21 +13,15 @@ or degree bounded) at which it was established.
 
 from .errors import TotrefError
 from .linalg import annihilator, ideal_membership
-from .rings import (FiniteLocalRing, GradedMonomialRing, enumerate_carrier,
-                    graded_basis, is_unit, parse_element,
-                    ring_from_descriptor)
+from .rings import FiniteLocalRing, GradedMonomialRing, ring_from_descriptor
 
 __all__ = [
     "TotrefError",
     "FiniteLocalRing",
     "GradedMonomialRing",
     "ring_from_descriptor",
-    "parse_element",
-    "is_unit",
     "annihilator",
     "ideal_membership",
-    "graded_basis",
-    "enumerate_carrier",
 ]
 
 __version__ = "0.1.0"

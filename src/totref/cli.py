@@ -1,6 +1,6 @@
 """Command line front end.
 
-Verbs: ``pair verify``, ``family build|verify-complex|verify-tr``,
+Verbs: ``pair verify``, ``family build|verify-complex|verify-tr|identify``,
 ``hom compute|verify-hg|verify-gaba|verify-end|verify-ext``,
 ``family run-main`` and ``oracle hom``.  Exit codes: 0 all checks pass,
 1 a mathematical check failed (the report names the first failing
@@ -19,10 +19,10 @@ import os
 import sys
 import traceback
 
-from .errors import (EquivalenceViolation, NotAUnit, ParseError,
-                     PreconditionFailed, TooLarge, TotrefError, UnitInput)
+from .errors import (EquivalenceViolation, ParseError, PreconditionFailed,
+                     TooLarge, TotrefError, UnitInput)
 from .family import (module_g, module_h, verify_complex,
-                     verify_total_reflexivity)
+                     verify_g_description, verify_total_reflexivity)
 from .homcalc import (_max_carrier, brute_force_hom_oracle, hom_presentation,
                       run_family, verify_end_ring, verify_ext_swap,
                       verify_hom_g_ab_a, verify_hom_hg)
@@ -32,7 +32,7 @@ from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
                     GradedMonomialRing, degree_bound, ring_from_descriptor)
 from .zerodiv import exact_pair, verify_regular_pair
 
-PRECONDITION_ERRORS = (PreconditionFailed, UnitInput, NotAUnit)
+PRECONDITION_ERRORS = (PreconditionFailed, UnitInput)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,6 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = common(family_g.add_parser("verify-tr"))
     sub.add_argument("--a", required=True)
     sub.add_argument("--i-max", type=int, default=2)
+    sub = common(family_g.add_parser("identify"))
+    sub.add_argument("--a", required=True)
     sub = common(family_g.add_parser("run-main"))
     sub.add_argument("--b", required=True,
                      help="multiplier element, or a comma separated "
@@ -228,6 +230,14 @@ def _cmd_family_verify_tr(args):
     return rep, (0 if rep.passed else 1)
 
 
+def _cmd_family_identify(args):
+    ring = _load_ring(args.ring)
+    pair = _pair_of(ring, args)
+    rep = verify_g_description(pair, ring.parse(args.a), args.degree,
+                               strict=not args.probe)
+    return rep, (0 if rep.passed else 1)
+
+
 def _cmd_family_run_main(args):
     ring = _load_ring(args.ring)
     pair = _pair_of(ring, args)
@@ -300,6 +310,7 @@ _HANDLERS = {
     ("family", "build"): _cmd_family_build,
     ("family", "verify-complex"): _cmd_family_verify_complex,
     ("family", "verify-tr"): _cmd_family_verify_tr,
+    ("family", "identify"): _cmd_family_identify,
     ("family", "run-main"): _cmd_family_run_main,
     ("hom", "compute"): _cmd_hom_compute,
     ("hom", "verify-hg"): _cmd_hom_verify_hg,

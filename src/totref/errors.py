@@ -34,10 +34,6 @@ class NonHomogeneous(TotrefError):
     """Graded operation received mixed-degree data and strict mode is on."""
 
 
-class NotAUnit(TotrefError):
-    """A unit was required (for example a twist parameter)."""
-
-
 class UnitInput(TotrefError):
     """A zero-divisor candidate turned out to be a unit."""
 
@@ -52,10 +48,6 @@ class EquivalenceViolation(TotrefError):
 
 class InvalidResolution(TotrefError):
     """Claimed free resolution is not a resolution (composite or exactness)."""
-
-
-class UnsupportedQuotient(TotrefError):
-    """Quotient construction outside the supported shape."""
 
 
 class InconclusiveStrategy(TotrefError):

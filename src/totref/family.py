@@ -9,14 +9,13 @@ and gamma_a, eta_a compose to zero in both orders, giving a doubly infinite
 periodic complex.  This file builds those matrices with their twist layouts,
 produces finite windows of the periodic resolution, and certifies the
 structural statements: exactness of the complex, total reflexivity via dual
-exactness and the duality pairing, the ideal description of G_a, unit
-twists, the decomposable case, and the symmetry that swaps x with y.
+exactness and the duality pairing, and what G_a is: A/(x) + A/(y) when a
+lies in (x), the ideal (y, a) when a is injective on A/(y).
 """
 
 from __future__ import annotations
 
-from .errors import (NonHomogeneous, NotAUnit, PreconditionFailed,
-                     TotrefError)
+from .errors import NonHomogeneous, PreconditionFailed, TotrefError
 from .linalg import (Matrix, check_exact_at, ideal_membership, kernel_gens,
                      solve_right)
 from .modules import (PresentedModule, dual_presentation, ext_vanishing,
@@ -122,6 +121,8 @@ def verify_complex(pair: ExactZeroDivisorPair, a, length: int = 4,
     identities phi gamma_a^t = eta_a phi, phi eta_a^t = gamma_a phi that
     drive all duality statements.
     """
+    if length < 2:  # exactness needs two consecutive differentials
+        raise TotrefError(f"length must be at least 2, got {length}")
     if strict and not pair.is_exact:
         raise PreconditionFailed("the pair is not a verified exact pair")
     ring = pair.ring
@@ -198,25 +199,43 @@ def verify_total_reflexivity(pair: ExactZeroDivisorPair, a, i_max: int = 2,
 
 
 # ---------------------------------------------------------------------------
-# the ideal description of G_a
+# what G_a is
 
-def verify_ideal_iso(pair: ExactZeroDivisorPair, a, bound=None,
-                     strict: bool = True) -> VerificationReport:
-    """Certify G_a = (y, a) as submodules of A via the row (y, -a).
+def verify_g_description(pair: ExactZeroDivisorPair, a, bound=None,
+                         strict: bool = True) -> VerificationReport:
+    """Certify what G_a is, under whichever of two hypotheses a meets.
 
-    Hypotheses: exact pair, and a acts injectively on A/(y).  The row
-    kills both relation columns, its image is the ideal (y, a) by
-    construction, and injectivity is the inclusion ker(row) into the
-    column span of gamma_a, checked on kernel generators.
+    When a = q x lies in (x), G_a = A/(x) + A/(y), the a = 0 module: the
+    witness adds q times the x-column to the a-column (node
+    "decomposable-case").  Otherwise, when the pair is exact and a acts
+    injectively on A/(y), G_a = (y, a) as submodules of A via the row
+    (y, -a) (node "ideal-description"): the row kills both relation
+    columns, its image is the ideal (y, a) by construction, and
+    injectivity is the inclusion ker(row) into the column span of
+    gamma_a, checked on kernel generators.
     """
     ring = pair.ring
-    hypothesis = weakly_regular_on_quotient(ring, a, [pair.y], bound) \
-        if not a.is_zero else False
+    scope = scope_of(ring, bound)
+    in_x, wit = ideal_membership(ring, a, [pair.x], bound)
+    if in_x:
+        q = wit[0]
+        one, zero = ring.one(), ring.zero()
+        src = module_g(pair, a, strict=False)
+        tgt = module_g(pair, zero, strict=False)
+        rep = VerificationReport("decomposable-case", PASS, scope,
+                                 {"a": repr(a), "q": repr(q)})
+        rep.add(verify_iso_witness(
+            PresentedModule(ring, src.rho.without_degrees(), src.label),
+            PresentedModule(ring, tgt.rho.without_degrees(), "G(0)"),
+            Matrix.identity(ring, 2), Matrix(ring, [[one, q], [zero, one]]),
+            bound, name="column-operation-witness"))
+        return rep
+    hypothesis = weakly_regular_on_quotient(ring, a, [pair.y], bound)
     if strict and not (pair.is_exact and hypothesis):
-        raise PreconditionFailed(
-            "needs a verified exact pair and a injective on A/(y)")
-    rep = VerificationReport("ideal-description", PASS,
-                             scope_of(pair.ring, bound),
+        raise PreconditionFailed("a is not in (x), and G_a = (y, a) needs "
+                                 "a verified exact pair and a injective "
+                                 "on A/(y)")
+    rep = VerificationReport("ideal-description", PASS, scope,
                              {"a": repr(a),
                               "a_injective_mod_y": hypothesis})
     g = gamma(pair, a, strict=False).without_degrees()
@@ -226,105 +245,15 @@ def verify_ideal_iso(pair: ExactZeroDivisorPair, a, bound=None,
     if not composite.is_zero:
         rep.verdict = FAIL
         return rep
-    gens = kernel_gens(_with_row_layout(pair, a, row), bound)
-    failures = []
-    for gen in gens:
-        if solve_right(g, gen.without_degrees(), bound) is None:
-            failures.append(repr(gen))
+    degs = _family_layout(pair, a, "gamma")[0]
+    if degs is not None:
+        row = row.with_degrees((-(pair.y.degree() or 0),), degs)
+    gens = kernel_gens(row, bound)
+    failures = [repr(gen) for gen in gens
+                if solve_right(g, gen.without_degrees(), bound) is None]
     rep.details["kernel_generators"] = len(gens)
     rep.details["kernel_inside_image"] = not failures
     if failures:
         rep.details["escaping_kernel_generator"] = failures[0]
         rep.verdict = FAIL
-    return rep
-
-
-def _with_row_layout(pair, a, row: Matrix) -> Matrix:
-    ring = pair.ring
-    if not isinstance(ring, GradedMonomialRing):
-        return row
-    degs = _family_layout(pair, a, "gamma")[0]
-    if degs is None:
-        return row
-    wy = pair.y.degree() or 0
-    return row.with_degrees((-wy,), degs)
-
-
-# ---------------------------------------------------------------------------
-# unit twists, decomposables, and the x-y swap
-
-def verify_unit_twist(pair: ExactZeroDivisorPair, a, u, bound=None) -> VerificationReport:
-    """G_(u a) = G_a and H_(u a) = H_a via diag(1, u) on both sides."""
-    ring = pair.ring
-    if not ring.is_unit(u):
-        raise NotAUnit(f"{u!r} is not a unit")
-    one = ring.one()
-    tw = Matrix(ring, [[one, ring.zero()], [ring.zero(), u]])
-    rep = VerificationReport("unit-twist", PASS, scope_of(pair.ring, bound),
-                             {"a": repr(a), "unit": repr(u)})
-    ua = u * a
-    for builder, label in ((module_g, "G"), (module_h, "H")):
-        src = builder(pair, ua, strict=False)
-        tgt = builder(pair, a, strict=False)
-        rep.add(verify_iso_witness(
-            PresentedModule(ring, src.rho.without_degrees(), src.label),
-            PresentedModule(ring, tgt.rho.without_degrees(), tgt.label),
-            tw, tw, bound, name=f"{label}({ring.format(ua)})-equals-"
-                                f"{label}({ring.format(a)})"))
-    return rep
-
-
-def verify_decomposable_case(pair: ExactZeroDivisorPair, a, bound=None,
-                             strict: bool = True) -> VerificationReport:
-    """When a lies in (x), certify G_a = A/(x) + A/(y) (the a = 0 module).
-
-    The witness is the column operation adding q times the x-column to the
-    a-column, where a = q x.
-    """
-    ring = pair.ring
-    in_x, wit = ideal_membership(ring, a, [pair.x], bound)
-    if not in_x:
-        if strict:
-            raise PreconditionFailed("a is not a multiple of x")
-        return VerificationReport("decomposable-case", FAIL,
-                                  scope_of(pair.ring, bound),
-                                  {"a": repr(a), "a_in_(x)": False})
-    q = wit[0]
-    one, zero = ring.one(), ring.zero()
-    s_matrix = Matrix(ring, [[one, q], [zero, one]])
-    p_matrix = Matrix.identity(ring, 2)
-    src = module_g(pair, a, strict=False)
-    tgt = module_g(pair, ring.zero(), strict=False)
-    rep = VerificationReport("decomposable-case", PASS,
-                             scope_of(pair.ring, bound),
-                             {"a": repr(a), "q": repr(q)})
-    rep.add(verify_iso_witness(
-        PresentedModule(ring, src.rho.without_degrees(), src.label),
-        PresentedModule(ring, tgt.rho.without_degrees(), "G(0)"),
-        p_matrix, s_matrix, bound, name="column-operation-witness"))
-    return rep
-
-
-def verify_swap_symmetry(pair: ExactZeroDivisorPair, a, bound=None) -> VerificationReport:
-    """Swapping x and y turns G into H: G'_a = H_(-a) exactly, = H_a up
-    to the sign twist diag(1, -1)."""
-    ring = pair.ring
-    swapped = pair.swapped(bound)
-    rep = VerificationReport("swap-symmetry", PASS, scope_of(pair.ring, bound),
-                             {"a": repr(a),
-                              "swapped_pair_exact": swapped.is_exact})
-    g_swapped = gamma(swapped, a, strict=False).without_degrees()
-    h_minus = eta(pair, -a, strict=False).without_degrees()
-    same = g_swapped.entries == h_minus.entries
-    rep.add(VerificationReport(
-        "swapped-gamma-equals-eta-of-minus-a", PASS if same else FAIL,
-        scope_of(pair.ring, bound), {"identical_presentations": same}))
-    one, zero = ring.one(), ring.zero()
-    sign = Matrix(ring, [[one, zero], [zero, -one]])
-    h_src = PresentedModule(ring, h_minus, f"H({ring.format(-a)})")
-    h_tgt = PresentedModule(ring,
-                            eta(pair, a, strict=False).without_degrees(),
-                            f"H({ring.format(a)})")
-    rep.add(verify_iso_witness(h_src, h_tgt, sign, sign, bound,
-                               name="sign-twist-witness"))
     return rep

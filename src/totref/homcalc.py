@@ -4,9 +4,9 @@ Hom(Coker r1, Coker r2) is computed from the lifting condition psi r1 =
 r2 xi: one kernel computation over the ring yields generating pairs
 (psi, xi), a second one yields the relations among the cosets [psi], and
 the result is again a presented module.  On top of that sit the verifiers:
-explicit five-element generating sets for the Hom carriers of the module
-family, two-generator exact-sequence descriptions of Hom between family
-modules, endomorphism rings, transpose duality, Ext symmetry, and the
+two-generator exact-sequence descriptions of Hom between family modules
+(whose subchecks also certify the five-element generating sets),
+endomorphism rings, transpose duality, Ext symmetry, and the
 non-isomorphism and family batteries.  Every verdict names its scope:
 exhaustive on the finite backend, degree bounded on the graded one.
 """
@@ -181,11 +181,6 @@ class HomPresentation:
     def gen_count(self) -> int:
         return len(self.generators)
 
-    def contains(self, psi: Matrix, bound=None) -> bool:
-        """Whether psi = sum c_t generators[t] mod rho_2 M at the scope."""
-        span = _vec_span(self.source, self.target, self.generators,
-                         self.gen_degrees)
-        return _express(span, psi, bound) is not None
 
 
 # the Hom memo of the enclosing hom_memo() block, None outside one
@@ -547,53 +542,6 @@ def _hypotheses(pair, bound, strict: bool, checked: str, *, a=None,
     return info
 
 
-def verify_five_generators(pair: ExactZeroDivisorPair, a, b,
-                           kind: str = "hg", bound=None,
-                           strict: bool = True) -> VerificationReport:
-    """Certify the five-element generating set of the Hom carrier.
-
-    kind "hg" treats maps Coker(eta_b) -> Coker(gamma_a), kind "gg" maps
-    Coker(gamma_{ab}) -> Coker(gamma_a).  Both inclusions are witnessed:
-    each special map lifts (so lies in the carrier), and every computed
-    generator is an A-combination of the five.
-    """
-    if kind not in ("hg", "gg"):
-        raise TotrefError("kind must be 'hg' or 'gg'")
-    ring = pair.ring
-    scope = scope_of(ring, bound)
-    need = "either" if kind == "hg" else "a"
-    info = _hypotheses(pair, bound, strict, "five-generator", a=a, b=b,
-                       need=need)
-    rep = VerificationReport(f"five-generators-{kind}", PASS, scope,
-                             {"a": ring.format(a), "b": ring.format(b),
-                              "hypotheses": info})
-    if kind == "hg":
-        rho1 = eta(pair, b, strict=False)
-        psis, xis = special_generators_hg(pair, a, b)
-    else:
-        rho1 = gamma(pair, a * b, strict=False)
-        psis, xis = special_generators_gg(pair, a, b)
-    rho2 = gamma(pair, a, strict=False)
-    rho1_plain, rho2_plain = rho1.without_degrees(), rho2.without_degrees()
-
-    lift_ok = True
-    for t, (psi, xi) in enumerate(zip(psis, xis), start=1):
-        if (psi * rho1_plain).entries != (rho2_plain * xi).entries:
-            lift_ok = False
-            rep.details[f"lift_identity_{t}"] = "failed"
-    rep.add(report("special-maps-lift", lift_ok, scope,
-                   {"maps": [repr(p) for p in psis],
-                    "lifts": [repr(x) for x in xis]}))
-
-    src = PresentedModule(ring, rho1, f"Coker({rho1_plain!r})")
-    tgt = PresentedModule(ring, rho2, f"Coker({rho2_plain!r})")
-    hp = hom_presentation(src, tgt, bound)
-    span = _vec_span(src, tgt, psis, relations=False)
-    rep.add(_generators_covered(hp, span, bound, scope,
-                                "computed-generators-in-span"))
-    return rep
-
-
 def _generators_covered(hp: HomPresentation, span: Matrix, bound, scope,
                         name: str) -> VerificationReport:
     """Every computed generator of hp lies in the column span of span."""
@@ -704,39 +652,49 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b, bound,
     rep.add(report("kernel-inside-presentation", kernel_ok, scope,
                    {"kernel_generators": kernel_count}))
 
-    rep.add(_profile_match(hp, claimed, psis[0], source.gen_degs,
+    rep.add(_profile_match(hp, claimed, psis[:2], source.gen_degs,
                            target.gen_degs, bound, scope))
     return rep
 
 
-def _profile_match(hp: HomPresentation, claimed: PresentedModule, psi1,
+def _profile_match(hp: HomPresentation, claimed: PresentedModule, psis,
                    s1, s2, bound, scope) -> VerificationReport:
-    """Cardinality or degreewise dimension agreement of Hom and its model."""
+    """Cardinality or degreewise dimension agreement of Hom and its model.
+
+    On the graded backend the generators of the claimed presentation sit
+    at the hom degrees of the claimed generators psis of Hom.  That is the
+    family layout shifted by the degree of psis[0], except when the entry
+    off the diagonal is zero: the family layout then puts both generators
+    in one degree, which psis[0] and psis[1] need not share.
+    """
     ring = hp.ring
     if isinstance(ring, FiniteLocalRing):
         got, want = hp.module.size(), claimed.size()
         return report("size-matches", got == want, scope,
                       {"hom_size": got, "claimed_size": want})
     top = degree_bound(bound)
+    rho = claimed.rho
     try:
-        shift = _hom_degree(psi1, s1, s2)
+        degs = [_hom_degree(psi, s1, s2) for psi in psis]
     except NonHomogeneous:
-        shift = None
-    if shift is None or claimed.gen_degs is None \
-            or hp.module.gen_degs is None:
+        degs = [None]
+    if None in degs or rho.row_degs is None or hp.module.gen_degs is None:
         return report("profile-match-skipped", True, scope,
                       {"reason": "no degree layout"})
-    lo = min(list(hp.module.gen_degs)
-             + [shift + min(claimed.gen_degs)])
+    # each diagonal entry fixes the degree of its relation over its row
+    laid = PresentedModule(ring, rho.with_degrees(degs, [
+        d + c - r for d, c, r in zip(degs, rho.col_degs, rho.row_degs)]),
+        claimed.label)
+    lo = min(list(hp.module.gen_degs) + degs)
     mismatches = []
     for d in range(lo, top + 1):
         got = hp.module.slice_dim(d)
-        want = claimed.slice_dim(d - shift)
+        want = laid.slice_dim(d)
         if got != want:
             mismatches.append((d, got, want))
     return report("hilbert-matches", not mismatches, scope,
-                  {"shift": shift, "window": [lo, top],
-                   "mismatches": mismatches[:3]})
+                  {"shift": degs[0] - claimed.gen_degs[0],
+                   "window": [lo, top], "mismatches": mismatches[:3]})
 
 
 def _hom_entry(pair: ExactZeroDivisorPair, sp: ExactZeroDivisorPair,
@@ -1141,49 +1099,6 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
         detail = {"degree_zero_generators": len(degree_zero)}
     detail["nontrivial_idempotents"] = found[:4]
     return report(name, not found, detail_scope, detail)
-
-
-def verify_end_op_iso(pair: ExactZeroDivisorPair, a,
-                      bound=None) -> VerificationReport:
-    """Certify the order-reversing End(Coker gamma_a) = End of the dual.
-
-    The transpose duality bijection carries endomorphisms to endomorphisms
-    of the dual realization; composing in one ring matches composing in
-    the other in reverse order, sampled over all generator pairs.
-    """
-    ring = pair.ring
-    scope = scope_of(ring, bound)
-    rep = VerificationReport(f"end-op-transpose({ring.format(a)})", PASS,
-                             scope, {"a": ring.format(a)})
-    rep.add(verify_hom_transpose(pair, ("G", a), ("G", a), bound))
-    module = _flavor_module(pair, "G", a)
-    dual = _flavor_module(pair, "H", a)
-    hp = hom_presentation(module, module, bound)
-    thetas = []
-    for psi in hp.generators:
-        theta = _transpose_map(pair, ("G", a), ("G", a), psi, bound)
-        if theta is None:
-            rep.add(report("anti-multiplicative-on-generators", False,
-                           scope, {"missing_transpose": repr(psi)}))
-            return rep
-        thetas.append(theta.without_degrees())
-    sigma = dual.rho.without_degrees()
-    anti_ok = True
-    checked = 0
-    for s, t in itertools.product(range(hp.gen_count), repeat=2):
-        prod = hp.generators[s].without_degrees() \
-            * hp.generators[t].without_degrees()
-        lhs = _transpose_map(pair, ("G", a), ("G", a), prod, bound)
-        rhs = thetas[t] * thetas[s]
-        if lhs is None or solve_right(sigma,
-                                      lhs.without_degrees() - rhs,
-                                      bound) is None:
-            anti_ok = False
-            break
-        checked += 1
-    rep.add(report("anti-multiplicative-on-generators", anti_ok, scope,
-                   {"pairs_checked": checked}))
-    return rep
 
 
 # ---------------------------------------------------------------------------

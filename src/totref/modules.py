@@ -13,7 +13,7 @@ from . import _fp, _zn
 from .errors import (DimensionMismatch, InvalidResolution, NotAComplex,
                      TotrefError, WrongBackend)
 from .linalg import (Matrix, _flatten_columns, _twist_layout,
-                     check_exact_at, column_span_size, hstack,
+                     check_exact_at, hstack,
                      ideal_membership, infer_degrees, slice_rank,
                      solve_right)
 from .report import FAIL, PASS, VerificationReport
@@ -230,32 +230,3 @@ def ext_vanishing(module: PresentedModule, differentials: list[Matrix],
         rep.add(check_exact_at(incoming, outgoing, bound,
                                name=f"ext-{i}-vanishes"))
     return rep
-
-
-# ---------------------------------------------------------------------------
-# finite backend isomorphism invariants
-
-def finite_module_invariants(module: PresentedModule) -> tuple[int, ...]:
-    """The sizes |p^j M| for 0 <= j < k, a complete invariant over Z/p^k.
-
-    Finitely generated Z/p^k modules are finite abelian p-groups, and the
-    multiset of cyclic summands is determined by these sizes.  Only valid
-    for the plain Z/p^k backend (no ring extension).
-    """
-    ring = module.ring
-    if not isinstance(ring, FiniteLocalRing) or ring.ext_degree != 1:
-        raise WrongBackend("size invariants need the plain Z/p^k backend")
-    sizes = []
-    rel_size = module._span_solver().span_size()
-    for j in range(ring.k):
-        scale = Matrix.identity(ring, module.ngens) * (ring.p ** j)
-        stacked = hstack([scale, module.rho])
-        sizes.append(column_span_size(stacked) // rel_size)
-    return tuple(sizes)
-
-
-def finite_modules_isomorphic(m1: PresentedModule, m2: PresentedModule) \
-        -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
-    inv1 = finite_module_invariants(m1)
-    inv2 = finite_module_invariants(m2)
-    return inv1 == inv2, inv1, inv2

@@ -23,9 +23,8 @@ import itertools
 
 import numpy as np
 
-from . import _fp, _zn
-from .errors import (NotAUnit, ParseError, TotrefError, UnknownVariable,
-                     WrongBackend)
+from . import _fp
+from .errors import ParseError, TotrefError, UnknownVariable
 
 DEFAULT_DEGREE_BOUND = 8
 
@@ -383,13 +382,6 @@ class FiniteLocalRing:
         # valid because the extension generator lies in the maximal ideal
         return e.coords[0] % self.p != 0
 
-    def inverse(self, e: FiniteElement) -> FiniteElement:
-        solver = _zn.SpanSolver(self.mult_columns(e), self.n, self.ext_degree)
-        x = solver.solve(list(self.one().coords))
-        if x is None:
-            raise NotAUnit(f"{e!r} is not invertible")
-        return self.element(x)
-
     def residue(self, e: FiniteElement) -> int:
         return e.coords[0] % self.p
 
@@ -700,11 +692,6 @@ class GradedMonomialRing:
                 return c % self.p != 0
         return False
 
-    def inverse(self, e: GradedElement) -> GradedElement:
-        if len(e.terms) == 1 and sum(e.terms[0][0]) == 0:
-            return self.from_int(pow(e.terms[0][1], self.p - 2, self.p))
-        raise NotAUnit("only constant units have a representable inverse")
-
     def residue(self, e: GradedElement) -> int:
         for exp, c in e.terms:
             if sum(exp) == 0:
@@ -821,25 +808,3 @@ def _parse_monomial(variables: tuple[str, ...], text: str) -> tuple[int, ...]:
     if len(e.terms) != 1 or e.terms[0][1] != 1:
         raise ParseError(f"{text!r} is not a monomial")
     return e.terms[0][0]
-
-
-def parse_element(ring, text: str):
-    """Parse ``text`` into a normal-form element of ``ring``."""
-    return ring.parse(text)
-
-
-def is_unit(ring, e) -> bool:
-    return ring.is_unit(e)
-
-
-def graded_basis(ring, d: int):
-    """Monomial basis of the degree-d slice, as elements."""
-    if not isinstance(ring, GradedMonomialRing):
-        raise WrongBackend("graded_basis needs the graded backend")
-    return [ring.monomial_element(exp) for exp in ring.basis(d)]
-
-
-def enumerate_carrier(ring):
-    if not isinstance(ring, FiniteLocalRing):
-        raise WrongBackend("enumerate_carrier needs the finite backend")
-    return list(ring.enumerate_carrier())

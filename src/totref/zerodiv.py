@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EquivalenceViolation, UnitInput, UnsupportedQuotient
+from .errors import EquivalenceViolation, UnitInput
 from .linalg import Matrix, annihilator, ideal_membership, kernel_gens
 from .report import FAIL, PASS, VerificationReport
 from .rings import GradedMonomialRing, scope_of
@@ -151,28 +151,3 @@ def verify_regular_pair(pair: ExactZeroDivisorPair, bound=None) -> VerificationR
     pair.regular = "true" if rep.verdict == PASS else "false"
     pair.regular_report = rep
     return rep
-
-
-# ---------------------------------------------------------------------------
-# pairs from a factored monomial relation
-
-def pair_from_factorization(ring, f, g, bound=None) -> ExactZeroDivisorPair:
-    """Adjoin the relation f*g = 0 and return the verified pair (f, g).
-
-    Only available on the graded backend and only when f and g are single
-    terms, so that the new relation is again a pure monomial.
-    """
-    if not isinstance(ring, GradedMonomialRing):
-        raise UnsupportedQuotient("factored relations need the graded backend")
-    for name, e in (("f", f), ("g", g)):
-        if len(e.terms) != 1:
-            raise UnsupportedQuotient(
-                f"{name} must be a single term so that f*g is a monomial")
-    exp_f, coeff_f = f.terms[0]
-    exp_g, coeff_g = g.terms[0]
-    relation = tuple(a + b for a, b in zip(exp_f, exp_g))
-    quotient = GradedMonomialRing(ring.p, ring.variables,
-                                  ring.relations + (relation,))
-    fq = quotient.monomial_element(exp_f, coeff_f)
-    gq = quotient.monomial_element(exp_g, coeff_g)
-    return exact_pair(quotient, fq, gq, bound)

@@ -14,12 +14,10 @@ import pytest
 
 from totref.errors import InvalidResolution
 from totref.family import (module_g, module_h, verify_complex,
-                           verify_decomposable_case,
-                           verify_total_reflexivity)
+                           verify_g_description, verify_total_reflexivity)
 from totref.homcalc import (brute_force_hom_oracle, hom_maps_from_presentation,
                             hom_presentation, run_family, verify_end_ring,
-                            verify_ext_swap, verify_five_generators,
-                            verify_hom_g_ab_a, verify_hom_hg)
+                            verify_ext_swap, verify_hom_g_ab_a, verify_hom_hg)
 from totref.linalg import Matrix
 from totref.modules import PresentedModule, ext_vanishing
 from totref.zerodiv import verify_regular_pair
@@ -140,18 +138,25 @@ def test_accept_04_hom_oracle_equivalence(announce, pair_z9):
 
 
 def test_accept_05_five_generator_lemmas(announce, pair_f5):
+    # psi1, psi2 lift, psi3..psi5 reduce to them, and they cover every
+    # computed generator: together the five-generator lemma
+    lemma = ("claimed-generators-lift", "extra-generators-reduce",
+             "computed-generators-covered")
     with announce(5):
         ring = pair_f5.ring
         for atext, btext in (("z", "z"), ("z^2", "z"), ("z", "1"),
                              ("z", "0")):
-            for kind in ("hg", "gg"):
-                rep = verify_five_generators(pair_f5, ring.parse(atext),
-                                             ring.parse(btext), kind, 8)
+            for kind, verify in (("hg", verify_hom_hg),
+                                 ("gg", verify_hom_g_ab_a)):
+                rep = verify(pair_f5, ring.parse(atext), ring.parse(btext),
+                             8)
                 assert rep.passed, \
                     f"{kind} (a,b)=({atext},{btext}): {rep.first_failure()}"
-                names = {s.name for s in rep.subreports}
-                assert "special-maps-lift" in names
-                assert "computed-generators-in-span" in names
+                homs = [s for s in rep.subreports if ")-is-" in s.name]
+                assert homs
+                for hom in homs:
+                    checks = {s.name: s.passed for s in hom.subreports}
+                    assert all(checks[name] for name in lemma), hom.name
 
 
 def test_accept_06_hom_module_identities(announce, pair_f5):
@@ -209,7 +214,8 @@ def test_accept_07_end_rings_and_decomposable_control(announce, pair_f5):
                 if s.name.startswith("no-nontrivial-idempotent")][0]
         assert scan.details["nontrivial_idempotents"], \
             "decomposable control must exhibit an idempotent"
-        split = verify_decomposable_case(pair_f5, ring.parse("z*x"), 8)
+        split = verify_g_description(pair_f5, ring.parse("z*x"), 8)
+        assert split.name == "decomposable-case"
         assert split.passed, split.first_failure()
 
 

@@ -156,6 +156,36 @@ def test_family_verify_complex_text(capsys):
     assert "periodic-complex: ok" in out
 
 
+def test_family_verify_complex_refuses_a_window_without_exactness(capsys):
+    # below two differentials no position is checked, so a pass would be
+    # vacuous
+    for length in ("1", "0", "-3"):
+        code, out, _ = run(capsys, "family", "verify-complex", "--ring",
+                           F5, "--x", "x", "--y", "y", "--a", "z",
+                           "--degree", "8", "--length", length,
+                           "--format", "json")
+        assert code == 2, length
+        assert json.loads(out)["error"] == "TotrefError"
+
+
+def test_family_identify_verb(capsys):
+    args = ("family", "identify", "--ring", F5, "--x", "x", "--y", "y",
+            "--degree", "8", "--format", "json")
+    for a, node in (("z*x", "decomposable-case"),
+                    ("z", "ideal-description")):
+        code, out, _ = run(capsys, *args, "--a", a)
+        assert code == 0, a
+        payload = json.loads(out)
+        assert (payload["name"], payload["verdict"]) == (node, "pass")
+    # y is neither in (x) nor injective on A/(y)
+    code, out, _ = run(capsys, *args, "--a", "y")
+    assert code == 3
+    assert json.loads(out)["error"] == "PreconditionFailed"
+    code, out, _ = run(capsys, *args, "--a", "y", "--probe")
+    assert code == 1
+    assert json.loads(out)["name"] == "ideal-description"
+
+
 def test_hom_compute_and_oracle_agree(capsys):
     code, out, _ = run(capsys, "hom", "compute", "--ring", Z9,
                        "--x", "3", "--y", "3", "--source", "gamma:0",
@@ -392,6 +422,7 @@ VERBS = {("pair", "verify"): ((), ()),
          ("family", "build"): (("--a",), ()),
          ("family", "verify-complex"): (("--a",), ("--length",)),
          ("family", "verify-tr"): (("--a",), ("--i-max",)),
+         ("family", "identify"): (("--a",), ()),
          ("family", "run-main"): (("--b",), ("--n-max", "--i-max")),
          ("hom", "compute"): (("--source", "--target"), ()),
          ("hom", "verify-hg"): (("--a", "--b"), ()),

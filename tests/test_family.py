@@ -5,9 +5,8 @@ import pytest
 from totref.errors import NonHomogeneous, PreconditionFailed, TotrefError
 from totref.family import (eta, gamma, module_g, module_h,
                            periodic_resolution, phi_matrix, verify_complex,
-                           verify_decomposable_case, verify_ideal_iso,
-                           verify_swap_symmetry, verify_total_reflexivity,
-                           verify_unit_twist)
+                           verify_g_description, verify_total_reflexivity)
+from totref.homcalc import verify_hom_hg
 
 
 def fmt_entries(mat):
@@ -93,6 +92,16 @@ def test_verify_complex_graded(pair_f5):
     assert "exact-H-position-3" in names
 
 
+def test_verify_complex_refuses_fewer_than_two_differentials(pair_f5):
+    z = pair_f5.ring.parse("z")
+    for length in (1, 0, -3):
+        with pytest.raises(TotrefError, match="at least 2"):
+            verify_complex(pair_f5, z, length, 8)
+    rep = verify_complex(pair_f5, z, 2, 8)
+    assert rep.passed
+    assert "exact-G-position-1" in [sub.name for sub in rep.subreports]
+
+
 def test_verify_complex_strict_rejects_broken_pair(z8):
     from totref.zerodiv import exact_pair
     bad = exact_pair(z8, z8.from_int(2), z8.from_int(2))
@@ -124,38 +133,40 @@ def test_total_reflexivity_deeper_ext_range(pair_z9):
 
 def test_ideal_iso(pair_f5, pair_z9):
     # G_a for a in (x) degenerates; generic a identifies G_a with an ideal
-    rep = verify_ideal_iso(pair_f5, pair_f5.ring.parse("z"), 8)
+    rep = verify_g_description(pair_f5, pair_f5.ring.parse("z"), 8)
+    assert rep.name == "ideal-description"
     assert rep.passed
-    rep = verify_ideal_iso(pair_z9, pair_z9.ring.from_int(1))
+    rep = verify_g_description(pair_z9, pair_z9.ring.from_int(1))
+    assert rep.name == "ideal-description"
     assert rep.passed
-
-
-def test_unit_twist(pair_f5):
-    ring = pair_f5.ring
-    rep = verify_unit_twist(pair_f5, ring.parse("z"), ring.parse("2"), 8)
-    assert rep.passed
-    with pytest.raises(TotrefError):
-        verify_unit_twist(pair_f5, ring.parse("z"), ring.parse("z"), 8)
 
 
 def test_decomposable_case(pair_f5):
     ring = pair_f5.ring
-    rep = verify_decomposable_case(pair_f5, ring.parse("z*x"), 8)
+    rep = verify_g_description(pair_f5, ring.parse("z*x"), 8)
+    assert rep.name == "decomposable-case"
     assert rep.passed
     sub = {s.name for s in rep.subreports}
     assert "column-operation-witness" in sub
+    # y is neither in (x) nor injective on A/(y): no description applies
     with pytest.raises(PreconditionFailed):
-        verify_decomposable_case(pair_f5, ring.parse("z"), 8)
-    probe = verify_decomposable_case(pair_f5, ring.parse("z"), 8,
-                                     strict=False)
+        verify_g_description(pair_f5, ring.parse("y"), 8)
+    probe = verify_g_description(pair_f5, ring.parse("y"), 8,
+                                 strict=False)
+    assert probe.name == "ideal-description"
     assert not probe.passed
 
 
 def test_swap_symmetry(pair_f5, pair_z9):
-    for pair, text in ((pair_f5, "z"), (pair_z9, "2")):
+    # swapping x and y turns gamma into eta up to the sign of a, and
+    # G'_a = H_a through diag(1, -1); Z/9 is not a regular pair
+    for pair, text, strict in ((pair_f5, "z", True), (pair_z9, "2", False)):
         a = pair.ring.parse(text)
-        rep = verify_swap_symmetry(pair, a, 8)
-        assert rep.passed, rep.first_failure()
+        rep = verify_hom_hg(pair, a, pair.ring.one(), 8, strict=strict)
+        nodes = {s.name: s for s in rep.subreports}
+        for name in ("swapped-pair-realizations",
+                     f"swapped-image-matches-H({text})"):
+            assert nodes[name].passed, (text, name)
 
 
 def test_module_labels(pair_f5):

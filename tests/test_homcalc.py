@@ -20,13 +20,13 @@ from totref.linalg import Matrix
 from totref.modules import PresentedModule
 from totref.rings import FiniteLocalRing, GradedMonomialRing
 from totref.zerodiv import exact_pair
-from totref.homcalc import (brute_force_hom_oracle, hom_presentation,
-                            hom_maps_from_presentation, noniso_certificate,
-                            run_family, special_generators_gg,
-                            special_generators_hg, verify_end_op_iso,
+from totref.homcalc import (_express, _vec_span, brute_force_hom_oracle,
+                            hom_presentation, hom_maps_from_presentation,
+                            noniso_certificate, run_family,
+                            special_generators_gg, special_generators_hg,
                             verify_end_ring, verify_ext_swap,
-                            verify_five_generators, verify_hom_g_ab_a,
-                            verify_hom_hg, verify_hom_transpose)
+                            verify_hom_g_ab_a, verify_hom_hg,
+                            verify_hom_transpose)
 
 GAMMA = {a: [[3, a], [0, 3]] for a in range(9)}
 ETA = {a: [[3, (-a) % 9], [0, 3]] for a in range(9)}
@@ -66,7 +66,8 @@ def test_hom_presentation_of_zero_hom_module(pair_z9):
     g1 = module_g(pair_z9, ring.from_int(1))
     hp = hom_presentation(g1, g1)
     ident = Matrix.identity(ring, 2)
-    assert hp.contains(ident)
+    span = _vec_span(hp.source, hp.target, hp.generators, hp.gen_degrees)
+    assert _express(span, ident, None) is not None
 
 
 def test_graded_hom_carrier_degrees(pair_f5):
@@ -77,8 +78,9 @@ def test_graded_hom_carrier_degrees(pair_f5):
     assert hp.gen_count > 0
     assert all(isinstance(t, int) for t in hp.gen_degrees)
     # every generator followed by source relations lands in target relations
+    span = _vec_span(src, tgt, hp.generators, hp.gen_degrees)
     for psi in hp.generators:
-        assert hp.contains(psi.without_degrees())
+        assert _express(span, psi.without_degrees(), None) is not None
 
 
 def test_hom_budget_guard(pair_z9, monkeypatch):
@@ -299,24 +301,55 @@ def test_special_generator_matrices_lift(pair_f5):
                                          ("z", "1"), ("z", "0")])
 @pytest.mark.parametrize("kind", ["hg", "gg"])
 def test_five_generators_span(pair_f5, atext, btext, kind):
+    verify = verify_hom_hg if kind == "hg" else verify_hom_g_ab_a
     ring = pair_f5.ring
-    rep = verify_five_generators(pair_f5, ring.parse(atext),
-                                 ring.parse(btext), kind, 8)
+    rep = verify(pair_f5, ring.parse(atext), ring.parse(btext), 8)
     assert rep.passed, rep.first_failure()
-    names = {sub.name for sub in rep.subreports}
-    # both inclusions: the five maps lift, and they span everything
-    assert "special-maps-lift" in names
-    assert "computed-generators-in-span" in names
+    # both inclusions: psi1 and psi2 lift and psi3..psi5 reduce to them, so
+    # the five maps lift, and psi1, psi2 already span everything
+    homs = [sub for sub in rep.subreports if ")-is-" in sub.name]
+    assert homs
+    for hom in homs:
+        checks = {sub.name: sub.passed for sub in hom.subreports}
+        for name in ("claimed-generators-lift", "extra-generators-reduce",
+                     "computed-generators-covered"):
+            assert checks[name], (hom.name, name)
 
 
 def test_five_generators_strict_gate(pair_z9):
     ring = pair_z9.ring
     with pytest.raises(PreconditionFailed):
-        verify_five_generators(pair_z9, ring.from_int(3), ring.from_int(3),
-                               "hg")
-    probe = verify_five_generators(pair_z9, ring.from_int(2),
-                                   ring.from_int(3), "hg", strict=False)
+        verify_hom_hg(pair_z9, ring.from_int(3), ring.from_int(3))
+    probe = verify_hom_hg(pair_z9, ring.from_int(2), ring.from_int(3),
+                          strict=False)
     assert probe.details["hypotheses"]["pair_regular"] is False
+
+
+@pytest.mark.parametrize("atext,btext", [("z", "0"), ("z^2", "0")])
+@pytest.mark.parametrize("kind", ["hg", "gg"])
+def test_hom_identity_hilbert_profiles_with_a_zero_product(pair_f5, atext,
+                                                           btext, kind):
+    # with ab = 0 the family layout puts both generators of G(0) and H(0)
+    # in one degree, while the claimed generators psi1 and psi2 of Hom
+    # differ in hom degree; the profile compares at the latter
+    verify = verify_hom_hg if kind == "hg" else verify_hom_g_ab_a
+    ring = pair_f5.ring
+    rep = verify(pair_f5, ring.parse(atext), ring.parse(btext), 8)
+    assert rep.passed, rep.first_failure()
+    profiles = [sub for hom in rep.subreports for sub in hom.subreports
+                if sub.name == "hilbert-matches"]
+    assert profiles
+    assert all(sub.details["mismatches"] == [] for sub in profiles)
+
+
+def test_hom_into_g_with_a_zero_product_has_oracle_dimensions(pair_f5):
+    # Hom(H(0), G(z)) = A/(x) + A/(y) on generators of degrees 0 and 1:
+    # F_5[y, z] and F_5[x, z] have d + 1 and d monomials there in degree d
+    ring = pair_f5.ring
+    hp = hom_presentation(module_h(pair_f5, ring.zero()),
+                          module_g(pair_f5, ring.parse("z")), 8)
+    assert [hp.module.slice_dim(d) for d in range(9)] == \
+        [2 * d + 1 for d in range(9)]
 
 
 # -- the two hom identities --------------------------------------------------
@@ -440,7 +473,11 @@ def test_end_ring_strict_gate_on_z9(pair_z9):
 
 
 def test_end_op_iso(pair_f5):
-    rep = verify_end_op_iso(pair_f5, pair_f5.ring.parse("z"), 8)
+    # End(G_z) = A is commutative, so the transpose bijection onto
+    # End(H_z) is the whole op-isomorphism
+    z = pair_f5.ring.parse("z")
+    assert verify_end_ring(pair_f5, z, 8).passed
+    rep = verify_hom_transpose(pair_f5, ("G", z), ("G", z), 8)
     assert rep.passed, rep.first_failure()
 
 

@@ -7,14 +7,12 @@ re-runs the oracle next to the library call.
 
 import pytest
 
-from oracles import (MonomialQuotientOracle, coker_hilbert, coker_size,
-                     span_closure)
+from oracles import MonomialQuotientOracle, coker_hilbert, coker_size
 from totref.errors import InvalidResolution, NotAComplex, WrongBackend
 from totref.family import eta, gamma, module_g, module_h, periodic_resolution
 from totref.homcalc import _target_tables
 from totref.linalg import Matrix
 from totref.modules import (PresentedModule, dual_presentation, ext_vanishing,
-                            finite_module_invariants, finite_modules_isomorphic,
                             fitting_ideal, hilbert_function, ideals_equal,
                             minimal_generator_count, validate_resolution,
                             verify_iso_witness)
@@ -178,30 +176,3 @@ def test_ext_vanishing_needs_enough_differentials(pair_z9):
         ext_vanishing(module, diffs, 3)
     rep = ext_vanishing(module, diffs, 1)
     assert rep.passed
-
-
-def test_finite_invariants_and_isomorphism(pair_z9):
-    ring = pair_z9.ring
-    g0 = module_g(pair_z9, ring.from_int(0))
-    g1 = module_g(pair_z9, ring.from_int(1))
-    g3 = module_g(pair_z9, ring.from_int(3))
-    # |p^j M| ladders: frozen from the closure oracle
-    assert finite_module_invariants(g0) == (9, 1)
-    assert finite_module_invariants(g1) == (9, 3)
-    assert finite_module_invariants(g3) == (9, 1)
-    same, _, _ = finite_modules_isomorphic(g0, g3)
-    assert same
-    diff, _, _ = finite_modules_isomorphic(g0, g1)
-    assert not diff
-
-
-def test_finite_invariant_ladder_matches_oracle(pair_z9):
-    # |3^j G_1| = |colspan([3^j I | rho])| / |colspan(rho)|
-    rho_cols = [(3, 0), (1, 3)]
-    rel = span_closure(rho_cols, 9)
-    ladder = tuple(
-        len(span_closure([(3 ** j, 0), (0, 3 ** j)] + rho_cols, 9))
-        // len(rel)
-        for j in range(2))
-    module = module_g(pair_z9, pair_z9.ring.from_int(1))
-    assert finite_module_invariants(module) == ladder == (9, 3)

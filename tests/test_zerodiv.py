@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import annihilator as naive_ann, span_closure
-from totref.errors import (PreconditionFailed, UnitInput,
-                           UnsupportedQuotient)
+from totref.errors import PreconditionFailed, UnitInput
 from totref.linalg import annihilator, ideal_membership
 from totref.rings import FiniteLocalRing
 from totref.zerodiv import (exact_pair, intersection_trivial,
-                            pair_from_factorization, verify_exact_pair,
-                            verify_regular_pair, weakly_regular_on_quotient)
+                            verify_exact_pair, verify_regular_pair,
+                            weakly_regular_on_quotient)
 
 
 def test_z9_three_three_is_exact(pair_z9):
@@ -142,18 +141,6 @@ def test_ideal_layer_matches_oracles_over_z_pk(case):
     injective = all(a in quotient for a in range(n) if x * a % n in quotient)
     assert weakly_regular_on_quotient(ring, ring.from_int(x), gens) == \
         injective
-
-
-def test_pair_from_factorization(f5):
-    pair = pair_from_factorization(f5, f5.parse("x"), f5.parse("y"), 8)
-    assert pair.is_exact
-    with pytest.raises(UnsupportedQuotient):
-        pair_from_factorization(f5, f5.parse("x+z"), f5.parse("y"), 8)
-
-
-def test_pair_from_factorization_finite_is_unsupported(z9):
-    with pytest.raises(UnsupportedQuotient):
-        pair_from_factorization(z9, z9.from_int(3), z9.from_int(3))
 
 
 def test_swapped_pair_stays_exact(pair_f5):
