@@ -57,12 +57,6 @@ def _max_carrier(budget) -> int:
                          f"got {text!r}") from None
 
 
-def _as_module(ring, arg, label: str) -> PresentedModule:
-    if isinstance(arg, PresentedModule):
-        return arg
-    return PresentedModule(ring, arg, label)
-
-
 # ---------------------------------------------------------------------------
 # vectorised matrix spaces
 #
@@ -108,7 +102,7 @@ def _hom_degree(psi: Matrix, s1, s2) -> int | None:
 
 
 def _vec_span(source: PresentedModule, target: PresentedModule, maps,
-              degs=None, relations: bool = True) -> Matrix:
+              degs=None) -> Matrix:
     """Columns vec(psi_t), then the relation columns kron(rho_2, I).
 
     Relation column (u, v) places column u of rho_2 in column v of the map
@@ -129,11 +123,8 @@ def _vec_span(source: PresentedModule, target: PresentedModule, maps,
     if col_degs is None or None in col_degs:
         carrier = col_degs = None
     columns = [[e for row in psi.entries for e in row] for psi in maps]
-    blocks = [_columns_matrix(ring, columns, carrier, col_degs)]
-    if relations:
-        blocks.append(kron(target.rho,
-                           _dual_identity(ring, source.ngens, s1)))
-    return hstack(blocks)
+    return hstack([_columns_matrix(ring, columns, carrier, col_degs),
+                   kron(target.rho, _dual_identity(ring, source.ngens, s1))])
 
 
 def _dual_identity(ring, n: int, degs) -> Matrix:
@@ -160,15 +151,13 @@ def _columns_matrix(ring, columns, row_degs, col_degs) -> Matrix:
 class HomPresentation:
     """Hom(source, target) as a presented module.
 
-    generators[t] is an (target.ngens x source.ngens) map matrix and
-    lifts[t] the matching lift on relation columns; module presents the
-    cosets [generators[t]] with the computed relation matrix.
+    generators[t] is an (target.ngens x source.ngens) map matrix; module
+    presents the cosets [generators[t]] with the computed relation matrix.
     """
 
     source: PresentedModule
     target: PresentedModule
     generators: tuple
-    lifts: tuple
     gen_degrees: tuple
     module: PresentedModule
     scope: dict
@@ -209,38 +198,34 @@ def _module_key(module: PresentedModule):
     return (module.label, rho.entries, rho.row_degs, rho.col_degs)
 
 
-def hom_presentation(source, target, bound=None,
-                     ring=None) -> HomPresentation:
-    """Compute Hom(Coker rho_1, Coker rho_2) as a presented module.
+def hom_presentation(source: PresentedModule, target: PresentedModule,
+                     bound=None) -> HomPresentation:
+    """Compute Hom(source, target) as a presented module.
 
-    Arguments may be PresentedModules or raw presentation matrices.  The
-    generating map matrices come from the kernel of the combined lifting
-    system in the unknowns (psi, xi); the relations among their cosets come
-    from a second kernel over the generator coefficients.  Inside a
-    hom_memo() block a repeated input is answered from the memo.
+    The generating map matrices come from the kernel of the combined
+    lifting system in the unknowns (psi, xi); the relations among their
+    cosets come from a second kernel over the generator coefficients.
+    Inside a hom_memo() block a repeated input is answered from the memo.
     """
-    if ring is None:
-        ring = source.ring
-    src = _as_module(ring, source, "M1")
-    tgt = _as_module(ring, target, "M2")
     memo = _HOM_MEMO.get()
     if memo is None:
-        return _hom_presentation(ring, src, tgt, bound)
-    key = (ring.key, _module_key(src), _module_key(tgt), bound)
+        return _hom_presentation(source, target, bound)
+    key = (source.ring.key, _module_key(source), _module_key(target), bound)
     hp = memo.get(key)
     if hp is None:
-        hp = memo[key] = _hom_presentation(ring, src, tgt, bound)
+        hp = memo[key] = _hom_presentation(source, target, bound)
     return hp
 
 
-def _hom_presentation(ring, src: PresentedModule, tgt: PresentedModule,
+def _hom_presentation(src: PresentedModule, tgt: PresentedModule,
                       bound) -> HomPresentation:
     if src.ring.key != tgt.ring.key:
         raise TotrefError("source and target live over different rings")
+    ring = src.ring
     scope = scope_of(ring, bound)
     rho1, rho2 = src.rho, tgt.rho
     n1, q1 = rho1.nrows, rho1.ncols
-    n2, q2 = rho2.nrows, rho2.ncols
+    n2 = rho2.nrows
     s1, s2 = src.gen_degs, tgt.gen_degs
     graded = isinstance(ring, GradedMonomialRing)
 
@@ -249,22 +234,16 @@ def _hom_presentation(ring, src: PresentedModule, tgt: PresentedModule,
                      kron(-rho2, _dual_identity(ring, q1, rho1.col_degs))])
 
     generators = []
-    lifts = []
     gen_degrees = []
     for gen in kernel_gens(system, bound):
-        flat = [gen.entries[r][0] for r in range(gen.nrows)]
-        psi = _matrix_from_flat(ring, flat[:n2 * n1], n2, n1)
+        flat = [gen.entries[r][0] for r in range(n2 * n1)]
+        psi = _matrix_from_flat(ring, flat, n2, n1)
         if psi.is_zero:
             continue
-        xi = _matrix_from_flat(ring, flat[n2 * n1:], q2, q1)
         t = gen.col_degs[0] if gen.col_degs is not None else None
         if graded and t is not None:
             psi = psi.with_degrees(s2, tuple(s1[k] + t for k in range(n1)))
-            xi = xi.with_degrees(rho2.col_degs,
-                                 tuple(rho1.col_degs[j] + t
-                                       for j in range(q1)))
         generators.append(psi)
-        lifts.append(xi)
         gen_degrees.append(t)
 
     label = f"Hom({src.label},{tgt.label})"
@@ -272,7 +251,7 @@ def _hom_presentation(ring, src: PresentedModule, tgt: PresentedModule,
         one = Matrix(ring, [[ring.one()]],
                      (0,) if graded else None, (0,) if graded else None)
         module = PresentedModule(ring, one, label)
-        return HomPresentation(src, tgt, (), (), (), module, scope)
+        return HomPresentation(src, tgt, (), (), module, scope)
 
     coeff = _vec_span(src, tgt, generators, gen_degrees)
     use_degs = coeff.col_degs is not None
@@ -296,8 +275,8 @@ def _hom_presentation(ring, src: PresentedModule, tgt: PresentedModule,
                            tuple(col_deg_list) if use_degs else None,
                            (col_deg_list[0],) if use_degs else None)
     module = PresentedModule(ring, rel, label)
-    return HomPresentation(src, tgt, tuple(generators), tuple(lifts),
-                           tuple(gen_degrees), module, scope)
+    return HomPresentation(src, tgt, tuple(generators), tuple(gen_degrees),
+                           module, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +344,8 @@ def _target_tables(module: PresentedModule, budget: int) -> _TargetTables:
     return module._tables
 
 
-def brute_force_hom_oracle(source, target, budget=None, ring=None):
+def brute_force_hom_oracle(source: PresentedModule, target: PresentedModule,
+                           budget=None):
     """All module maps Coker rho_1 -> Coker rho_2, by exhaustive search.
 
     Every assignment of target cosets to source generators is tried
@@ -375,19 +355,15 @@ def brute_force_hom_oracle(source, target, budget=None, ring=None):
     count would exceed the carrier budget (TOTREF_MAX_CARRIER by
     default).
     """
-    if ring is None:
-        ring = source.ring
-    if not isinstance(ring, FiniteLocalRing):
+    if not isinstance(source.ring, FiniteLocalRing):
         raise WrongBackend("the exhaustive oracle needs the finite backend")
-    src = _as_module(ring, source, "M1")
-    tgt = _as_module(ring, target, "M2")
     budget = _max_carrier(budget)
-    tables = _target_tables(tgt, budget)
+    tables = _target_tables(target, budget)
     r = len(tables.keys)
-    n1 = src.ngens
+    n1 = source.ngens
     if r ** n1 > budget:
         raise TooLarge("assignment enumeration exceeds the carrier budget")
-    rho1 = src.rho
+    rho1 = source.rho
     valid = np.ones((r,) * n1, dtype=bool)
     for j in range(rho1.ncols):
         acc = tables.mul[rho1.entries[0][j].coords]
@@ -441,13 +417,13 @@ def _map_budget_error(cap: int) -> TooLarge:
     return TooLarge(f"generated map set exceeds the budget of {cap} maps")
 
 
-def hom_maps_from_presentation(hp: HomPresentation, budget=None):
+def hom_maps_from_presentation(hp: HomPresentation):
     """The map set hp's generators span, closed coset by coset under the
     steps t^j g for the generators g and j below the extension degree.
 
     The result is comparable with brute_force_hom_oracle output.
     """
-    budget = _max_carrier(budget)
+    budget = _max_carrier(None)
     tables, found = _map_closure(hp, budget, budget)
     key = tables.keys.__getitem__
     return {tuple(map(key, state)) for state in found}
@@ -852,8 +828,8 @@ def _transpose_map(pair, src, tgt, psi: Matrix, bound) -> Matrix | None:
     return solve_right(f_src.transpose(), rhs, bound)
 
 
-def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt, bound=None,
-                         name: str | None = None) -> VerificationReport:
+def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
+                         bound=None) -> VerificationReport:
     """Certify Hom(M, N) = Hom(N*, M*) through functional transposes.
 
     src and tgt are (flavor, element) descriptions of family modules; the
@@ -871,9 +847,8 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt, bound=None,
     m_tgt = _flavor_module(pair, tgt_fl, tgt_el)
     d_src = _flavor_module(pair, _PARTNER[src_fl], src_el)
     d_tgt = _flavor_module(pair, _PARTNER[tgt_fl], tgt_el)
-    if name is None:
-        name = f"hom({m_src.label},{m_tgt.label})-matches-" \
-               f"hom({d_tgt.label},{d_src.label})"
+    name = f"hom({m_src.label},{m_tgt.label})-matches-" \
+           f"hom({d_tgt.label},{d_src.label})"
     rep = VerificationReport(name, PASS, scope, {"route": "transpose"})
     back_src = (_PARTNER[tgt_fl], tgt_el)
     back_tgt = (_PARTNER[src_fl], src_el)

@@ -170,8 +170,7 @@ def verify_iso_witness(source: PresentedModule, target: PresentedModule,
 # duals and resolutions
 
 def dual_presentation(module: PresentedModule,
-                      next_matrix: Matrix,
-                      label: str | None = None) -> PresentedModule:
+                      next_matrix: Matrix) -> PresentedModule:
     """Presentation of Hom(M, A) for M with a periodic complete resolution.
 
     For M = Coker(rho) sitting in an exact two-periodic complex whose next
@@ -184,8 +183,7 @@ def dual_presentation(module: PresentedModule,
     if not (module.rho * next_matrix).is_zero:
         raise NotAComplex("rho composed with the next differential is nonzero")
     rho_dual = module.rho.transpose()
-    return PresentedModule(module.ring, rho_dual,
-                           label or f"dual({module.label})")
+    return PresentedModule(module.ring, rho_dual, f"dual({module.label})")
 
 
 def validate_resolution(module: PresentedModule, differentials: list[Matrix],

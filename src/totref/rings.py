@@ -63,14 +63,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def scope_exhaustive() -> dict:
-    return {"mode": "exhaustive"}
-
-
-def scope_degree(bound: int) -> dict:
-    return {"mode": "degree", "bound": bound}
-
-
 def degree_bound(bound) -> int:
     """``bound``, or DEFAULT_DEGREE_BOUND when it is None."""
     return DEFAULT_DEGREE_BOUND if bound is None else bound
@@ -79,8 +71,8 @@ def degree_bound(bound) -> int:
 def scope_of(ring, bound) -> dict:
     """What a check over ring establishes: exhaustive, or degrees <= bound."""
     if isinstance(ring, FiniteLocalRing):
-        return scope_exhaustive()
-    return scope_degree(degree_bound(bound))
+        return {"mode": "exhaustive"}
+    return {"mode": "degree", "bound": degree_bound(bound)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ matrices are lists of rows.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -45,6 +47,47 @@ def coker_size(modulus: int, rows) -> int:
 
 def annihilator(modulus: int, x: int) -> list:
     return [a for a in range(modulus) if (a * x) % modulus == 0]
+
+
+# ---------------------------------------------------------------------------
+# A = (Z/m)[t]/(t^d - sum_i reduction[i] t^i), elements as coefficient
+# tuples (c_0 .. c_(d-1)); d = 1 with an empty reduction is Z/m itself
+
+def ext_mul(modulus: int, reduction, a, b) -> tuple:
+    d = len(a)
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):  # t^k = t^(k-d) * t^d
+        for i, r in enumerate(reduction):
+            prod[k - d + i] += prod[k] * r
+    return tuple(v % modulus for v in prod[:d])
+
+
+def module_kernel(modulus: int, reduction, rows) -> set:
+    """ker of the matrix ``rows`` of coefficient tuples over A, by trying
+    every vector of A^n; each vector is its flattened coefficients."""
+    d = len(rows[0][0])
+    carrier = list(itertools.product(range(modulus), repeat=d))
+    kernel = set()
+    for vec in itertools.product(carrier, repeat=len(rows[0])):
+        if all(not any(sum(ext_mul(modulus, reduction, e, v)[c]
+                           for e, v in zip(row, vec)) % modulus
+                       for c in range(d)) for row in rows):
+            kernel.add(tuple(x for v in vec for x in v))
+    return kernel
+
+
+def module_image(modulus: int, reduction, rows) -> set:
+    """im of the matrix ``rows`` over A: the Z-span of t^j times each
+    column, flattened like module_kernel's vectors."""
+    d = len(rows[0][0])
+    powers = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    columns = [tuple(x for row in rows
+                     for x in ext_mul(modulus, reduction, t_j, row[k]))
+               for k in range(len(rows[0])) for t_j in powers]
+    return span_closure(columns, modulus)
 
 
 def hom_count(modulus: int, rho1, rho2) -> int:
@@ -145,12 +188,14 @@ def rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def coker_dimension(oracle: MonomialQuotientOracle, rho, row_degs,
-                    col_degs, degree: int) -> int:
-    """dim_Fp of (coker rho)_degree for a matrix of dict-polynomials.
+def slice_rows(oracle: MonomialQuotientOracle, rho, row_degs, col_degs,
+               degree: int) -> list:
+    """Degree-``degree`` slice of a matrix of dict-polynomials, as rows.
 
     Row i of the free target sits in degree row_degs[i], column j of the
-    free source in degree col_degs[j].
+    free source in degree col_degs[j].  Slice rows are the pairs (i,
+    monomial) and slice columns the pairs (j, monomial), each in
+    oracle.basis order.
     """
     target = [(i, mono) for i, rdeg in enumerate(row_degs)
               for mono in oracle.basis(degree - rdeg)]
@@ -164,7 +209,14 @@ def coker_dimension(oracle: MonomialQuotientOracle, rho, row_degs,
             image = oracle.mul(rho[i][j], shift)
             for exp, coeff in image.items():
                 rows[index[(i, exp)]][pos] = coeff
-    return len(target) - rank_mod_p(rows, oracle.p)
+    return rows
+
+
+def coker_dimension(oracle: MonomialQuotientOracle, rho, row_degs,
+                    col_degs, degree: int) -> int:
+    """dim_Fp of (coker rho)_degree for a matrix of dict-polynomials."""
+    rows = slice_rows(oracle, rho, row_degs, col_degs, degree)
+    return len(rows) - rank_mod_p(rows, oracle.p)
 
 
 def coker_hilbert(oracle: MonomialQuotientOracle, rho, row_degs, col_degs,

@@ -5,7 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import MonomialQuotientOracle, rank_mod_p, span_closure
+from oracles import (MonomialQuotientOracle, module_image, module_kernel,
+                     rank_mod_p, slice_rows, span_closure)
 from totref import _zn, homcalc, linalg
 from totref.errors import DimensionMismatch, NotAComplex, TotrefError
 from totref.family import eta, gamma, periodic_resolution
@@ -181,7 +182,8 @@ def test_check_exact_at_accepts_periodic_pair(pair_z9):
     e = eta(pair_z9, pair_z9.ring.from_int(1))
     rep = check_exact_at(e, g)
     assert rep.passed
-    assert rep.details["kernel_size"] == rep.details["image_size"]
+    # ker(gamma_1) over Z/9 is the cyclic module on one generator
+    assert rep.details == {"kernel_generators": 1}
 
 
 def test_check_exact_at_rejects_nonzero_composite(z9):
@@ -202,7 +204,8 @@ def test_check_exact_at_detects_inexactness(z9):
 def test_failing_finite_exactness_factors_each_map_once(monkeypatch):
     # Z/27 with the pair (9, 9) and a = 0: ker(0) has 81 elements and
     # im(9) only 9, at both interior positions of the G resolution; one
-    # solver on outgoing gives the cycles, one on incoming tries them all
+    # solver on outgoing gives the kernel generators, and the first of
+    # them is already off the image, so one solve on incoming decides
     ring = FiniteLocalRing(3, 3)
     pair = exact_pair(ring, ring.parse("9"), ring.parse("9"))
     diffs = periodic_resolution(pair, ring.zero(), 3, "G", strict=False)
@@ -218,8 +221,8 @@ def test_failing_finite_exactness_factors_each_map_once(monkeypatch):
         built.clear()
         rep = check_exact_at(diffs[i], diffs[i - 1])
         assert not rep.passed
-        assert rep.details == {"kernel_size": 81, "image_size": 9,
-                               "witness_in_kernel_not_image": "(3, 0)"}
+        assert rep.details == {"kernel_generators": 2,
+                               "witness_in_kernel_not_image": "[[3]; [0]]"}
         assert len(built) == 2
 
 
@@ -290,6 +293,18 @@ def _graded_entry(ring, oracle, degree, rng):
     return element, poly
 
 
+def _graded_matrix(ring, oracle, row_degs, col_degs, rng):
+    """A random homogeneous matrix, as (Matrix, rows of oracle dicts)."""
+    m, n = len(row_degs), len(col_degs)
+    polys = [[{} for _ in range(n)] for _ in range(m)]
+    rows = [[ring.zero()] * n for _ in range(m)]
+    for i, j in itertools.product(range(m), range(n)):
+        if rng.random() < 0.8:
+            rows[i][j], polys[i][j] = _graded_entry(
+                ring, oracle, col_degs[j] - row_degs[i], rng)
+    return Matrix(ring, rows, row_degs, col_degs), polys
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(GRADED_CASES), st.integers(1, 2), st.integers(1, 3),
        st.randoms(use_true_random=False))
@@ -298,13 +313,7 @@ def test_graded_kernel_gens_match_the_oracle(case, m, n, rng):
     bound = 4
     row_degs = [rng.randrange(2) for _ in range(m)]
     col_degs = [rng.randrange(3) for _ in range(n)]
-    polys = [[{} for _ in range(n)] for _ in range(m)]
-    rows = [[ring.zero()] * n for _ in range(m)]
-    for i, j in itertools.product(range(m), range(n)):
-        if rng.random() < 0.8:
-            rows[i][j], polys[i][j] = _graded_entry(
-                ring, oracle, col_degs[j] - row_degs[i], rng)
-    rho = Matrix(ring, rows, row_degs, col_degs)
+    rho, polys = _graded_matrix(ring, oracle, row_degs, col_degs, rng)
     gens = [([dict(g.entries[j][0].terms) for j in range(n)], g.col_degs[0])
             for g in kernel_gens(rho, bound)]
 
@@ -332,22 +341,100 @@ def test_graded_kernel_gens_match_the_oracle(case, m, n, rng):
                 image = oracle.add(image, oracle.mul(polys[i][j], vec[j]))
             assert not image
     for d in range(min(col_degs), bound + 1):
-        target = {(i, mono): pos for pos, (i, mono) in enumerate(
-            (i, mono) for i in range(m)
-            for mono in oracle.basis(d - row_degs[i]))}
-        cols = source(d)
-        system = [[0] * len(cols) for _ in target]
-        for pos, (j, mono) in enumerate(cols):
-            for i in range(m):
-                for exp, c in oracle.mul(polys[i][j], {mono: 1}).items():
-                    system[target[(i, exp)]][pos] = c
-        kernel_dim = len(cols) - rank_mod_p(system, oracle.p)
+        system = slice_rows(oracle, polys, row_degs, col_degs, d)
+        kernel_dim = len(source(d)) - rank_mod_p(system, oracle.p)
         assert rank_mod_p(multiples(d, gens), oracle.p) == kernel_dim
     # no generator is a combination of the others' multiples in its degree
     for k, (vec, e) in enumerate(gens):
         others = multiples(e, gens[:k] + gens[k + 1:])
         assert rank_mod_p(others + multiples(e, [(vec, e)]), oracle.p) \
             == rank_mod_p(others, oracle.p) + 1
+
+
+# the incoming map of an exactness check: all kernel generators of the
+# outgoing map, all of them times a nonunit, or all but the one at an index
+VARIANTS = st.sampled_from(("all", "times")) | st.integers(0, 5)
+
+
+def _incoming(gens, variant, scale, zero_column):
+    if variant == "times":
+        gens = [g * scale for g in gens]
+    elif variant != "all" and gens:
+        gens = gens[:variant % len(gens)] + gens[variant % len(gens) + 1:]
+    return hstack(gens) if gens else zero_column
+
+
+def _column_of(ring, text: str) -> list:
+    """The entries of a column from its repr, e.g. "[[3*x]; [x]; [0]]"."""
+    return [ring.parse(part.strip("[] ")) for part in text.split(";")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((FiniteLocalRing(3, 2), FiniteLocalRing(2, 3),
+                        FiniteLocalRing(2, 2, "t", (0, 0)))),
+       st.integers(1, 2), st.integers(1, 3),
+       VARIANTS, st.data())
+def test_finite_exactness_matches_the_oracle(ring, m, n, variant, data):
+    carrier = list(ring.enumerate_carrier())
+    outgoing = Matrix(ring, [[data.draw(st.sampled_from(carrier))
+                              for _ in range(n)] for _ in range(m)])
+    scale = ring.parse(ring.ext_var or str(ring.p))
+    incoming = _incoming(kernel_gens(outgoing), variant, scale,
+                         Matrix.zeros(ring, n, 1))
+    rep = check_exact_at(incoming, outgoing)
+
+    def coords(mat):
+        return [[e.coords for e in row] for row in mat.entries]
+
+    kernel = module_kernel(ring.n, ring.ext_reduction, coords(outgoing))
+    image = module_image(ring.n, ring.ext_reduction, coords(incoming))
+    assert image <= kernel
+    assert rep.passed == (image == kernel)
+    if not rep.passed:
+        witness = tuple(x for e in _column_of(
+            ring, rep.details["witness_in_kernel_not_image"]) for x in e.coords)
+        assert witness in kernel and witness not in image
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(GRADED_CASES), st.integers(1, 2), st.integers(1, 3),
+       VARIANTS, st.randoms(use_true_random=False))
+def test_graded_exactness_matches_the_oracle(case, m, n, variant, rng):
+    ring, oracle = case
+    bound = 4
+    row_degs = [rng.randrange(2) for _ in range(m)]
+    col_degs = [rng.randrange(3) for _ in range(n)]
+    outgoing, out_polys = _graded_matrix(ring, oracle, row_degs, col_degs,
+                                         rng)
+    scale = ring.parse(rng.choice(ring.variables))
+    incoming = _incoming(kernel_gens(outgoing, bound), variant, scale,
+                         Matrix.zeros(ring, n, 1, col_degs, (0,)))
+    rep = check_exact_at(incoming, outgoing, bound)
+    in_polys = [[dict(e.terms) for e in row] for row in incoming.entries]
+
+    def ranks(d, extra=None):
+        """dim Z_d and dim B_d, B_d with the slice column ``extra``."""
+        out = slice_rows(oracle, out_polys, row_degs, col_degs, d)
+        inc = slice_rows(oracle, in_polys, col_degs, incoming.col_degs, d)
+        if extra is not None:
+            inc = [row + [c] for row, c in zip(inc, extra)]
+        return len(inc) - rank_mod_p(out, oracle.p), rank_mod_p(inc, oracle.p)
+
+    assert rep.passed == all(z == b for z, b in map(
+        ranks, range(min(col_degs), bound + 1)))
+    if not rep.passed:
+        witness = _column_of(ring, rep.details["witness_in_kernel_not_image"])
+        d = next(e.degree() + s for e, s in zip(witness, col_degs)
+                 if not e.is_zero)
+        for i in range(m):
+            image = {}
+            for j in range(n):
+                image = oracle.add(image, oracle.mul(
+                    out_polys[i][j], dict(witness[j].terms)))
+            assert not image
+        coords = [dict(witness[j].terms).get(mono, 0) for j in range(n)
+                  for mono in oracle.basis(d - col_degs[j])]
+        assert ranks(d, coords)[1] == ranks(d)[1] + 1
 
 
 LAYOUT_RINGS = (FiniteLocalRing(3, 2), FiniteLocalRing(2, 2, "t", (0, 0)),
@@ -403,8 +490,8 @@ def test_unchecked_builders_pass_the_checks(ring, data):
                         FiniteLocalRing(2, 2, "t", (0, 0)))), st.data())
 def test_trusted_finite_builders_hold_residues(ring, data):
     """Elements built from solver residues without ring.element, and the
-    kernel and Hom matrices built from them without the constructor's
-    checks, are what the checked constructors build."""
+    solution, kernel and Hom matrices built from them without the
+    constructor's checks, are what the checked constructors build."""
     carrier = list(ring.enumerate_carrier())
     m, n = (data.draw(st.integers(1, 2)) for _ in range(2))
 
@@ -433,15 +520,15 @@ def test_trusted_finite_builders_hold_residues(ring, data):
         for module in (linalg, homcalc):
             mp.setattr(module, "_unflatten_vector", recorded)
         mp.setattr(homcalc, "_matrix_from_flat", recorded_flat)
-        solve_right(a, a * c)  # SpanSolver.solve residues
+        solved = solve_right(a, a * c)  # SpanSolver.solve residues
         gens = kernel_gens(a)  # Howell kernel rows
         homcalc._TargetTables(PresentedModule(ring, a))  # table keys
-        # a failing check reads its witness off the kernel rows
+        # a failing check's witness is one of the kernel generators
         check_exact_at(Matrix.zeros(ring, n, 1), a)
         homcalc.hom_presentation(PresentedModule(ring, a),
                                  PresentedModule(ring, b))
     assert made and flat
-    for gen in gens + flat:
+    for gen in gens + flat + [solved]:
         checked(gen)
     for vec, count, elements in made:
         assert [x for e in elements for x in e.coords] == \

@@ -1,4 +1,4 @@
-"""No public name in totref that only the tests reach.
+"""No public name and no optional parameter in totref that only the tests reach.
 
 Every public top-level function or class of a totref module, and every
 public method of its classes, must be used in the package itself or in
@@ -8,6 +8,12 @@ inside a string.  The functions that perfbench/tracer.py wraps, listed by
 qualified name in its SPANS and LEAVES tables, count as used too.  Methods
 are matched by name alone, so a method counts as used wherever an
 attribute of that name is read.
+
+Every parameter with a default, of any function or method in the package,
+public or private, must likewise be passed, by position or by keyword, at
+some call in the package or in perfbench/.  Callees are matched by name,
+a class name stands for the class's ``__init__``, and calls that splat
+``*args`` or ``**kwargs`` are skipped.
 """
 
 import ast
@@ -21,6 +27,11 @@ PERFBENCH = ROOT / "perfbench"
 # entry points called from outside the package, as module.qualname:
 # cli.main is the console script of pyproject.toml
 ENTRY_POINTS = {"cli.main"}
+
+# optional parameters kept although no package call passes them, as
+# module.qualname(parameter): the test oracles build graded elements
+# term by term with a coefficient
+UNPASSED_ALLOWED = {"rings.GradedMonomialRing.monomial_element(coeff)"}
 
 
 def _definitions():
@@ -81,3 +92,71 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               if name not in used and qualname not in traced
               and qualname not in ENTRY_POINTS]
     assert unused == []
+
+
+def _optional_parameters():
+    """(module.qualname(parameter), callee name, position or None, keyword)
+    for every parameter with a default; the position counts the call's
+    positional arguments, so it skips self and cls, and is None for a
+    keyword-only parameter."""
+    def visit(node, path, stem, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, path + [child.name], stem, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from params(child, path, stem, cls)
+                yield from visit(child, path + [child.name], stem, None)
+
+    def params(fn, path, stem, cls):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        skip = 1 if cls is not None and not static else 0
+        callee = cls if fn.name == "__init__" and cls else fn.name
+        qualname = ".".join([stem] + path + [fn.name])
+        first = len(positional) - len(args.defaults)
+        for k in range(first, len(positional)):
+            yield (f"{qualname}({positional[k].arg})", callee, k - skip,
+                   positional[k].arg)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{qualname}({arg.arg})", callee, None, arg.arg
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        yield from visit(tree, [], path.stem, None)
+
+
+def _calls(source: str):
+    """(callee name, positional count, keyword names) of each call that
+    splats nothing."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) \
+                or any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords):
+            continue
+        func = node.func
+        if isinstance(func, (ast.Name, ast.Attribute)):
+            name = func.id if isinstance(func, ast.Name) else func.attr
+            yield name, len(node.args), {k.arg for k in node.keywords}
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    passed_at = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for name, count, keywords in _calls(path.read_text(encoding="utf-8")):
+            positions, names = passed_at.setdefault(name, (set(), set()))
+            positions.add(count)
+            names |= keywords
+    optional = list(_optional_parameters())
+    assert len(optional) > 30  # the scan sees the package
+    unpassed = []
+    for qualname, callee, position, keyword in optional:
+        positions, names = passed_at.get(callee, ((), ()))
+        by_position = position is not None and any(
+            count > position for count in positions)
+        if not by_position and keyword not in names:
+            unpassed.append(qualname)
+    assert sorted(set(unpassed) - UNPASSED_ALLOWED) == []
+    assert UNPASSED_ALLOWED <= set(unpassed)  # no stale allowance
