@@ -1,56 +1,24 @@
-"""Linear algebra over the prime field F_p.
+"""Linear algebra over the prime field F_p, on sparse rows.
 
 Graded computations reduce every question to finite dimensional slices, and
-those slices land here.  Matrices hold entries in [0, p).  Pivoting is
-deterministic (the reduced row echelon form is unique), so kernels,
-solutions and quotient bases are reproducible.
+those slices land here.  A matrix is a list of rows and a vector is one
+row: a ``{column: residue}`` dict that holds only the nonzero entries.
+Entries are Python integers, read mod p, so the arithmetic is exact for
+every p; results hold residues in [1, p).  Pivoting is deterministic (the
+reduced row echelon form is unique), so kernels, solutions and quotient
+bases are reproducible.
 
-The slices are sparse: a column of ``mult_matrix(e)`` has at most as many
-nonzero entries as e has terms, and a pivot step rarely clears more than a
-few rows.  So every question starts from one forward pass, ``_echelon``,
-over the nonzero entries, with rows held as ``{column: residue}`` dicts of
-Python integers: exact for every p, and costing time in the entries the
-elimination touches rather than in the matrix's area.  ``rank``,
-``extend_independent`` and ``kernel``'s picks need only its leading
-columns, which are the RREF's pivots; ``kernel`` and ``solve``
-back-substitute on the sparse rows, and only ``rref`` writes a dense
-reduced matrix.
-
-Arrays hold int64 while every intermediate value fits: a sum of ``width``
-products of two residues is below width (p-1)^2, so ``mul`` computes in
-int64 while that stays below 2^63 and in Python integers (``dtype=object``)
-above it.  ``rref``, ``kernel`` and ``solve`` return arrays in the dtype of
-``_reduced(a, p)``.
+The slices are sparse: a column of a multiplication block has at most as
+many nonzero entries as the acting element has terms, and a pivot step
+rarely clears more than a few rows.  So every question starts from one
+forward pass, ``_echelon``, whose cost is in the entries the elimination
+touches rather than in the matrix's area.  ``rank``, ``extend_independent``
+and ``kernel``'s picks need only its leading columns, which are the RREF's
+pivots; ``kernel``, ``solve`` and ``rref`` back-substitute on the same
+rows.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-_INT64_LIMIT = 2 ** 63
-
-
-def _dtype(p: int, width: int = 1):
-    """int64 when ``width`` products of residues mod p sum below 2^63."""
-    return np.int64 if width * (p - 1) ** 2 < _INT64_LIMIT else object
-
-
-def _reduced(a, p: int, width: int = 1) -> np.ndarray:
-    """A copy of ``a`` with entries in [0, p), in the dtype ``width`` needs."""
-    m = np.array(a, dtype=_dtype(p, width))
-    if m.ndim != 2:
-        raise ValueError("expected a 2d array")
-    return m % p
-
-
-def zeros(m: int, n: int) -> np.ndarray:
-    return np.zeros((m, n), dtype=np.int64)
-
-
-def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The product A B mod p, exact for every p."""
-    width = a.shape[1]
-    return (_reduced(a, p, width) @ _reduced(b, p, width)) % p
 
 
 def _subtract(row: dict, f: int, other: dict, p: int) -> None:
@@ -63,33 +31,43 @@ def _subtract(row: dict, f: int, other: dict, p: int) -> None:
             del row[c]
 
 
-def _echelon(a: np.ndarray, p: int) -> dict[int, dict[int, int]]:
-    """Echelon rows of ``a`` mod p with leading 1s, keyed by leading column."""
-    rows_at, cols_at = a.nonzero()
-    vals = a[rows_at, cols_at] % p
-    kept = vals.nonzero()[0]
-    rows_at = rows_at[kept]
-    cols_at = cols_at[kept].tolist()
-    vals = vals[kept].tolist()
-    # the nonzero entries come row by row; cut them where the row changes
-    cuts = ((rows_at[1:] != rows_at[:-1]).nonzero()[0] + 1).tolist()
+def _echelon(rows, p: int) -> dict[int, dict[int, int]]:
+    """Echelon rows of ``rows`` mod p with leading 1s, keyed by leading column.
+
+    The input rows are never changed.  A lone leading 1 enters the echelon
+    form as it is, since nothing ever subtracts from it; every other row is
+    copied before it is reduced.
+    """
     basis: dict[int, dict[int, int]] = {}
-    for start, stop in zip([0] + cuts, cuts + [len(vals)]):
-        # one entry: a new leading 1, or 0 against a leading 1 alone
-        if stop - start == 1 and len(basis.setdefault(
-                cols_at[start], {cols_at[start]: 1})) == 1:
+    for row in rows:
+        if len(row) == 1:
+            # a new leading 1, or 0 against a leading 1 alone
+            (c, v), = row.items()
+            v %= p
+            if not v:
+                continue
+            held = basis.get(c)
+            if held is None:
+                basis[c] = row if row[c] == 1 else {c: 1}
+                continue
+            if len(held) == 1:
+                continue
+            row = {c: v}
+        elif row:
+            row = {c: v % p for c, v in row.items() if v % p}
+        else:
             continue
-        row = dict(zip(cols_at[start:stop], vals[start:stop]))
         while row:
             lead = min(row)
-            if lead not in basis:
+            held = basis.get(lead)
+            if held is None:
                 f = row[lead]
                 if f != 1:
                     inv = pow(f, -1, p)
                     row = {c: v * inv % p for c, v in row.items()}
                 basis[lead] = row
                 break
-            _subtract(row, row[lead], basis[lead], p)
+            _subtract(row, row[lead], held, p)
     return basis
 
 
@@ -103,63 +81,63 @@ def _back_substitute(basis: dict[int, dict[int, int]], p: int) -> list[int]:
     return pivots
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column list."""
-    basis = _echelon(a, p)
+def rref(rows, p: int) -> tuple[list[dict[int, int]], list[int]]:
+    """The nonzero rows of the reduced row echelon form, and its pivots."""
+    basis = _echelon(rows, p)
     pivots = _back_substitute(basis, p)
-    red = np.zeros(a.shape, dtype=_dtype(p))
-    at_r, at_c, at_v = [], [], []
-    for i, lead in enumerate(pivots):
-        row = basis[lead]
-        at_r += [i] * len(row)
-        at_c += row
-        at_v += row.values()
-    red[at_r, at_c] = at_v
-    return red, pivots
+    return [basis[lead] for lead in pivots], pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    return len(_echelon(a, p))
+def rank(rows, p: int) -> int:
+    return len(_echelon(rows, p))
 
 
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """Particular solution X of A X = B with free variables pinned to 0."""
-    m, n = a.shape
-    if b.shape[0] != m:
-        raise ValueError("shape mismatch")
-    basis = _echelon(np.concatenate([a, b], axis=1), p)
-    if basis and max(basis) >= n:
-        return None
-    x = np.zeros((n, b.shape[1]), dtype=_dtype(p))
-    for lead in _back_substitute(basis, p):
-        x[lead] = [basis[lead].get(c, 0) for c in range(n, n + b.shape[1])]
-    return x
+def solve(rows, width: int, b: dict[int, int],
+          p: int) -> dict[int, int] | None:
+    """A solution x of A x = b with free variables pinned to 0, or None.
 
-
-def kernel(a: np.ndarray, p: int, span: np.ndarray | None = None) -> np.ndarray:
-    """A right-kernel basis: the identity on free columns, -RREF on pivots.
-
-    With ``span``, whose columns must lie in the kernel, only the basis
-    vectors that enlarge it are returned: ``extend_independent``'s picks
-    among them.  Basis vector j is the kernel vector that is 1 at the j-th
-    free column and 0 at the others, so ``span`` has kernel coordinates
-    ``span[free]``.  Vector j enlarges the span exactly when no vector in
-    the span of those coordinates ends at j, and those last positions are
-    the pivots of ``span[free]^T`` with its columns reversed.  The picks
-    need only the forward pass, so back-substitution runs for the picked
-    vectors alone, pivot rows from the last up.
+    A is ``rows`` with ``width`` columns; b, indexed by row, and x are
+    vectors.  b rides along as column ``width`` of A.
     """
-    basis = _echelon(a, p)
-    free = [c for c in range(a.shape[1]) if c not in basis]
+    system = list(rows)
+    for i, v in b.items():
+        system[i] = {**system[i], width: v}
+    basis = _echelon(system, p)
+    if width in basis:
+        return None
+    return {lead: basis[lead][width] for lead in _back_substitute(basis, p)
+            if width in basis[lead]}
+
+
+def kernel(rows, width: int, p: int, span=None) -> list[dict[int, int]]:
+    """A right-kernel basis of the ``width``-column matrix ``rows``, as
+    vectors: the identity on free columns, -RREF on pivots.
+
+    With ``span``, the rows of a matrix whose columns lie in the kernel,
+    only the basis vectors that enlarge it are returned:
+    ``extend_independent``'s picks among them.  Basis vector j is the
+    kernel vector that is 1 at the j-th free column and 0 at the others,
+    so ``span`` has kernel coordinates ``span[free]``.  Vector j enlarges
+    the span exactly when no vector in the span of those coordinates ends
+    at j, and those last positions are the pivots of ``span[free]^T`` with
+    its columns reversed.  The picks need only the forward pass, so
+    back-substitution runs for the picked vectors alone, pivot rows from
+    the last up.
+    """
+    basis = _echelon(rows, p)
+    free = [c for c in range(width) if c not in basis]
     picked = range(len(free))
-    if span is not None and span.size and free:
-        ends = {len(free) - 1 - c
-                for c in _echelon(span[free].T[:, ::-1], p)}
+    if span and free:
+        last = len(free) - 1
+        reversed_t: dict[int, dict[int, int]] = {}
+        for j, c in enumerate(free):
+            for k, v in span[c].items():
+                reversed_t.setdefault(k, {})[last - j] = v
+        ends = {last - c for c in _echelon(reversed_t.values(), p)}
         picked = [j for j in picked if j not in ends]
-    out = np.zeros((a.shape[1], len(picked)), dtype=_dtype(p))
     if not picked:
-        return out
-    # at[c] = {output column: entry in row c} of the picked vectors
+        return []
+    # at[c] = {output vector: its entry c} of the picked vectors
     at = {free[j]: {k: 1} for k, j in enumerate(picked)}
     for lead in sorted(basis, reverse=True):
         acc: dict[int, int] = {}
@@ -169,23 +147,19 @@ def kernel(a: np.ndarray, p: int, span: np.ndarray | None = None) -> np.ndarray:
         acc = {k: w % p for k, w in acc.items() if w % p}
         if acc:
             at[lead] = acc
-    at_r = [c for c, row in at.items() for _ in row]
-    at_c = [k for row in at.values() for k in row]
-    at_v = [w for row in at.values() for w in row.values()]
-    out[at_r, at_c] = at_v
+    out: list[dict[int, int]] = [{} for _ in picked]
+    for c, entries in at.items():
+        for k, w in entries.items():
+            out[k][c] = w
     return out
 
 
-def extend_independent(span: np.ndarray | None, cand: np.ndarray, p: int) -> list[int]:
+def extend_independent(rows, held: int, p: int) -> list[int]:
     """Indices of candidate columns that enlarge the span, greedily.
 
-    ``span`` may be None or empty.  Candidate j is picked when it lies
-    outside the span of ``span`` and the candidates before it, that is
-    when the rank grows at its column of ``[span | cand]``: exactly the
-    pivot columns of that matrix at or past the span's width.
+    ``rows`` is ``[span | cand]``, the span in its first ``held`` columns.
+    Candidate j is picked when it lies outside the span of the span's
+    columns and the candidates before it, that is when the rank grows at
+    its column: exactly the pivot columns at or past ``held``.
     """
-    cand = np.asarray(cand)
-    held = span.shape[1] if span is not None and span.size else 0
-    if held:
-        cand = np.concatenate([span, cand], axis=1)
-    return [c - held for c in sorted(_echelon(cand, p)) if c >= held]
+    return [c - held for c in sorted(_echelon(rows, p)) if c >= held]

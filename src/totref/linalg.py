@@ -21,10 +21,9 @@ incoming one; ``homology`` counts cycles and boundaries for Ext only.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _fp, _zn
 from .errors import (DimensionMismatch, NonHomogeneous, NotAComplex,
@@ -373,51 +372,55 @@ def _twist_layout(ring, degs: tuple, d: int):
     return hit
 
 
-def slice_matrix(mat: Matrix, d: int) -> np.ndarray:
-    """Degree-d slice of the twisted map described by ``mat``."""
+def slice_matrix(mat: Matrix, d: int) -> tuple[list[dict[int, int]], int]:
+    """Degree-d slice of the twisted map described by ``mat``: its rows as
+    ``{column: residue}`` dicts, and its width."""
     ring = mat.ring
     if mat.row_degs is None or mat.col_degs is None:
         raise NonHomogeneous("matrix has no degree layout; call "
                              "infer_degrees first")
     row_off, row_w, row_total = _twist_layout(ring, mat.row_degs, d)
     col_off, col_w, col_total = _twist_layout(ring, mat.col_degs, d)
-    out = _fp.zeros(row_total, col_total)
-    for i in range(mat.nrows):
+    rows: list[dict[int, int]] = [{} for _ in range(row_total)]
+    for i, entries in enumerate(mat.entries):
         if row_w[i] == 0:
             continue
-        for j in range(mat.ncols):
-            e = mat.entries[i][j]
+        r0 = row_off[i]
+        for j, e in enumerate(entries):
             if e.is_zero or col_w[j] == 0:
                 continue
-            block = ring.mult_matrix(e, d - mat.col_degs[j])
-            out[row_off[i]:row_off[i] + row_w[i],
-                col_off[j]:col_off[j] + col_w[j]] = block
-    return out
+            c0 = col_off[j]
+            for dst, src, coeff in ring.mult_matrix(e, d - mat.col_degs[j]):
+                rows[r0 + dst][c0 + src] = coeff
+    return rows, col_total
 
 
-def slice_vector_to_matrix(ring, vec, degs, d: int) -> Matrix:
-    """Element column of degree d from a stacked slice coordinate vector."""
-    offsets, widths, _ = _twist_layout(ring, degs, d)
-    col = []
-    for s, off, w in zip(degs, offsets, widths):
-        if w == 0:
-            col.append([ring.zero()])
-        else:
-            col.append([ring.element_of_vector(vec[off:off + w], d - s)])
+def slice_vector_to_matrix(ring, vec: dict[int, int], degs, d: int) -> Matrix:
+    """Element column of degree d from stacked slice coordinates
+    ``{index: residue}``."""
+    offsets, _, _ = _twist_layout(ring, degs, d)
+    parts: list[dict[int, int]] = [{} for _ in degs]
+    for index, c in vec.items():
+        # zero-width summands share their offset with the next summand, so
+        # the last offset at or below the index is the summand holding it
+        i = bisect.bisect_right(offsets, index) - 1
+        parts[i][index - offsets[i]] = c
+    col = [[ring.element_of_vector(part, d - s) if part else ring.zero()]
+           for s, part in zip(degs, parts)]
     return Matrix._trusted(ring, col, degs, (d,))
 
 
-def matrix_column_to_slice(col: Matrix, d: int) -> np.ndarray:
-    """Stacked slice coordinates of a homogeneous element column."""
+def matrix_column_to_slice(col: Matrix, d: int) -> dict[int, int]:
+    """Stacked slice coordinates ``{index: residue}`` of a homogeneous
+    element column."""
     ring = col.ring
     degs = col.row_degs
-    offsets, widths, total = _twist_layout(ring, degs, d)
-    vec = _fp.zeros(total, 1)
-    for i, (s, off, w) in enumerate(zip(degs, offsets, widths)):
-        e = col.entries[i][0]
-        if e.is_zero or w == 0:
-            continue
-        vec[off:off + w] = ring.vector_of(e, d - s)
+    offsets, widths, _ = _twist_layout(ring, degs, d)
+    vec: dict[int, int] = {}
+    for (e,), s, off, w in zip(col.entries, degs, offsets, widths):
+        if w and not e.is_zero:
+            vec.update((off + i, c)
+                       for i, c in ring.vector_of(e, d - s).items())
     return vec
 
 
@@ -435,27 +438,49 @@ def solve_right(rho: Matrix, rhs: Matrix, bound: int | None = None) -> Matrix | 
         raise TotrefError("matrix from a different ring")
     if rho.nrows != rhs.nrows:
         raise DimensionMismatch("right hand side has wrong height")
+    return _right_solver(rho, bound)(rhs)
+
+
+def _right_solver(rho: Matrix, bound: int | None):
+    """``solve_right`` on ``rho`` as a function of the right-hand side.
+
+    It factors rho once for every right-hand side it is given: the finite
+    backend builds one ``SpanSolver``, the graded backend one slice per
+    degree that a right-hand side asks for.
+    """
     ring = rho.ring
     if isinstance(ring, FiniteLocalRing):
         cols, height = _flatten_columns(rho)
         solver = _zn.SpanSolver(cols, ring.n, height)
-        out_cols = []
-        for k in range(rhs.ncols):
-            b = _flatten_vector(ring, [rhs.entries[i][k] for i in range(rhs.nrows)])
-            x = solver.solve(b)
-            if x is None:
-                return None
-            out_cols.append(_unflatten_vector(ring, x, rho.ncols))
-        rows = [[out_cols[k][j] for k in range(rhs.ncols)]
-                for j in range(rho.ncols)]
-        return Matrix._trusted(ring, rows)
+
+        def solve_finite(rhs: Matrix) -> Matrix | None:
+            out_cols = []
+            for k in range(rhs.ncols):
+                x = solver.solve(_flatten_vector(
+                    ring, [rhs.entries[i][k] for i in range(rhs.nrows)]))
+                if x is None:
+                    return None
+                out_cols.append(_unflatten_vector(ring, x, rho.ncols))
+            return Matrix._trusted(ring, list(zip(*out_cols)))
+
+        return solve_finite
     try:
         rho = infer_degrees(rho)
-        return _solve_right_graded(rho, rhs)
     except NonHomogeneous:
         if bound is None:
             raise
-        return _solve_right_window(rho, rhs, bound)
+        return lambda rhs: _solve_right_window(rho, rhs, bound)
+    slices: dict[int, tuple] = {}
+
+    def solve_graded(rhs: Matrix) -> Matrix | None:
+        try:
+            return _solve_right_graded(rho, rhs, slices)
+        except NonHomogeneous:
+            if bound is None:
+                raise
+            return _solve_right_window(rho, rhs, bound)
+
+    return solve_graded
 
 
 def _rhs_column_degree(rho: Matrix, rhs: Matrix, k: int) -> int | None:
@@ -477,35 +502,31 @@ def _rhs_column_degree(rho: Matrix, rhs: Matrix, k: int) -> int | None:
     return deg
 
 
-def _solve_right_graded(rho: Matrix, rhs: Matrix) -> Matrix | None:
+def _solve_right_graded(rho: Matrix, rhs: Matrix,
+                        slices: dict) -> Matrix | None:
+    """Solve degree by degree; ``slices`` keeps rho's slice per degree."""
     ring = rho.ring
     if rhs.row_degs is not None and rhs.row_degs != rho.row_degs:
         raise DimensionMismatch("right hand side lives in a different twist "
                                 "of the codomain")
     out_columns = []
     out_degs = []
-    zero_col = [[ring.zero()] for _ in range(rho.ncols)]
     for k in range(rhs.ncols):
         u = _rhs_column_degree(rho, rhs, k)
         if u is None:
-            out_columns.append([row[0] for row in zero_col])
+            out_columns.append([ring.zero()] * rho.ncols)
             out_degs.append(rho.col_degs[0] if rho.col_degs else 0)
             continue
-        system = slice_matrix(rho, u)
+        if u not in slices:
+            slices[u] = slice_matrix(rho, u)
         target = matrix_column_to_slice(
             Matrix(ring, [[rhs.entries[i][k]] for i in range(rhs.nrows)],
                    rho.row_degs, (u,)), u)
-        if system.shape[1] == 0:
-            if np.any(target % ring.p):
-                return None
-            out_columns.append([row[0] for row in zero_col])
-            out_degs.append(u)
-            continue
-        sol = _fp.solve(system, target, ring.p)
+        sol = _fp.solve(*slices[u], target, ring.p)
         if sol is None:
             return None
-        col = slice_vector_to_matrix(ring, sol[:, 0], rho.col_degs, u)
-        out_columns.append([col.entries[j][0] for j in range(rho.ncols)])
+        col = slice_vector_to_matrix(ring, sol, rho.col_degs, u)
+        out_columns.append([row[0] for row in col.entries])
         out_degs.append(u)
     rows = [[out_columns[k][j] for k in range(rhs.ncols)]
             for j in range(rho.ncols)]
@@ -522,14 +543,20 @@ def _solve_right_window(rho: Matrix, rhs: Matrix, bound: int) -> Matrix | None:
             if d is not None:
                 top = max(top, bound + d)
 
-    def window_vector(elements) -> np.ndarray:
-        blocks = []
+    def window_vector(elements) -> dict[int, int]:
+        """Slice coordinates of the elements in degrees 0..top, stacked
+        degree by degree."""
+        vec: dict[int, int] = {}
+        off = 0
         for d in range(top + 1):
             for e in elements:
-                blocks.append(ring.vector_of(e, d))
-        return np.concatenate(blocks, axis=0)
+                vec.update((off + i, c)
+                           for i, c in ring.vector_of(e, d).items())
+                off += ring.dim(d)
+        return vec
 
-    columns = []
+    height = rho.nrows * sum(ring.dim(d) for d in range(top + 1))
+    system: list[dict[int, int]] = [{} for _ in range(height)]
     meta = []
     for j in range(rho.ncols):
         col_elems = [rho.entries[i][j] for i in range(rho.nrows)]
@@ -539,22 +566,21 @@ def _solve_right_window(rho: Matrix, rhs: Matrix, bound: int) -> Matrix | None:
                 image = [mono * e for e in col_elems]
                 if any((e.degree() or 0) > top for e in image):
                     continue
-                columns.append(window_vector(image))
+                for i, c in window_vector(image).items():
+                    system[i][len(meta)] = c
                 meta.append((j, mono))
-    if not columns:
+    if not meta:
         return None
-    system = np.concatenate([c.reshape(-1, 1) for c in columns], axis=1)
     out_cols = []
     for k in range(rhs.ncols):
         b = window_vector([rhs.entries[i][k] for i in range(rhs.nrows)])
-        sol = _fp.solve(system, b.reshape(-1, 1), ring.p)
+        sol = _fp.solve(system, len(meta), b, ring.p)
         if sol is None:
             return None
         col = [ring.zero() for _ in range(rho.ncols)]
-        for idx, (j, mono) in enumerate(meta):
-            c = int(sol[idx, 0]) % ring.p
-            if c:
-                col[j] = col[j] + ring.from_int(c) * mono
+        for idx in sorted(sol):
+            j, mono = meta[idx]
+            col[j] = col[j] + ring.from_int(sol[idx]) * mono
         out_cols.append(col)
     rows = [[out_cols[k][j] for k in range(rhs.ncols)]
             for j in range(rho.ncols)]
@@ -583,11 +609,12 @@ def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
         # the degree-d multiples of the earlier generators, held side by
         # side as rho.col_degs -> their degrees, lie in K_d; only the kernel
         # basis vectors off their span are built
-        span = slice_matrix(held, d) if gens else None
-        kern = _fp.kernel(slice_matrix(rho, d), ring.p, span)
-        if kern.shape[1]:
-            gens += [slice_vector_to_matrix(ring, kern[:, j], rho.col_degs, d)
-                     for j in range(kern.shape[1])]
+        span = slice_matrix(held, d)[0] if gens else None
+        rows, width = slice_matrix(rho, d)
+        kern = _fp.kernel(rows, width, ring.p, span)
+        if kern:
+            gens += [slice_vector_to_matrix(ring, vec, rho.col_degs, d)
+                     for vec in kern]
             held = hstack(gens)
     return gens
 
@@ -605,8 +632,7 @@ def column_span_size(mat: Matrix) -> int:
 
 def slice_rank(mat: Matrix, d: int) -> int:
     """Rank over F_p of the degree-d slice of ``mat``."""
-    sl = slice_matrix(mat, d)
-    return _fp.rank(sl, mat.ring.p) if sl.size else 0
+    return _fp.rank(slice_matrix(mat, d)[0], mat.ring.p)
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +771,10 @@ def check_exact_at(incoming: Matrix, outgoing: Matrix,
     incoming, outgoing = _with_middle(incoming, outgoing)
     gens = kernel_gens(outgoing, bound)
     details = {"kernel_generators": len(gens)}
-    witness = next((gen for gen in gens
-                    if solve_right(incoming, gen, bound) is None), None)
+    witness = None
+    if gens:
+        solve = _right_solver(incoming, bound)
+        witness = next((gen for gen in gens if solve(gen) is None), None)
     if witness is not None:
         details["witness_in_kernel_not_image"] = repr(witness)
     return VerificationReport(name, FAIL if witness is not None else PASS,

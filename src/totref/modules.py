@@ -79,11 +79,9 @@ def minimal_generator_count(module: PresentedModule) -> int:
     """mu(M) over the local ring: generators minus residue rank of rho."""
     ring = module.ring
     rho = module.rho
-    mat = _fp.zeros(rho.nrows, rho.ncols)
-    for i in range(rho.nrows):
-        for j in range(rho.ncols):
-            mat[i, j] = ring.residue(rho.entries[i][j])
-    return rho.nrows - _fp.rank(mat, ring.p)
+    residues = [{j: r for j, e in enumerate(row) if (r := ring.residue(e))}
+                for row in rho.entries]
+    return rho.nrows - _fp.rank(residues, ring.p)
 
 
 def fitting_ideal(module: PresentedModule, j: int) -> list:

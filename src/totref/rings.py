@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
-from . import _fp
 from .errors import ParseError, TotrefError, UnknownVariable
 
 DEFAULT_DEGREE_BOUND = 8
@@ -548,9 +545,6 @@ class GradedMonomialRing:
     def __init__(self, p: int, variables: tuple[str, ...],
                  relations: tuple[tuple[int, ...], ...]):
         _require_prime(p)
-        if p >= 2 ** 63:
-            raise ParseError("graded rings need p < 2^63: their degree "
-                             "slices are int64 arrays")
         self.p = p
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
@@ -636,8 +630,9 @@ class GradedMonomialRing:
 
     # -- slice linear algebra ----------------------------------------------
 
-    def mult_matrix(self, e: GradedElement, src_deg: int) -> np.ndarray:
-        """Matrix of multiplication by homogeneous e from degree src_deg."""
+    def mult_matrix(self, e: GradedElement, src_deg: int) -> tuple:
+        """Multiplication by homogeneous e from degree src_deg, as the
+        nonzero entries (dst, src, coeff) of its matrix in the slice bases."""
         cache_key = (e.terms, src_deg)
         hit = self._mult_cache.get(cache_key)
         if hit is not None:
@@ -645,35 +640,30 @@ class GradedMonomialRing:
         t = e.degree()
         if t is None:
             raise TotrefError("mult_matrix needs a nonzero element")
-        src = self.basis(src_deg)
-        dst = self.basis(src_deg + t)
+        self.basis(src_deg + t)
         dst_index = self._index_cache[src_deg + t]
-        mat = _fp.zeros(len(dst), len(src))
-        for j, mono in enumerate(src):
+        # the terms of e carry distinct monomials, so no two of them land
+        # on the same product
+        entries = []
+        for j, mono in enumerate(self.basis(src_deg)):
             for exp, c in e.terms:
                 product = tuple(a + b for a, b in zip(mono, exp))
                 if self.is_normal(product):
-                    mat[dst_index[product], j] = (mat[dst_index[product], j] + c) % self.p
-        self._mult_cache[cache_key] = mat
-        return mat
+                    entries.append((dst_index[product], j, c))
+        self._mult_cache[cache_key] = entries = tuple(entries)
+        return entries
 
-    def vector_of(self, e: GradedElement, d: int) -> np.ndarray:
-        """Coordinates of the degree-d component in the slice basis."""
+    def vector_of(self, e: GradedElement, d: int) -> dict[int, int]:
+        """Coordinates of the degree-d component in the slice basis, as
+        ``{index: residue}``."""
         self.basis(d)
-        vec = _fp.zeros(self.dim(d), 1)
         index = self._index_cache[d]
-        for exp, c in e.terms:
-            if sum(exp) == d:
-                vec[index[exp], 0] = c
-        return vec
+        return {index[exp]: c for exp, c in e.terms if sum(exp) == d}
 
-    def element_of_vector(self, vec, d: int) -> GradedElement:
-        data = {}
-        for i, exp in enumerate(self.basis(d)):
-            c = int(vec[i]) % self.p
-            if c:
-                data[exp] = c
-        return self._from_dict(data)
+    def element_of_vector(self, vec: dict[int, int], d: int) -> GradedElement:
+        """The degree-d element with slice coordinates ``{index: residue}``."""
+        basis = self.basis(d)
+        return self._from_dict({basis[i]: c for i, c in vec.items()})
 
     # -- queries -----------------------------------------------------------
 

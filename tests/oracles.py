@@ -161,6 +161,22 @@ class MonomialQuotientOracle:
         return len(self.basis(degree))
 
 
+def sparse_rows(matrix) -> list:
+    """The rows of a dense matrix as ``{column: entry}`` dicts of Python
+    integers, holding every entry that is not 0 as it is, unreduced."""
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
+
+
+def dense_rows(rows, height: int, width: int) -> list:
+    """The dense ``height`` x ``width`` matrix with the given
+    ``{column: entry}`` rows on top and zero rows below them."""
+    out = [[0] * width for _ in range(height)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[i][j] = v
+    return out
+
+
 def rank_mod_p(rows, p: int) -> int:
     """Gaussian elimination over F_p on a list-of-rows integer matrix."""
     mat = [[val % p for val in row] for row in rows]

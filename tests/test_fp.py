@@ -1,13 +1,15 @@
 """F_p elimination against the independent Gaussian elimination oracle.
 
 The primes include 2^31 - 1 and 4294967311, where a product of two
-residues, or a sum of a few, no longer fits in int64.
+residues, or a sum of a few, no longer fits in int64.  The cases are drawn
+as dense arrays and handed to ``_fp`` as ``{column: entry}`` rows; vectors
+come back as such dicts and are compared as dense columns.
 """
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from oracles import rank_mod_p
+from oracles import dense_rows, rank_mod_p, sparse_rows
 from totref import _fp
 
 PRIMES = (2, 3, 5, 101, 2 ** 31 - 1, 4294967311)
@@ -16,6 +18,27 @@ PRIMES = (2, 3, 5, 101, 2 ** 31 - 1, 4294967311)
 def _matrix(columns, rows: int) -> np.ndarray:
     return np.array([[col[i] for col in columns] for i in range(rows)],
                     dtype=np.int64).reshape(rows, len(columns))
+
+
+def _vector(column: np.ndarray) -> dict:
+    """A one-column array as a ``{row: entry}`` vector."""
+    return sparse_rows(column.T)[0]
+
+
+def _dense(rows, shape) -> np.ndarray:
+    return np.array(dense_rows(rows, *shape),
+                    dtype=np.int64).reshape(shape)
+
+
+def _columns(vectors, height: int) -> np.ndarray:
+    """Vectors as the columns of a dense height x len(vectors) array."""
+    return _dense(vectors, (len(vectors), height)).T
+
+
+def _residues(rows, p: int) -> bool:
+    """Every entry is a Python int in [0, p)."""
+    return all(type(v) is int and 0 <= v < p
+               for row in rows for v in row.values())
 
 
 @st.composite
@@ -53,12 +76,13 @@ def test_extend_independent_picks_where_the_rank_grows(case):
     ranks = [rank_mod_p(full[:, :held + j].tolist(), p)
              for j in range(cand.shape[1] + 1)]
     expected = [j for j in range(cand.shape[1]) if ranks[j + 1] > ranks[j]]
-    picked = _fp.extend_independent(span if held else None, cand, p)
+    picked = _fp.extend_independent(sparse_rows(full), held, p)
     assert picked == expected
     # kernel's picks: with a span inside the kernel, exactly the basis
     # vectors that extend_independent picks after it; checked on a kernel
     # and on the identity basis of a zero-row matrix
-    kern = _fp.kernel(span.T, p)
+    kern = _columns(_fp.kernel(sparse_rows(span.T), span.shape[0], p),
+                    span.shape[0])
     k = kern.shape[1]
     inside = np.array(kern, dtype=object) @ np.array(cand[:k], dtype=object)
     inside = (inside % p).astype(np.int64)
@@ -70,8 +94,10 @@ def test_extend_independent_picks_where_the_rank_grows(case):
                  for j in range(basis.shape[1] + 1)]
         expected = [j for j in range(basis.shape[1])
                     if ranks[j + 1] > ranks[j]]
-        picked = _fp.kernel(a, p, inside)
-        assert picked.dtype == _fp._reduced(a, p).dtype
+        vectors = _fp.kernel(sparse_rows(a), a.shape[1], p,
+                             sparse_rows(inside))
+        assert _residues(vectors, p)
+        picked = _columns(vectors, a.shape[1])
         assert np.array_equal(picked, basis[:, expected])
 
 
@@ -96,7 +122,8 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_rref_is_the_reduced_row_echelon_form(case):
     p, a = case
-    red, pivots = _fp.rref(a, p)
+    reduced, pivots = _fp.rref(sparse_rows(a), p)
+    red = _dense(reduced, a.shape)
     assert red.shape == a.shape
     rank = len(pivots)
     assert pivots == sorted(set(pivots))
@@ -116,13 +143,13 @@ def test_rref_is_the_reduced_row_echelon_form(case):
 @given(span_and_candidates())
 def test_kernel_columns_are_a_kernel_basis(case):
     p, _, a = case
-    basis = _fp.kernel(a, p)
+    basis = _columns(_fp.kernel(sparse_rows(a), a.shape[1], p), a.shape[1])
     rank = rank_mod_p(a.tolist(), p)
     assert basis.shape == (a.shape[1], a.shape[1] - rank)
     product = np.array(a, dtype=object) @ np.array(basis, dtype=object)
     assert not np.any(product % p)
     assert rank_mod_p(basis.tolist(), p) == basis.shape[1]
-    assert _fp.rank(a, p) == rank
+    assert _fp.rank(sparse_rows(a), p) == rank
 
 
 @given(span_and_candidates())
@@ -130,11 +157,12 @@ def test_solve_agrees_with_the_rank_test(case):
     p, b, a = case
     if not b.shape[1]:
         return
-    x = _fp.solve(a, b[:, :1], p)
+    x = _fp.solve(sparse_rows(a), a.shape[1], _vector(b[:, :1]), p)
     solvable = rank_mod_p(np.concatenate([a, b[:, :1]], axis=1).tolist(),
                           p) == rank_mod_p(a.tolist(), p)
     assert (x is not None) == solvable
     if x is not None:
+        x = _columns([x], a.shape[1])
         residual = np.array(a, dtype=object) @ np.array(x, dtype=object)
         assert not np.any((residual - b[:, :1]) % p)
 
@@ -145,44 +173,47 @@ def test_solve_agrees_with_the_rank_test(case):
 @given(sparse_matrices())
 def test_kernel_and_solve_are_read_off_the_rref(case):
     p, a = case
-    red, pivots = _fp.rref(a, p)
-    assert red.dtype == _fp._reduced(a, p).dtype
+    reduced, pivots = _fp.rref(sparse_rows(a), p)
+    assert _residues(reduced, p)
+    red = _dense(reduced, a.shape)
     rows, n = a.shape
     free = [c for c in range(n) if c not in pivots]
     if n:
         expected = np.zeros((n, len(free)), dtype=red.dtype)
         expected[free, range(len(free))] = 1
         expected[pivots] = -red[:len(pivots)][:, free] % p
-        basis = _fp.kernel(a, p)
-        assert basis.dtype == red.dtype
+        vectors = _fp.kernel(sparse_rows(a), n, p)
+        assert _residues(vectors, p)
+        basis = _columns(vectors, n)
         assert np.array_equal(basis, expected)
         # a = [a' | b]: solve(a', b) reads x off the same RREF
-        x = _fp.solve(a[:, :-1], a[:, -1:], p)
+        x = _fp.solve(sparse_rows(a[:, :-1]), n - 1, _vector(a[:, -1:]), p)
         if pivots and pivots[-1] == n - 1:
             assert x is None
         else:
             expected = np.zeros((n - 1, 1), dtype=red.dtype)
             expected[pivots] = red[:len(pivots), n - 1:]
-            assert x.dtype == red.dtype
-            assert np.array_equal(x, expected)
+            assert _residues([x], p)
+            assert np.array_equal(_columns([x], n - 1), expected)
 
 
 def _answers(a, p):
     """What every entry point answers on a, split as [a' | b] for the pairs."""
     n = a.shape[1]
-    half = n // 2
-    out = [_fp.rref(a, p), _fp.rank(a, p), _fp.kernel(a, p),
-           _fp.extend_independent(a[:, :half], a[:, half:], p)]
+    rows = sparse_rows(a)
+    out = [_fp.rref(rows, p), _fp.rank(rows, p), _fp.kernel(rows, n, p),
+           _fp.extend_independent(rows, n // 2, p)]
     if n:
-        out.append(_fp.solve(a[:, :-1], a[:, -1:], p))
+        out.append(_fp.solve(sparse_rows(a[:, :-1]), n - 1,
+                             _vector(a[:, -1:]), p))
     return out
 
 
 def _same(x, y):
     if isinstance(x, (tuple, list)):
         return len(x) == len(y) and all(map(_same, x, y))
-    if isinstance(x, np.ndarray):
-        return x.dtype == y.dtype and np.array_equal(x, y)
+    if isinstance(x, dict):
+        return x == y and all(type(v) is int for v in x.values())
     return x == y
 
 

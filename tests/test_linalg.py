@@ -1,6 +1,7 @@
 """Matrices over both backends: solving, kernels, span sizes, exactness."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +227,28 @@ def test_failing_finite_exactness_factors_each_map_once(monkeypatch):
         assert len(built) == 2
 
 
+def test_passing_finite_exactness_factors_each_map_once(monkeypatch):
+    # Z/27 with the pair (3, 9) and a = 0: both kernel generators of the
+    # outgoing map solve into the image, over one solver of the incoming map
+    ring = FiniteLocalRing(3, 3)
+    pair = exact_pair(ring, ring.parse("3"), ring.parse("9"))
+    diffs = periodic_resolution(pair, ring.zero(), 3, "G", strict=False)
+    built = []
+
+    class CountedSolver(_zn.SpanSolver):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(_zn, "SpanSolver", CountedSolver)
+    for i in (1, 2):
+        built.clear()
+        rep = check_exact_at(diffs[i], diffs[i - 1])
+        assert rep.passed
+        assert rep.details == {"kernel_generators": 2}
+        assert len(built) == 2
+
+
 # -- graded layouts ---------------------------------------------------------
 
 def test_graded_solve_right_round_trip(pair_f5):
@@ -349,6 +372,65 @@ def test_graded_kernel_gens_match_the_oracle(case, m, n, rng):
         others = multiples(e, gens[:k] + gens[k + 1:])
         assert rank_mod_p(others + multiples(e, [(vec, e)]), oracle.p) \
             == rank_mod_p(others, oracle.p) + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GRADED_CASES), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 5), st.randoms(use_true_random=False))
+def test_slice_matrix_rows_match_the_oracle(case, m, n, d, rng):
+    """slice_matrix's rows are oracles.slice_rows, once each twisted
+    summand's monomials are put in the oracle's order."""
+    ring, oracle = case
+    row_degs = [rng.randrange(2) for _ in range(m)]
+    col_degs = [rng.randrange(3) for _ in range(n)]
+    rho, polys = _graded_matrix(ring, oracle, row_degs, col_degs, rng)
+    rows, width = linalg.slice_matrix(rho, d)
+    assert all(type(v) is int and 0 < v < ring.p
+               for row in rows for v in row.values())
+
+    def oracle_positions(degs):
+        """The oracle's index of each slice coordinate of the ring."""
+        index = {key: pos for pos, key in enumerate(
+            (i, mono) for i, s in enumerate(degs)
+            for mono in oracle.basis(d - s))}
+        return [index[i, mono] for i, s in enumerate(degs)
+                for mono in ring.basis(d - s)]
+
+    row_at, col_at = oracle_positions(row_degs), oracle_positions(col_degs)
+    assert (len(rows), width) == (len(row_at), len(col_at))
+    permuted = [[0] * width for _ in rows]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            permuted[row_at[r]][col_at[c]] = v
+    assert permuted == slice_rows(oracle, polys, row_degs, col_degs, d)
+
+
+def test_graded_slices_beyond_int64():
+    """Over F_p[x,y]/(xy) with p = 2^64 - 59, where residues pass int64,
+    slice ranks and kernel generators match the oracle's ranks."""
+    p = 2 ** 64 - 59
+    ring = GradedMonomialRing(p, ("x", "y"), ((1, 1),))
+    oracle = MonomialQuotientOracle(p, 2, [(1, 1)])
+    rng = random.Random(64)
+    row_degs, col_degs = [0, 1], [1, 2, 2]
+    rho, polys = _graded_matrix(ring, oracle, row_degs, col_degs, rng)
+    assert any(c >= 2 ** 63 for row in polys for poly in row
+               for c in poly.values())
+    bound = 5
+    gens = kernel_gens(rho, bound)
+    assert gens
+    for gen in gens:
+        assert (rho * gen).is_zero
+    for d in range(bound + 1):
+        system = slice_rows(oracle, polys, row_degs, col_degs, d)
+        rank = rank_mod_p(system, p)
+        assert linalg.slice_rank(rho, d) == rank
+        # the degree-d multiples of the generators span the kernel slice
+        held = [gen * ring.monomial_element(mono)
+                for gen in gens for mono in ring.basis(d - gen.col_degs[0])]
+        span = linalg.slice_rank(hstack(held), d) if held else 0
+        width = linalg._twist_layout(ring, rho.col_degs, d)[2]
+        assert span == width - rank
 
 
 # the incoming map of an exactness check: all kernel generators of the
@@ -481,7 +563,7 @@ def test_unchecked_builders_pass_the_checks(ring, data):
         d = max(a.col_degs) + rng.randrange(3)
         width = linalg._twist_layout(ring, a.col_degs, d)[2]
         checked(slice_vector_to_matrix(
-            ring, [rng.randrange(ring.p) for _ in range(width)],
+            ring, {i: rng.randrange(ring.p) for i in range(width)},
             a.col_degs, d))
 
 
