@@ -8,22 +8,11 @@ the span closed under "leading zeros" truncation.
 
 Solving A*x = b and computing right kernels both go through one augmented
 Howell computation on [A^T | I].
-
-``SpanSolver.reduce`` applies each Howell value row to a whole (m, height)
-batch at once, in int64 while n^2 < 2^63 and in Python integers
-(``dtype=object``) above, since an update subtracts a product of residues.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-import numpy as np
-
-
-def int_dtype(bound: int):
-    """int64 if ``bound`` < 2^63 bounds every intermediate, else ``object``."""
-    return np.int64 if bound < 2 ** 63 else object
 
 
 def modinv(a: int, n: int) -> int:
@@ -160,10 +149,9 @@ class SpanSolver:
                 self.value_rows.append(row)
             else:
                 self.kernel_rows.append(row[height:])
-        self._dtype = int_dtype(n * n)
         # (pivot column, pivot, row from the pivot on) of each value row
         pivots = [_pivot(row) for row in self.value_rows]
-        self._steps = [(j, row[j], np.array(row[j:height], dtype=self._dtype))
+        self._steps = [(j, row[j], row[j:height])
                        for j, row in zip(pivots, self.value_rows)]
 
     def solve(self, b: list[int]) -> list[int] | None:
@@ -181,19 +169,21 @@ class SpanSolver:
             return None
         return [(-x) % n for x in v[self.height:]]
 
-    def reduce(self, vectors) -> np.ndarray:
-        """Canonical representatives of the rows of ``vectors`` modulo the
-        column span of A, as an (m, height) array.
-
-        Two vectors reduce to the same row exactly when their difference
-        lies in the span, because the value rows are in Howell form.
+    def reduce(self, vectors) -> list[list[int]]:
+        """Canonical representatives of ``vectors`` modulo the column span
+        of A: two vectors reduce to the same list exactly when their
+        difference lies in the span, as the value rows are in Howell form.
         """
         n = self.n
-        v = np.array(vectors, dtype=self._dtype).reshape(-1, self.height) % n
-        for j, piv, row in self._steps:
-            q = v[:, j] // piv
-            v[:, j:] = (v[:, j:] - q[:, None] * row) % n
-        return v
+        out = []
+        for vec in vectors:
+            v = [x % n for x in vec]
+            for j, piv, row in self._steps:
+                q = v[j] // piv
+                if q:
+                    v[j:] = [(x - q * y) % n for x, y in zip(v[j:], row)]
+            out.append(v)
+        return out
 
     def reduced_bounds(self) -> list[int]:
         """Entry bounds of the reduced vectors (the pivot in a pivot column,

@@ -36,7 +36,8 @@ def _family_layout(pair, a, flavor: str):
     wx = pair.x.degree() or 0
     wy = pair.y.degree() or 0
     first, second = (wx, wy) if flavor == "gamma" else (wy, wx)
-    alpha = a.degree() if not a.is_zero else second
+    # wy for both flavors at a = 0, so eta_0 chains under gamma_0
+    alpha = a.degree() if not a.is_zero else wy
     return (0, alpha - second), (first, alpha)
 
 

@@ -18,12 +18,10 @@ import contextvars
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _zn
 from .errors import (InconclusiveStrategy, NonHomogeneous, ParseError,
                      PreconditionFailed, TooLarge, TotrefError, WrongBackend)
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
@@ -288,10 +286,18 @@ class _TargetTables:
     Cosets are numbered 0..r-1 by their canonical keys in lexicographic
     order; reps[i] is the lexicographically first generator-coefficient
     tuple of coset i, add is the r x r sum table and mul maps each ring
-    element (by coordinate key) to the r-vector of scalar multiples.  The
+    element (by coordinate key) to the r-list of scalar multiples.  The
     keys are the product of the solver's reduced bounds, each the first
-    vector of its coset and indexed by its mixed-radix rank.  A row of add
-    or of mul costs one batched reduction, r + |A| in all.
+    vector of its coset and indexed by its mixed-radix rank.
+
+    Key j is key j - strides[u] plus the unit vector e_u (key strides[u])
+    when u is the first nonzero coordinate of key j.  So, coordinates taken
+    from the last, add[j][i] = plus_u[add[j - strides[u]][i]] with plus_u[i]
+    the index of key i + e_u, the scalar row of t^s follows the same way
+    from the products t^s e_u, and the row of a ring element c is the
+    entrywise sum of the rows of c - t^s and t^s, for the last nonzero
+    coordinate s of c.  Only the sums key i + e_u and the products t^s e_u
+    are reduced: g d (r + d) vectors at most.
     """
 
     def __init__(self, module: PresentedModule):
@@ -304,31 +310,49 @@ class _TargetTables:
         self.reps = [tuple(_unflatten_vector(ring, key, g))
                      for key in self.keys]
         r = len(self.keys)
-        # every partial sum of a rank is below r
-        self._strides = np.array([math.prod(bounds[t + 1:]) for t in
-                                  range(g * d)], dtype=_zn.int_dtype(r))
+        self._strides = strides = [math.prod(bounds[u + 1:])
+                                   for u in range(g * d)]
         # the zero vector is the lexicographically first key
         self.zero_idx = 0
-        # a scalar multiple of a key block sums d products of residues
-        dtype = _zn.int_dtype(d * ring.n ** 2)
-        keys = np.array(self.keys, dtype=dtype)
-        self.add = np.empty((r, r), dtype=np.int32)
-        for i in range(r):
-            self.add[i] = self._lookup(keys[i] + keys)
-        blocks = keys.reshape(r, g, d)
-        self.mul = {}
-        for c in ring.enumerate_carrier():
-            cols = np.array(ring.mult_columns(c), dtype=dtype)
-            scaled = (blocks @ cols).reshape(r, g * d)
-            self.mul[c.coords] = self._lookup(scaled).astype(np.int32)
+        # the coordinates u whose e_u is a key, the last (stride 1) first
+        units = [u for u in reversed(range(g * d)) if bounds[u] > 1]
+        self.add = [list(range(r))]
+        for u in units:
+            shift = self._lookup([key[:u] + (key[u] + 1,) + key[u + 1:]
+                                  for key in self.keys]).__getitem__
+            for j in range(strides[u], strides[u] * bounds[u]):
+                self.add.append(list(map(shift, self.add[j - strides[u]])))
+        powers = []  # the scalar rows of 1, t, ..., t^(d-1)
+        for s in range(d):
+            # t^s e_u is t^(s + u mod d) in e_u's generator block
+            products = self._lookup(
+                [[0] * (u - u % d) + list(ring._powers[s + u % d])
+                 + [0] * (g * d - d - u + u % d) for u in units])
+            row = [self.zero_idx]
+            for u, product in zip(units, products):
+                shift = self.add[product].__getitem__
+                for j in range(strides[u], strides[u] * bounds[u]):
+                    row.append(shift(row[j - strides[u]]))
+            powers.append(row)
+        # enumerate_carrier lists the coordinates lexicographically
+        rows = [[self.zero_idx] * r]
+        for s in reversed(range(d)):
+            shifted = [self.add[x] for x in powers[s]]
+            stride = ring.n ** (d - 1 - s)
+            for i in range(stride, stride * ring.n):
+                rows.append(list(map(list.__getitem__, shifted,
+                                     rows[i - stride])))
+        self.mul = {c.coords: row
+                    for c, row in zip(ring.enumerate_carrier(), rows)}
 
-    def _lookup(self, vectors) -> np.ndarray:
-        return self.solver.reduce(vectors) @ self._strides
+    def _lookup(self, vectors) -> list[int]:
+        return [sum(map(operator.mul, vec, self._strides))
+                for vec in self.solver.reduce(vectors)]
 
     def indices_of_columns(self, columns) -> list[int]:
         """Coset indices of ``columns``, each a list of ring elements."""
         return self._lookup([_flatten_vector(self.ring, col)
-                             for col in columns]).tolist()
+                             for col in columns])
 
 
 def _target_tables(module: PresentedModule, budget: int) -> _TargetTables:
@@ -348,8 +372,9 @@ def brute_force_hom_oracle(source: PresentedModule, target: PresentedModule,
                            budget=None):
     """All module maps Coker rho_1 -> Coker rho_2, by exhaustive search.
 
-    Every assignment of target cosets to source generators is tried
-    against every relation column.  Returns the set of maps, each encoded
+    Every assignment of target cosets to the source generators but the
+    last is tried, and the last one's images that make every relation
+    column vanish are looked up.  Returns the set of maps, each encoded
     as the tuple of canonical target representatives of the generator
     images.  Finite backend only; raises TooLarge when the assignment
     count would exceed the carrier budget (TOTREF_MAX_CARRIER by
@@ -363,17 +388,27 @@ def brute_force_hom_oracle(source: PresentedModule, target: PresentedModule,
     n1 = source.ngens
     if r ** n1 > budget:
         raise TooLarge("assignment enumeration exceeds the carrier budget")
-    rho1 = source.rho
-    valid = np.ones((r,) * n1, dtype=bool)
-    for j in range(rho1.ncols):
-        acc = tables.mul[rho1.entries[0][j].coords]
-        for k in range(1, n1):
-            vec = tables.mul[rho1.entries[k][j].coords]
-            idx = (None,) * acc.ndim + (slice(None),)
-            acc = tables.add[acc[..., None], vec[idx]]
-        valid &= acc == tables.zero_idx
-    key = tables.keys.__getitem__
-    return {tuple(map(key, row)) for row in np.argwhere(valid).tolist()}
+    add, keys, rho = tables.add, tables.keys, source.rho
+    neg = [row.index(tables.zero_idx) for row in add]
+    *heads, last = [
+        [tables.mul[rho.entries[k][j].coords] for j in range(rho.ncols)]
+        for k in range(n1)]
+    preimages = {}
+    for v, terms in enumerate(zip(*last)):
+        preimages.setdefault(terms, []).append(keys[v])
+    # per column, minus the sum of the other generators' terms, over all
+    # their images in product order
+    needs = []
+    for j in range(rho.ncols):
+        acc = [tables.zero_idx]
+        for rows in heads:
+            acc = [add[s][w] for s in acc for w in rows[j]]
+        needs.append(map(neg.__getitem__, acc))
+    maps = set()
+    for head, need in zip(itertools.product(keys, repeat=n1 - 1),
+                          zip(*needs)):
+        maps.update(head + (image,) for image in preimages.get(need, ()))
+    return maps
 
 
 def _map_closure(hp: HomPresentation, budget: int, cap: int):
@@ -392,24 +427,29 @@ def _map_closure(hp: HomPresentation, budget: int, cap: int):
     n1 = hp.source.ngens
     tables = _target_tables(hp.target, budget)
     scalars = [tables.mul[t_j] for t_j in ring._powers[:ring.ext_degree]]
-    reached = np.full((1, n1), tables.zero_idx, dtype=tables.add.dtype)
-    found = {(tables.zero_idx,) * n1}
+    add = tables.add
+    reached = [(tables.zero_idx,) * n1]
+    found = set(reached)
     images = tables.indices_of_columns(
         [col for psi in hp.generators for col in psi.transpose().entries])
-    for base in np.reshape(images, (-1, n1)):
+    for start in range(0, len(images), n1):
+        base = images[start:start + n1]
         for mul in scalars:
-            step = mul[base]
+            step = tuple(mul[b] for b in base)
             multiple = step
             cosets = [reached]
-            while tuple(multiple.tolist()) not in found:
+            while multiple not in found:
                 if len(found) + len(reached) > cap:
                     raise _map_budget_error(cap)
-                coset = tables.add[reached, multiple]
-                found.update(map(tuple, coset.tolist()))
+                # add is symmetric: state + multiple reads multiple's rows
+                rows = [add[m] for m in multiple]
+                coset = [tuple(map(list.__getitem__, rows, state))
+                         for state in reached]
+                found.update(coset)
                 cosets.append(coset)
-                multiple = tables.add[multiple, step]
+                multiple = tuple(map(list.__getitem__, rows, step))
             if len(cosets) > 1:
-                reached = np.concatenate(cosets)
+                reached = [state for coset in cosets for state in coset]
     return tables, found
 
 
@@ -1039,7 +1079,7 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
             for k in range(n):
                 acc = tables.zero_idx
                 for c, image in zip(tables.reps[state[k]], state):
-                    acc = tables.add[acc, tables.mul[c.coords][image]]
+                    acc = tables.add[acc][tables.mul[c.coords][image]]
                 square.append(acc)
             if tuple(square) == state:
                 found.append(repr(Matrix(

@@ -168,6 +168,22 @@ def test_family_verify_complex_refuses_a_window_without_exactness(capsys):
         assert json.loads(out)["error"] == "TotrefError"
 
 
+def test_family_verbs_at_a_zero_when_x_and_y_differ_in_degree(capsys):
+    # G_0 and H_0 must chain in the periodic resolution although
+    # deg x != deg y
+    cases = [('{"kind": "graded", "p": 5, "vars": ["x", "y", "z"], '
+              '"relations": ["x*y^2"]}', "x", "y^2"),
+             ('{"kind": "graded", "p": 2, "vars": ["t"], '
+              '"relations": ["t^5"]}', "t^2", "t^3")]
+    for ring, x, y in cases:
+        for verb in ("verify-tr", "verify-complex"):
+            code, out, _ = run(capsys, "family", verb, "--ring", ring,
+                               "--x", x, "--y", y, "--a", "0",
+                               "--degree", "8", "--format", "json")
+            assert code == 0, (ring, verb)
+            assert json.loads(out)["verdict"] == "pass", (ring, verb)
+
+
 def test_family_identify_verb(capsys):
     args = ("family", "identify", "--ring", F5, "--x", "x", "--y", "y",
             "--degree", "8", "--format", "json")

@@ -18,6 +18,9 @@ a class name stands for the class's ``__init__``, and calls that splat
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -162,11 +165,12 @@ def test_every_optional_parameter_is_passed_somewhere():
     assert UNPASSED_ALLOWED <= set(unpassed)  # no stale allowance
 
 
-def test_the_graded_path_imports_no_numpy():
-    """Graded slices are sparse rows from the ring to the elimination, so
-    the modules that build and eliminate them import no numpy."""
-    for name in ("_fp.py", "rings.py", "linalg.py"):
-        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+def test_no_module_of_the_package_imports_numpy():
+    """Both backends run on Python integers, so no module imports numpy."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 10  # the scan sees the package
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -174,4 +178,13 @@ def test_the_graded_path_imports_no_numpy():
                              for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 imported.add(node.module.partition(".")[0])
-        assert "numpy" not in imported, name
+        assert "numpy" not in imported, path.name
+
+
+def test_importing_the_command_line_loads_no_numpy():
+    # a fresh interpreter: the test process itself has numpy loaded
+    code = "import sys, totref.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

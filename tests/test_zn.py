@@ -18,7 +18,7 @@ def reduce_one(solver, vec):
 
 
 def test_batched_reduce_beyond_int64():
-    # n^2 > 2^63, so the updates run on Python integers
+    # n^2 > 2^63: no product of residues fits a machine word
     n = 3 ** 40
     rng = random.Random(40)
     columns = [[1] + [rng.randrange(n) for _ in range(4)],
@@ -32,7 +32,6 @@ def test_batched_reduce_beyond_int64():
     vectors = [[rng.randrange(2 * n) for _ in range(5)] for _ in range(20)]
     vectors += columns + [[0] * 5]
     reduced = solver.reduce(vectors)
-    assert reduced.dtype == object
-    assert reduced.tolist() == [reduce_one(solver, v) for v in vectors]
-    assert reduced[-4:].tolist() == [[0] * 5] * 4
-    assert all(type(x) is int for x in reduced.flat)
+    assert reduced == [reduce_one(solver, v) for v in vectors]
+    assert reduced[-4:] == [[0] * 5] * 4
+    assert all(type(x) is int for row in reduced for x in row)
