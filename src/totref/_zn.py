@@ -15,25 +15,6 @@ from __future__ import annotations
 from math import gcd
 
 
-def modinv(a: int, n: int) -> int:
-    a %= n
-    g, s = _xgcd_partial(a, n)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    return s % n
-
-
-def _xgcd_partial(a: int, b: int) -> tuple[int, int]:
-    # returns (g, s) with s*a = g mod b
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_r, old_s
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -58,7 +39,7 @@ def unit_factor(a: int, n: int) -> int:
     step = n // d
     while gcd(c, n) != 1:
         c += step
-    return modinv(c, n)
+    return pow(c, -1, n)
 
 
 def _gcdex2(a: int, b: int, n: int) -> tuple[int, int, int, int, int]:

@@ -26,8 +26,9 @@ from .errors import (InconclusiveStrategy, NonHomogeneous, ParseError,
                      PreconditionFailed, TooLarge, TotrefError, WrongBackend)
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
                      phi_matrix, verify_total_reflexivity)
-from .linalg import (Matrix, _flatten_vector, _unflatten_vector, homology,
-                     hstack, kernel_gens, kron, solve_right)
+from .linalg import (Matrix, _flatten_vector, _right_solver,
+                     _unflatten_vector, homology, hstack, kernel_gens, kron,
+                     solve_right)
 from .modules import (PresentedModule, fitting_ideal, hilbert_function,
                       ideals_equal, minimal_generator_count,
                       verify_iso_witness)
@@ -860,14 +861,6 @@ def _functional_rows(pair, flavor: str, elem) -> Matrix:
     return (phi_matrix(ring) * tau.without_degrees()).without_degrees()
 
 
-def _transpose_map(pair, src, tgt, psi: Matrix, bound) -> Matrix | None:
-    """Theta with Theta^T F_src = F_tgt psi, the action on functionals."""
-    f_src = _functional_rows(pair, *src)
-    f_tgt = _functional_rows(pair, *tgt)
-    rhs = psi.without_degrees().transpose() * f_tgt.transpose()
-    return solve_right(f_src.transpose(), rhs, bound)
-
-
 def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
                          bound=None) -> VerificationReport:
     """Certify Hom(M, N) = Hom(N*, M*) through functional transposes.
@@ -877,7 +870,9 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
     presentation and vice versa.  The bijection is witnessed on
     presentations: generator images solve the transpose equation, both
     directions kill relations, the transpose equation determines cosets
-    uniquely, and the two round trips return every generator.
+    uniquely, and the two round trips return every generator.  Direction
+    0 runs Hom(M, N) -> Hom(N*, M*) and direction 1 back; every solve goes
+    through one of four matrices, each factored once.
     """
     ring = pair.ring
     scope = scope_of(ring, bound)
@@ -890,88 +885,64 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
     name = f"hom({m_src.label},{m_tgt.label})-matches-" \
            f"hom({d_tgt.label},{d_src.label})"
     rep = VerificationReport(name, PASS, scope, {"route": "transpose"})
-    back_src = (_PARTNER[tgt_fl], tgt_el)
-    back_tgt = (_PARTNER[src_fl], src_el)
+    ends = ((src, tgt),
+            ((_PARTNER[tgt_fl], tgt_el), (_PARTNER[src_fl], src_el)))
+    # direction k solves Theta^T F_x = F_y psi for its ends x -> y, and
+    # works modulo the relations of the dual module its transposes land in
+    f_x = [_functional_rows(pair, *x).transpose() for x, _ in ends]
+    f_y = [_functional_rows(pair, *y).transpose() for _, y in ends]
+    solve = [_right_solver(f, bound) for f in f_x]
+    rel_solve = [_right_solver(m.rho.without_degrees(), bound)
+                 for m in (d_src, m_tgt)]
 
-    unique_ok = True
-    for direction, sigma in ((src, d_src.rho), (back_src, m_tgt.rho)):
-        f_t = _functional_rows(pair, *direction).transpose()
-        for gen in kernel_gens(f_t, bound):
-            if solve_right(sigma.without_degrees(), gen.without_degrees(),
-                           bound) is None:
-                unique_ok = False
+    def transpose(k: int, psi: Matrix) -> Matrix | None:
+        theta = solve[k](psi.without_degrees().transpose() * f_y[k])
+        return None if theta is None else theta.without_degrees()
+
+    unique_ok = all(rel_solve[k](gen.without_degrees()) is not None
+                    for k in (0, 1) for gen in kernel_gens(f_x[k], bound))
     rep.add(report("transpose-determined-mod-relations", unique_ok, scope,
                    {}))
 
-    hp_f = hom_presentation(m_src, m_tgt, bound)
-    hp_b = hom_presentation(d_tgt, d_src, bound)
-    rho_src_rel = d_src.rho.without_degrees()
-    rho_tgt_rel = m_tgt.rho.without_degrees()
+    hps = (hom_presentation(m_src, m_tgt, bound),
+           hom_presentation(d_tgt, d_src, bound))
+    images = []
+    for k, label in enumerate(("forward", "backward")):
+        thetas = []
+        for psi in hps[k].generators:
+            theta = transpose(k, psi)
+            if theta is None:
+                break
+            thetas.append(theta)
+        ok = len(thetas) == hps[k].gen_count
+        rep.add(report(f"{label}-transposes-exist", ok, scope,
+                       {"generators": hps[k].gen_count}))
+        if not ok:
+            return rep
+        rep.add(report(f"{label}-kills-relations", _combos_in_image(
+            hps[k].module.rho, thetas, rel_solve[k]), scope, {}))
+        images.append(thetas)
 
-    thetas = []
-    forward_ok = True
-    for psi in hp_f.generators:
-        theta = _transpose_map(pair, src, tgt, psi, bound)
-        if theta is None:
-            forward_ok = False
-            break
-        thetas.append(theta.without_degrees())
-    rep.add(report("forward-transposes-exist", forward_ok, scope,
-                   {"generators": hp_f.gen_count}))
-    if not forward_ok:
-        return rep
-
-    rel_ok = _combos_in_image(hp_f.module.rho, thetas, rho_src_rel, bound)
-    rep.add(report("forward-kills-relations", rel_ok, scope, {}))
-
-    psis_back = []
-    backward_ok = True
-    for theta in hp_b.generators:
-        psi = _transpose_map(pair, back_src, back_tgt, theta, bound)
-        if psi is None:
-            backward_ok = False
-            break
-        psis_back.append(psi.without_degrees())
-    rep.add(report("backward-transposes-exist", backward_ok, scope,
-                   {"generators": hp_b.gen_count}))
-    if not backward_ok:
-        return rep
-
-    rel_ok_b = _combos_in_image(hp_b.module.rho, psis_back, rho_tgt_rel,
-                                bound)
-    rep.add(report("backward-kills-relations", rel_ok_b, scope, {}))
-
-    round_ok = True
-    for psi, theta in zip(hp_f.generators, thetas):
-        back = _transpose_map(pair, back_src, back_tgt, theta, bound)
-        if back is None or solve_right(
-                rho_tgt_rel,
-                (back.without_degrees() - psi.without_degrees()),
-                bound) is None:
-            round_ok = False
-    rep.add(report("round-trip-fixes-source-generators", round_ok, scope,
-                   {}))
-
-    round_ok_b = True
-    for theta, psi in zip(hp_b.generators, psis_back):
-        fwd = _transpose_map(pair, src, tgt, psi, bound)
-        if fwd is None or solve_right(
-                rho_src_rel,
-                (fwd.without_degrees() - theta.without_degrees()),
-                bound) is None:
-            round_ok_b = False
-    rep.add(report("round-trip-fixes-target-generators", round_ok_b, scope,
-                   {}))
+    for k, label in enumerate(("source", "target")):
+        ok = True
+        for psi, theta in zip(hps[k].generators, images[k]):
+            back = transpose(1 - k, theta)
+            if back is None or rel_solve[1 - k](
+                    back - psi.without_degrees()) is None:
+                ok = False
+        rep.add(report(f"round-trip-fixes-{label}-generators", ok, scope,
+                       {}))
     if isinstance(ring, FiniteLocalRing):
-        rep.details["sizes"] = [hp_f.module.size(), hp_b.module.size()]
+        rep.details["sizes"] = [hp.module.size() for hp in hps]
     return rep
 
 
-def _combos_in_image(rel: Matrix, mats, rho: Matrix, bound) -> bool:
-    """Whether every relation column lands in rho * M under t -> mats[t]."""
-    ring = rho.ring
+def _combos_in_image(rel: Matrix, mats, solve) -> bool:
+    """Whether every relation column, taken through t -> mats[t], lands in
+    the image of the matrix that ``solve`` (a ``_right_solver``) factors."""
     if not mats:
         return True
+    ring = mats[0].ring
     for j in range(rel.ncols):
         combo = Matrix.zeros(ring, mats[0].nrows, mats[0].ncols)
         for t, mat in enumerate(mats):
@@ -981,7 +952,7 @@ def _combos_in_image(rel: Matrix, mats, rho: Matrix, bound) -> bool:
             combo = combo + mat * coeff
         if combo.is_zero:
             continue
-        if solve_right(rho, combo, bound) is None:
+        if solve(combo) is None:
             return False
     return True
 
@@ -1138,8 +1109,8 @@ def _ext_profile(pair: ExactZeroDivisorPair, flavor: str, elem,
             for d in diffs]
     profiles = []
     for i in range(1, i_max + 1):
-        counts = homology(deltas[i - 1], deltas[i], bound, rels[i - 1],
-                          rels[i])
+        counts = homology(deltas[i - 1], deltas[i], rels[i - 1], rels[i],
+                          bound)
         if isinstance(ring, FiniteLocalRing):
             profiles.append(counts[0] // counts[1])
         else:
@@ -1214,23 +1185,16 @@ def noniso_certificate(m1: PresentedModule, m2: PresentedModule,
                        bound=None) -> VerificationReport:
     """Certify m1 and m2 non-isomorphic by an isomorphism invariant.
 
-    "mu" compares minimal generator counts; "fitting" compares Fitting
-    ideals; "hom-freeness" compares the generator count of Hom(m1, m2)
-    with that of End(m1) (isomorphic modules have isomorphic Hom and End).
-    Raises InconclusiveStrategy when the chosen invariant cannot separate
-    the modules.
+    "fitting" compares Fitting ideals; "hom-freeness" compares the
+    generator count of Hom(m1, m2) with that of End(m1) (isomorphic
+    modules have isomorphic Hom and End).  Raises InconclusiveStrategy
+    when the chosen invariant cannot separate the modules.
     """
     ring = m1.ring
     if m2.ring.key != ring.key:
         raise TotrefError("modules live over different rings")
     scope = scope_of(ring, bound)
     name = f"noniso({m1.label},{m2.label})-{strategy}"
-    if strategy == "mu":
-        mu1, mu2 = minimal_generator_count(m1), minimal_generator_count(m2)
-        if mu1 == mu2:
-            raise InconclusiveStrategy(
-                f"both modules need {mu1} generators")
-        return report(name, True, scope, {"mu": [mu1, mu2]})
     if strategy == "fitting":
         for j in range(max(m1.ngens, m2.ngens) + 1):
             f1 = fitting_ideal(m1, j)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 
 from . import _fp, _zn
 from .errors import (DimensionMismatch, NonHomogeneous, NotAComplex,
@@ -638,18 +637,7 @@ def slice_rank(mat: Matrix, d: int) -> int:
 # ---------------------------------------------------------------------------
 # ideals
 
-@dataclass(frozen=True)
-class IdealGenerators:
-    """A finite generator list together with the scope it was computed at."""
-
-    generators: tuple
-    scope: dict
-
-    def __iter__(self):
-        return iter(self.generators)
-
-
-def annihilator(ring, e, bound: int | None = None) -> IdealGenerators:
+def annihilator(ring, e, bound: int | None = None) -> tuple:
     """Generators of Ann(e), exhaustive (finite) or in degrees <= bound.
 
     Ann(e) is the kernel of the column of e's homogeneous components.  On
@@ -663,9 +651,7 @@ def annihilator(ring, e, bound: int | None = None) -> IdealGenerators:
         parts = list(e.homogeneous_components().items()) or [(0, e)]
         column = Matrix(ring, [[c] for _, c in parts],
                         [-d for d, _ in parts], (0,))
-    gens = kernel_gens(column, bound)
-    return IdealGenerators(tuple(g.entries[0][0] for g in gens),
-                           scope_of(ring, bound))
+    return tuple(g.entries[0][0] for g in kernel_gens(column, bound))
 
 
 def ideal_membership(ring, e, generators, bound: int | None = None):
@@ -720,8 +706,8 @@ def _with_middle(incoming: Matrix, outgoing: Matrix):
     return incoming, outgoing
 
 
-def homology(incoming: Matrix, outgoing: Matrix, bound: int | None = None,
-             rel_mid: Matrix | None = None, rel_out: Matrix | None = None):
+def homology(incoming: Matrix, outgoing: Matrix, rel_mid: Matrix,
+             rel_out: Matrix, bound: int | None = None):
     """Sizes of the cycles Z and boundaries B at the shared middle module.
 
     Z is the v with outgoing * v in span(rel_out) and B is im(incoming),
@@ -733,8 +719,8 @@ def homology(incoming: Matrix, outgoing: Matrix, bound: int | None = None,
     """
     incoming, outgoing = _with_middle(incoming, outgoing)
     ring = incoming.ring
-    up = outgoing if rel_out is None else hstack([outgoing, rel_out])
-    down = incoming if rel_mid is None else hstack([rel_mid, incoming])
+    up = hstack([outgoing, rel_out])
+    down = hstack([rel_mid, incoming])
     if isinstance(ring, FiniteLocalRing):
         # the kernel rows generate ker(up) over Z/n, so their leading
         # coordinates, those of the middle module, generate Z
@@ -745,9 +731,8 @@ def homology(incoming: Matrix, outgoing: Matrix, bound: int | None = None,
     for d in range(min(outgoing.col_degs), degree_bound(bound) + 1):
         width = _twist_layout(ring, outgoing.col_degs, d)[2]
         if width:
-            held = slice_rank(rel_out, d) if rel_out is not None else 0
-            dims.append([d, width - slice_rank(up, d) + held,
-                         slice_rank(down, d)])
+            dims.append([d, width - slice_rank(up, d)
+                         + slice_rank(rel_out, d), slice_rank(down, d)])
     return dims
 
 

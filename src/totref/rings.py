@@ -90,12 +90,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             tokens.append((ch, ch))
             i += 1
             continue
-        if ch == "*" or ch.isdigit():
+        if ch.isdigit():
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            if j == i:
-                raise ParseError(f"unexpected character {ch!r} at position {i}")
             tokens.append(("int", text[i:j]))
             i = j
             continue

@@ -418,6 +418,71 @@ def test_hom_transpose_bijection(pair_f5):
     assert rep.passed, rep.first_failure()
 
 
+def _z27_pair(x: int, y: int):
+    ring = FiniteLocalRing(3, 3)
+    return exact_pair(ring, ring.from_int(x), ring.from_int(y))
+
+
+def _transpose(pair, src, tgt):
+    ring = pair.ring
+    return verify_hom_transpose(pair, (src[0], ring.from_int(src[1])),
+                                (tgt[0], ring.from_int(tgt[1])))
+
+
+@pytest.mark.parametrize("src, tgt, sizes", [
+    (("G", 3), ("G", 9), [243, 243]),
+    (("H", 1), ("H", 3), [27, 27]),
+])
+def test_finite_transpose_factors_four_matrices_once(monkeypatch, src, tgt,
+                                                     sizes):
+    # Z/27 with the pair (3, 9): besides the kernels and Hom presentations,
+    # every solve goes through F_x^T of each direction or the relations of
+    # M* and N, so the solver count does not grow with the generators
+    pair = _z27_pair(3, 9)
+    built = []
+
+    class CountedSolver(_zn.SpanSolver):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(_zn, "SpanSolver", CountedSolver)
+    rep = _transpose(pair, src, tgt)
+    assert rep.passed, rep.first_failure()
+    assert rep.details == {"route": "transpose", "sizes": sizes}
+    assert len(built) == 12
+
+
+def _verdicts(rep):
+    return [(sub.name, sub.passed) for sub in rep.subreports]
+
+
+def test_finite_transpose_failures_on_a_non_exact_pair():
+    # Z/27 with the non-exact pair (9, 9): G_0 and H_1 are not dual, and
+    # the transpose of the free G_0's Hom is not determined
+    pair = _z27_pair(9, 9)
+    rep = _transpose(pair, ("G", 0), ("H", 1))
+    assert _verdicts(rep) == [("transpose-determined-mod-relations", False),
+                              ("forward-transposes-exist", False)]
+    assert rep.details == {"route": "transpose"}
+    rep = _transpose(pair, ("H", 1), ("G", 0))
+    assert _verdicts(rep) == [("transpose-determined-mod-relations", False),
+                              ("forward-transposes-exist", True),
+                              ("forward-kills-relations", True),
+                              ("backward-transposes-exist", False)]
+    assert rep.details == {"route": "transpose"}
+    rep = _transpose(pair, ("G", 0), ("G", 0))
+    assert not rep.passed
+    assert _verdicts(rep) == [("transpose-determined-mod-relations", False),
+                              ("forward-transposes-exist", True),
+                              ("forward-kills-relations", True),
+                              ("backward-transposes-exist", True),
+                              ("backward-kills-relations", True),
+                              ("round-trip-fixes-source-generators", False),
+                              ("round-trip-fixes-target-generators", False)]
+    assert rep.details == {"route": "transpose", "sizes": [6561, 6561]}
+
+
 # -- End rings ----------------------------------------------------------------
 
 def test_end_ring_is_the_base_ring(pair_f5):
@@ -586,14 +651,6 @@ def test_noniso_inconclusive_between_g_and_h(pair_f5):
     h1 = module_h(pair_f5, ring.parse("z"))
     with pytest.raises(InconclusiveStrategy):
         noniso_certificate(g1, h1, "fitting", 8)
-
-
-def test_noniso_mu_strategy(pair_f5):
-    ring = pair_f5.ring
-    g1 = module_g(pair_f5, ring.parse("z"))
-    free = module_g(pair_f5, ring.parse("1"))
-    rep = noniso_certificate(g1, free, "mu", 8)
-    assert rep.passed
 
 
 # -- the family runner ---------------------------------------------------------
