@@ -16,8 +16,8 @@ lies in (x), the ideal (y, a) when a is injective on A/(y).
 from __future__ import annotations
 
 from .errors import NonHomogeneous, PreconditionFailed, TotrefError
-from .linalg import (Matrix, check_exact_at, ideal_membership, kernel_gens,
-                     solve_right)
+from .linalg import (Factored, Matrix, check_exact_at, ideal_membership,
+                     kernel_gens)
 from .modules import (PresentedModule, dual_presentation, ext_vanishing,
                       verify_iso_witness)
 from .report import FAIL, PASS, VerificationReport
@@ -250,11 +250,11 @@ def verify_g_description(pair: ExactZeroDivisorPair, a, bound=None,
     if degs is not None:
         row = row.with_degrees((-(pair.y.degree() or 0),), degs)
     gens = kernel_gens(row, bound)
-    failures = [repr(gen) for gen in gens
-                if solve_right(g, gen.without_degrees(), bound) is None]
+    escaping = Factored(g, bound).outside(
+        gen.without_degrees() for gen in gens)
     rep.details["kernel_generators"] = len(gens)
-    rep.details["kernel_inside_image"] = not failures
-    if failures:
-        rep.details["escaping_kernel_generator"] = failures[0]
+    rep.details["kernel_inside_image"] = escaping is None
+    if escaping is not None:
+        rep.details["escaping_kernel_generator"] = repr(escaping)
         rep.verdict = FAIL
     return rep

@@ -26,9 +26,8 @@ from .errors import (InconclusiveStrategy, NonHomogeneous, ParseError,
                      PreconditionFailed, TooLarge, TotrefError, WrongBackend)
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
                      phi_matrix, verify_total_reflexivity)
-from .linalg import (Matrix, _flatten_vector, _right_solver,
-                     _unflatten_vector, homology, hstack, kernel_gens, kron,
-                     solve_right)
+from .linalg import (Factored, Matrix, _flatten_vector, _unflatten_vector,
+                     homology, hstack, kernel_gens, kron)
 from .modules import (PresentedModule, fitting_ideal, hilbert_function,
                       ideals_equal, minimal_generator_count,
                       verify_iso_witness)
@@ -69,12 +68,6 @@ def _carrier_degs(s1, s2):
     if s1 is None or s2 is None:
         return None
     return tuple(s2[i] - s1[k] for i in range(len(s2)) for k in range(len(s1)))
-
-
-def _vec_column(ring, psi: Matrix, carrier_degs) -> Matrix:
-    elements = [psi.entries[i][k]
-                for i in range(psi.nrows) for k in range(psi.ncols)]
-    return Matrix(ring, [[e] for e in elements], carrier_degs, None)
 
 
 def _matrix_from_flat(ring, elements, nrows: int, ncols: int) -> Matrix:
@@ -132,10 +125,10 @@ def _dual_identity(ring, n: int, degs) -> Matrix:
                            None if degs is None else [-s for s in degs])
 
 
-def _express(span: Matrix, psi: Matrix, bound):
+def _express(span: Factored, psi: Matrix):
     """Coefficients writing vec(psi) over the columns of span, or None."""
-    rhs = _vec_column(span.ring, psi.without_degrees(), span.row_degs)
-    return solve_right(span, rhs, bound)
+    vec = [[e] for row in psi.entries for e in row]
+    return span.solve(Matrix(span.ring, vec, span.rho.row_degs, None))
 
 
 def _columns_matrix(ring, columns, row_degs, col_degs) -> Matrix:
@@ -559,11 +552,11 @@ def _hypotheses(pair, bound, strict: bool, checked: str, *, a=None,
     return info
 
 
-def _generators_covered(hp: HomPresentation, span: Matrix, bound, scope,
+def _generators_covered(hp: HomPresentation, span: Factored, scope,
                         name: str) -> VerificationReport:
     """Every computed generator of hp lies in the column span of span."""
     escaped = [repr(psi) for psi in hp.generators
-               if _express(span, psi, bound) is None]
+               if _express(span, psi) is None]
     return report(name, not escaped, scope,
                   {"computed_generators": hp.gen_count,
                    "escaping": escaped[:3]})
@@ -650,19 +643,20 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b, bound,
                    {"witnesses": [repr(w) for _, w in reductions]}))
 
     hp = hom_presentation(source, target, bound)
-    span = _vec_span(source, target, psis[:2])
-    rep.add(_generators_covered(hp, span, bound, scope,
+    span = Factored(_vec_span(source, target, psis[:2]), bound)
+    rep.add(_generators_covered(hp, span, scope,
                                 "computed-generators-covered"))
 
+    claim = Factored(claim_plain, bound)
     kernel_ok = True
     kernel_count = 0
-    for gen in kernel_gens(span, bound):
+    for gen in span.kernel():
         head = [gen.entries[0][0], gen.entries[1][0]]
         if all(e.is_zero for e in head):
             continue
         kernel_count += 1
         col = Matrix(ring, [[head[0]], [head[1]]])
-        if solve_right(claim_plain, col, bound) is None:
+        if claim.solve(col) is None:
             kernel_ok = False
             rep.details["escaping_kernel_element"] = repr(col)
             break
@@ -871,8 +865,8 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
     presentations: generator images solve the transpose equation, both
     directions kill relations, the transpose equation determines cosets
     uniquely, and the two round trips return every generator.  Direction
-    0 runs Hom(M, N) -> Hom(N*, M*) and direction 1 back; every solve goes
-    through one of four matrices, each factored once.
+    0 runs Hom(M, N) -> Hom(N*, M*) and direction 1 back; every solve and
+    kernel goes through one of four matrices, each factored once.
     """
     ring = pair.ring
     scope = scope_of(ring, bound)
@@ -889,25 +883,26 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
             ((_PARTNER[tgt_fl], tgt_el), (_PARTNER[src_fl], src_el)))
     # direction k solves Theta^T F_x = F_y psi for its ends x -> y, and
     # works modulo the relations of the dual module its transposes land in
-    f_x = [_functional_rows(pair, *x).transpose() for x, _ in ends]
+    f_x = [Factored(_functional_rows(pair, *x).transpose(), bound)
+           for x, _ in ends]
     f_y = [_functional_rows(pair, *y).transpose() for _, y in ends]
-    solve = [_right_solver(f, bound) for f in f_x]
-    rel_solve = [_right_solver(m.rho.without_degrees(), bound)
-                 for m in (d_src, m_tgt)]
+    rel = [Factored(m.rho.without_degrees(), bound) for m in (d_src, m_tgt)]
 
     def transpose(k: int, psi: Matrix) -> Matrix | None:
-        theta = solve[k](psi.without_degrees().transpose() * f_y[k])
+        theta = f_x[k].solve(psi.without_degrees().transpose() * f_y[k])
         return None if theta is None else theta.without_degrees()
 
-    unique_ok = all(rel_solve[k](gen.without_degrees()) is not None
-                    for k in (0, 1) for gen in kernel_gens(f_x[k], bound))
+    unique_ok = all(rel[k].outside(gen.without_degrees()
+                                   for gen in f_x[k].kernel()) is None
+                    for k in (0, 1))
     rep.add(report("transpose-determined-mod-relations", unique_ok, scope,
                    {}))
 
-    hps = (hom_presentation(m_src, m_tgt, bound),
-           hom_presentation(d_tgt, d_src, bound))
-    images = []
-    for k, label in enumerate(("forward", "backward")):
+    hps, images = [], []
+    for k, (label, hom_ends) in enumerate((("forward", (m_src, m_tgt)),
+                                           ("backward", (d_tgt, d_src)))):
+        # the backward Hom is built only once every forward transpose exists
+        hps.append(hom_presentation(*hom_ends, bound))
         thetas = []
         for psi in hps[k].generators:
             theta = transpose(k, psi)
@@ -920,14 +915,14 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
         if not ok:
             return rep
         rep.add(report(f"{label}-kills-relations", _combos_in_image(
-            hps[k].module.rho, thetas, rel_solve[k]), scope, {}))
+            hps[k].module.rho, thetas, rel[k]), scope, {}))
         images.append(thetas)
 
     for k, label in enumerate(("source", "target")):
         ok = True
         for psi, theta in zip(hps[k].generators, images[k]):
             back = transpose(1 - k, theta)
-            if back is None or rel_solve[1 - k](
+            if back is None or rel[1 - k].solve(
                     back - psi.without_degrees()) is None:
                 ok = False
         rep.add(report(f"round-trip-fixes-{label}-generators", ok, scope,
@@ -937,24 +932,16 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
     return rep
 
 
-def _combos_in_image(rel: Matrix, mats, solve) -> bool:
+def _combos_in_image(rel: Matrix, mats, image: Factored) -> bool:
     """Whether every relation column, taken through t -> mats[t], lands in
-    the image of the matrix that ``solve`` (a ``_right_solver``) factors."""
+    the image of the factored matrix ``image``."""
     if not mats:
         return True
-    ring = mats[0].ring
-    for j in range(rel.ncols):
-        combo = Matrix.zeros(ring, mats[0].nrows, mats[0].ncols)
-        for t, mat in enumerate(mats):
-            coeff = rel.entries[t][j]
-            if coeff.is_zero:
-                continue
-            combo = combo + mat * coeff
-        if combo.is_zero:
-            continue
-        if solve(combo) is None:
-            return False
-    return True
+    zero = Matrix.zeros(mats[0].ring, mats[0].nrows, mats[0].ncols)
+    combos = (sum((mat * rel.entries[t][j] for t, mat in enumerate(mats)
+                   if not rel.entries[t][j].is_zero), zero)
+              for j in range(rel.ncols))
+    return image.outside(c for c in combos if not c.is_zero) is None
 
 
 # ---------------------------------------------------------------------------
@@ -985,10 +972,11 @@ def verify_end_ring(pair: ExactZeroDivisorPair, a, bound=None,
     for flavor in ("G", "H"):
         module = _flavor_module(pair, flavor, a)
         hp = hom_presentation(module, module, bound)
-        span = _vec_span(module, module,
-                         [Matrix.identity(ring, module.ngens)])
-        onto = rep.add(_identity_generates(hp, span, bound, scope))
-        faithful = rep.add(_identity_faithful(hp, span, bound, scope))
+        span = Factored(_vec_span(module, module,
+                                  [Matrix.identity(ring, module.ngens)]),
+                        bound)
+        onto = rep.add(_identity_generates(hp, span, scope))
+        faithful = rep.add(_identity_faithful(hp, span, scope))
         if not (onto.passed and faithful.passed):
             rep.add(_idempotent_scan(hp, bound, idempotent_budget, scope))
             continue
@@ -1002,12 +990,12 @@ def verify_end_ring(pair: ExactZeroDivisorPair, a, bound=None,
     return rep
 
 
-def _identity_generates(hp: HomPresentation, span: Matrix, bound, scope):
+def _identity_generates(hp: HomPresentation, span: Factored, scope):
     """span holds vec(identity) and the relation columns."""
     scalars = []
     ok = True
     for psi in hp.generators:
-        sol = _express(span, psi, bound)
+        sol = _express(span, psi)
         if sol is None:
             ok = False
             break
@@ -1016,9 +1004,9 @@ def _identity_generates(hp: HomPresentation, span: Matrix, bound, scope):
                   {"scalars": scalars if ok else "incomplete"})
 
 
-def _identity_faithful(hp: HomPresentation, span: Matrix, bound, scope):
+def _identity_faithful(hp: HomPresentation, span: Factored, scope):
     ok = True
-    for gen in kernel_gens(span, bound):
+    for gen in span.kernel():
         if not gen.entries[0][0].is_zero:
             ok = False
             break
@@ -1058,7 +1046,7 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
                            for i in range(n)])))
         detail = {"classes": len(states)}
     else:
-        rho = module.rho.without_degrees()
+        rho = Factored(module.rho.without_degrees(), bound)
         degree_zero = [psi for psi, t in zip(hp.generators, hp.gen_degrees)
                        if t == 0]
         if ring.p ** len(degree_zero) > budget:
@@ -1071,14 +1059,11 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
                 if c:
                     mat = mat + psi.without_degrees() * ring.from_int(c)
             residual = mat * mat - mat
-            if not residual.is_zero and \
-                    solve_right(rho, residual, bound) is None:
+            if not residual.is_zero and rho.solve(residual) is None:
                 continue
-            is_zero = mat.is_zero or \
-                solve_right(rho, mat, bound) is not None
+            is_zero = mat.is_zero or rho.solve(mat) is not None
             diff = mat - ident
-            is_id = diff.is_zero or \
-                solve_right(rho, diff, bound) is not None
+            is_id = diff.is_zero or rho.solve(diff) is not None
             if not is_zero and not is_id:
                 found.append(repr(mat))
         detail_scope["idempotent_candidates"] = "degree-zero combinations"

@@ -6,10 +6,11 @@ column degrees describing it as a map of twisted free modules
     sum_j A(-col_degs[j])  ->  sum_i A(-row_degs[i]),
 
 in which case entry (i, j) must be homogeneous of degree
-col_degs[j] - row_degs[i].  All solving is exact: the finite backend
-flattens matrices to integer block matrices and uses Howell normal forms,
-the graded backend works slice by slice over F_p.  Degree-bounded answers
-say so in their scope.
+col_degs[j] - row_degs[i].  All solving is exact, and one ``Factored``
+per matrix answers its solves, its kernel and the first column outside its
+image: the finite backend flattens the matrix to an integer block matrix
+in Howell normal form, the graded backend slices it degree by degree over
+F_p.  Degree-bounded answers say so in their scope.
 
 Ideal questions are matrix questions over the same core: Ann(e) is the
 kernel of the column of e's homogeneous components, and e in (g_1 .. g_k)
@@ -424,62 +425,146 @@ def matrix_column_to_slice(col: Matrix, d: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# solving
+# solving and kernels
 
-def solve_right(rho: Matrix, rhs: Matrix, bound: int | None = None) -> Matrix | None:
-    """Exact solution X of rho * X = rhs, or None when none exists.
+class Factored:
+    """One factorization of ``rho``, asked any number of questions.
 
-    Finite backend: always exact.  Graded backend: exact whenever both
-    matrices carry (or admit) a degree layout; otherwise a truncated search
-    up to ``bound`` is made and only positive answers are meaningful.
+    The finite backend flattens rho once into ``span``, a ``SpanSolver``;
+    the graded backend slices rho once per degree that a question asks
+    for.  ``solve``, ``kernel`` and ``outside`` all read that one
+    factorization.  A graded rho without a degree layout is only solved,
+    by a truncated search up to ``bound``.
     """
-    if rhs.ring.key != rho.ring.key:
-        raise TotrefError("matrix from a different ring")
-    if rho.nrows != rhs.nrows:
-        raise DimensionMismatch("right hand side has wrong height")
-    return _right_solver(rho, bound)(rhs)
 
+    def __init__(self, rho: Matrix, bound: int | None = None):
+        ring = rho.ring
+        self.ring = ring
+        self.bound = bound
+        self.span = None
+        self._slices: dict[int, tuple] = {}
+        if isinstance(ring, FiniteLocalRing):
+            cols, height = _flatten_columns(rho)
+            self.span = _zn.SpanSolver(cols, ring.n, height)
+        else:
+            try:
+                rho = infer_degrees(rho)
+            except NonHomogeneous:
+                if bound is None:
+                    raise
+                rho = rho.without_degrees()
+        self.rho = rho
 
-def _right_solver(rho: Matrix, bound: int | None):
-    """``solve_right`` on ``rho`` as a function of the right-hand side.
+    def _slice(self, d: int) -> tuple[list[dict[int, int]], int]:
+        if d not in self._slices:
+            self._slices[d] = slice_matrix(self.rho, d)
+        return self._slices[d]
 
-    It factors rho once for every right-hand side it is given: the finite
-    backend builds one ``SpanSolver``, the graded backend one slice per
-    degree that a right-hand side asks for.
-    """
-    ring = rho.ring
-    if isinstance(ring, FiniteLocalRing):
-        cols, height = _flatten_columns(rho)
-        solver = _zn.SpanSolver(cols, ring.n, height)
+    def solve(self, rhs: Matrix) -> Matrix | None:
+        """Exact solution X of rho * X = rhs, or None when none exists.
 
-        def solve_finite(rhs: Matrix) -> Matrix | None:
+        Finite backend: always exact.  Graded backend: exact whenever both
+        matrices carry (or admit) a degree layout; otherwise a truncated
+        search up to ``bound`` is made and only positive answers are
+        meaningful.
+        """
+        rho, ring = self.rho, self.ring
+        if rhs.ring.key != ring.key:
+            raise TotrefError("matrix from a different ring")
+        if rho.nrows != rhs.nrows:
+            raise DimensionMismatch("right hand side has wrong height")
+        if self.span is not None:
             out_cols = []
             for k in range(rhs.ncols):
-                x = solver.solve(_flatten_vector(
+                x = self.span.solve(_flatten_vector(
                     ring, [rhs.entries[i][k] for i in range(rhs.nrows)]))
                 if x is None:
                     return None
                 out_cols.append(_unflatten_vector(ring, x, rho.ncols))
             return Matrix._trusted(ring, list(zip(*out_cols)))
+        if rho.col_degs is not None:
+            try:
+                return self._solve_graded(rhs)
+            except NonHomogeneous:
+                if self.bound is None:
+                    raise
+        return _solve_right_window(rho, rhs, self.bound)
 
-        return solve_finite
-    try:
-        rho = infer_degrees(rho)
-    except NonHomogeneous:
-        if bound is None:
-            raise
-        return lambda rhs: _solve_right_window(rho, rhs, bound)
-    slices: dict[int, tuple] = {}
+    def _solve_graded(self, rhs: Matrix) -> Matrix | None:
+        """Solve degree by degree, on rho's slice of each column's degree."""
+        rho, ring = self.rho, self.ring
+        if rhs.row_degs is not None and rhs.row_degs != rho.row_degs:
+            raise DimensionMismatch("right hand side lives in a different "
+                                    "twist of the codomain")
+        out_columns = []
+        out_degs = []
+        for k in range(rhs.ncols):
+            u = _rhs_column_degree(rho, rhs, k)
+            if u is None:
+                out_columns.append([ring.zero()] * rho.ncols)
+                out_degs.append(rho.col_degs[0] if rho.col_degs else 0)
+                continue
+            target = matrix_column_to_slice(
+                Matrix(ring, [[rhs.entries[i][k]] for i in range(rhs.nrows)],
+                       rho.row_degs, (u,)), u)
+            sol = _fp.solve(*self._slice(u), target, ring.p)
+            if sol is None:
+                return None
+            col = slice_vector_to_matrix(ring, sol, rho.col_degs, u)
+            out_columns.append([row[0] for row in col.entries])
+            out_degs.append(u)
+        rows = [[out_columns[k][j] for k in range(rhs.ncols)]
+                for j in range(rho.ncols)]
+        return Matrix._trusted(ring, rows, rho.col_degs, out_degs)
 
-    def solve_graded(rhs: Matrix) -> Matrix | None:
-        try:
-            return _solve_right_graded(rho, rhs, slices)
-        except NonHomogeneous:
-            if bound is None:
-                raise
-            return _solve_right_window(rho, rhs, bound)
+    def kernel(self) -> list[Matrix]:
+        """Generators of ker(rho) as element columns.
 
-    return solve_graded
+        Finite backend: a complete generating set, computed exhaustively.
+        Graded backend: homogeneous generators of all kernel elements in
+        twisted degrees up to ``bound``, starting from the smallest column
+        twist.  Each slice is kept for the questions that follow.
+        """
+        return self._kernel(keep=True)
+
+    def _kernel(self, keep: bool) -> list[Matrix]:
+        ring = self.ring
+        if self.span is not None:
+            return [Matrix._trusted(ring, [[e] for e in _unflatten_vector(
+                ring, vec, self.rho.ncols)])
+                for vec in self.span.kernel_generators()]
+        rho = infer_degrees(self.rho)  # raises when rho has no layout
+        gens: list[Matrix] = []
+        for d in range(min(rho.col_degs), degree_bound(self.bound) + 1):
+            if not _twist_layout(ring, rho.col_degs, d)[2]:
+                continue
+            # the degree-d multiples of the earlier generators, held side by
+            # side as rho.col_degs -> their degrees, lie in K_d; only the
+            # kernel basis vectors off their span are built
+            span = slice_matrix(held, d)[0] if gens else None
+            rows, width = self._slice(d) if keep else slice_matrix(rho, d)
+            kern = _fp.kernel(rows, width, ring.p, span)
+            if kern:
+                gens += [slice_vector_to_matrix(ring, vec, rho.col_degs, d)
+                         for vec in kern]
+                held = hstack(gens)
+        return gens
+
+    def outside(self, columns) -> Matrix | None:
+        """The first of ``columns`` that does not solve, or None."""
+        return next((col for col in columns if self.solve(col) is None),
+                    None)
+
+
+def solve_right(rho: Matrix, rhs: Matrix, bound: int | None = None) -> Matrix | None:
+    """``Factored(rho, bound).solve(rhs)``, for a matrix solved once."""
+    return Factored(rho, bound).solve(rhs)
+
+
+def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
+    """``Factored(rho, bound).kernel()``, for a matrix asked nothing else:
+    no slice is kept past its degree, so memory holds one at a time."""
+    return Factored(rho, bound)._kernel(keep=False)
 
 
 def _rhs_column_degree(rho: Matrix, rhs: Matrix, k: int) -> int | None:
@@ -499,37 +584,6 @@ def _rhs_column_degree(rho: Matrix, rhs: Matrix, k: int) -> int | None:
             raise NonHomogeneous(f"column {k} of the right hand side has "
                                  "inconsistent degrees")
     return deg
-
-
-def _solve_right_graded(rho: Matrix, rhs: Matrix,
-                        slices: dict) -> Matrix | None:
-    """Solve degree by degree; ``slices`` keeps rho's slice per degree."""
-    ring = rho.ring
-    if rhs.row_degs is not None and rhs.row_degs != rho.row_degs:
-        raise DimensionMismatch("right hand side lives in a different twist "
-                                "of the codomain")
-    out_columns = []
-    out_degs = []
-    for k in range(rhs.ncols):
-        u = _rhs_column_degree(rho, rhs, k)
-        if u is None:
-            out_columns.append([ring.zero()] * rho.ncols)
-            out_degs.append(rho.col_degs[0] if rho.col_degs else 0)
-            continue
-        if u not in slices:
-            slices[u] = slice_matrix(rho, u)
-        target = matrix_column_to_slice(
-            Matrix(ring, [[rhs.entries[i][k]] for i in range(rhs.nrows)],
-                   rho.row_degs, (u,)), u)
-        sol = _fp.solve(*slices[u], target, ring.p)
-        if sol is None:
-            return None
-        col = slice_vector_to_matrix(ring, sol, rho.col_degs, u)
-        out_columns.append([row[0] for row in col.entries])
-        out_degs.append(u)
-    rows = [[out_columns[k][j] for k in range(rhs.ncols)]
-            for j in range(rho.ncols)]
-    return Matrix._trusted(ring, rows, rho.col_degs, out_degs)
 
 
 def _solve_right_window(rho: Matrix, rhs: Matrix, bound: int) -> Matrix | None:
@@ -589,41 +643,6 @@ def _solve_right_window(rho: Matrix, rhs: Matrix, bound: int) -> Matrix | None:
     return solution
 
 
-def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
-    """Generators of ker(rho) as element columns.
-
-    Finite backend: a complete generating set, computed exhaustively.
-    Graded backend: homogeneous generators of all kernel elements in twisted
-    degrees up to ``bound``, starting from the smallest column twist.
-    """
-    ring = rho.ring
-    if isinstance(ring, FiniteLocalRing):
-        return [Matrix._trusted(ring, [[e] for e in _unflatten_vector(
-            ring, vec, rho.ncols)]) for vec in _kernel_rows(rho)]
-    rho = infer_degrees(rho)
-    gens: list[Matrix] = []
-    for d in range(min(rho.col_degs), degree_bound(bound) + 1):
-        if not _twist_layout(ring, rho.col_degs, d)[2]:
-            continue
-        # the degree-d multiples of the earlier generators, held side by
-        # side as rho.col_degs -> their degrees, lie in K_d; only the kernel
-        # basis vectors off their span are built
-        span = slice_matrix(held, d)[0] if gens else None
-        rows, width = slice_matrix(rho, d)
-        kern = _fp.kernel(rows, width, ring.p, span)
-        if kern:
-            gens += [slice_vector_to_matrix(ring, vec, rho.col_degs, d)
-                     for vec in kern]
-            held = hstack(gens)
-    return gens
-
-
-def _kernel_rows(mat: Matrix) -> list[list[int]]:
-    """Generators over Z/n of the kernel of the flattened ``mat``."""
-    cols, height = _flatten_columns(mat)
-    return _zn.SpanSolver(cols, mat.ring.n, height).kernel_generators()
-
-
 def column_span_size(mat: Matrix) -> int:
     """Cardinality of the column span, finite backend only."""
     return _zn.span_size(_flatten_columns(mat)[0], mat.ring.n)
@@ -666,17 +685,12 @@ def ideal_membership(ring, e, generators, bound: int | None = None):
     gens = list(generators)
     if not gens:
         return (True, []) if e.is_zero else (False, None)
-    row, rhs = Matrix(ring, [gens]), Matrix(ring, [[e]])
-    if isinstance(ring, GradedMonomialRing):
-        bound = degree_bound(bound)
-        try:
-            row = infer_degrees(row)
-        except NonHomogeneous:
-            pass
-        else:
-            parts = list(e.homogeneous_components().values()) or [e]
-            rhs = Matrix(ring, [parts])
-    solution = solve_right(row, rhs, bound)
+    row = Factored(Matrix(ring, [gens]), degree_bound(bound))
+    rhs = Matrix(ring, [[e]])
+    if row.rho.col_degs is not None:
+        parts = list(e.homogeneous_components().values()) or [e]
+        rhs = Matrix(ring, [parts])
+    solution = row.solve(rhs)
     if solution is None:
         return False, None
     witnesses = [sum(entries, ring.zero()) for entries in solution.entries]
@@ -725,7 +739,8 @@ def homology(incoming: Matrix, outgoing: Matrix, rel_mid: Matrix,
         # the kernel rows generate ker(up) over Z/n, so their leading
         # coordinates, those of the middle module, generate Z
         width = outgoing.ncols * ring.ext_degree
-        cycles = [v[:width] for v in _kernel_rows(up)]
+        rows = Factored(up).span.kernel_generators()
+        cycles = [v[:width] for v in rows]
         return _zn.span_size(cycles, ring.n), column_span_size(down)
     dims = []
     for d in range(min(outgoing.col_degs), degree_bound(bound) + 1):
@@ -756,10 +771,7 @@ def check_exact_at(incoming: Matrix, outgoing: Matrix,
     incoming, outgoing = _with_middle(incoming, outgoing)
     gens = kernel_gens(outgoing, bound)
     details = {"kernel_generators": len(gens)}
-    witness = None
-    if gens:
-        solve = _right_solver(incoming, bound)
-        witness = next((gen for gen in gens if solve(gen) is None), None)
+    witness = Factored(incoming, bound).outside(gens) if gens else None
     if witness is not None:
         details["witness_in_kernel_not_image"] = repr(witness)
     return VerificationReport(name, FAIL if witness is not None else PASS,

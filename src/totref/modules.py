@@ -12,9 +12,8 @@ from __future__ import annotations
 from . import _fp, _zn
 from .errors import (DimensionMismatch, InvalidResolution, NotAComplex,
                      TotrefError, WrongBackend)
-from .linalg import (Matrix, _flatten_columns, _twist_layout,
-                     check_exact_at, hstack,
-                     ideal_membership, infer_degrees, slice_rank,
+from .linalg import (Factored, Matrix, _twist_layout, check_exact_at,
+                     hstack, ideal_membership, infer_degrees, slice_rank,
                      solve_right)
 from .report import FAIL, PASS, VerificationReport
 from .rings import FiniteLocalRing, GradedMonomialRing, scope_of
@@ -53,8 +52,7 @@ class PresentedModule:
         if self._solver is None:
             if not isinstance(self.ring, FiniteLocalRing):
                 raise WrongBackend("coset enumeration needs the finite backend")
-            cols, height = _flatten_columns(self.rho)
-            self._solver = _zn.SpanSolver(cols, self.ring.n, height)
+            self._solver = Factored(self.rho).span
         return self._solver
 
     def size(self) -> int:
@@ -153,12 +151,12 @@ def verify_iso_witness(source: PresentedModule, target: PresentedModule,
     p_inv = Matrix(ring,
                    [solution.entries[i] for i in range(source.ngens)])
     details["P_inverse"] = repr(p_inv)
-    if solve_right(rho_src, p_inv * rho_tgt, bound) is None:
+    src = Factored(rho_src, bound)
+    if src.solve(p_inv * rho_tgt) is None:
         details["failure"] = "P^-1 does not carry relations into relations"
         return VerificationReport(name, FAIL, scope, details)
     residual = p_inv * p_matrix - Matrix.identity(ring, source.ngens)
-    if not residual.is_zero and \
-            solve_right(rho_src, residual, bound) is None:
+    if not residual.is_zero and src.solve(residual) is None:
         details["failure"] = "P^-1 P is not the identity on cosets"
         return VerificationReport(name, FAIL, scope, details)
     return VerificationReport(name, PASS, scope, details)

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import ext_size, hom_count, matrix_columns, span_closure
-from totref import _zn, homcalc
+from totref import _zn, homcalc, linalg
 from totref.errors import (InconclusiveStrategy, PreconditionFailed,
                            TooLarge)
 from totref.family import module_g, module_h
-from totref.linalg import Matrix
+from totref.linalg import Factored, Matrix
 from totref.modules import PresentedModule
 from totref.rings import FiniteLocalRing, GradedMonomialRing
 from totref.zerodiv import exact_pair
@@ -91,7 +91,7 @@ def test_hom_presentation_of_zero_hom_module(pair_z9):
     hp = hom_presentation(g1, g1)
     ident = Matrix.identity(ring, 2)
     span = _vec_span(hp.source, hp.target, hp.generators, hp.gen_degrees)
-    assert _express(span, ident, None) is not None
+    assert _express(Factored(span), ident) is not None
 
 
 def test_graded_hom_carrier_degrees(pair_f5):
@@ -104,7 +104,7 @@ def test_graded_hom_carrier_degrees(pair_f5):
     # every generator followed by source relations lands in target relations
     span = _vec_span(src, tgt, hp.generators, hp.gen_degrees)
     for psi in hp.generators:
-        assert _express(span, psi.without_degrees(), None) is not None
+        assert _express(Factored(span), psi.without_degrees()) is not None
 
 
 def test_hom_budget_guard(pair_z9, monkeypatch):
@@ -435,8 +435,8 @@ def _transpose(pair, src, tgt):
 ])
 def test_finite_transpose_factors_four_matrices_once(monkeypatch, src, tgt,
                                                      sizes):
-    # Z/27 with the pair (3, 9): besides the kernels and Hom presentations,
-    # every solve goes through F_x^T of each direction or the relations of
+    # Z/27 with the pair (3, 9): besides the Hom presentations, every solve
+    # and kernel goes through F_x^T of each direction or the relations of
     # M* and N, so the solver count does not grow with the generators
     pair = _z27_pair(3, 9)
     built = []
@@ -450,7 +450,7 @@ def test_finite_transpose_factors_four_matrices_once(monkeypatch, src, tgt,
     rep = _transpose(pair, src, tgt)
     assert rep.passed, rep.first_failure()
     assert rep.details == {"route": "transpose", "sizes": sizes}
-    assert len(built) == 12
+    assert len(built) == 10
 
 
 def _verdicts(rep):
@@ -481,6 +481,44 @@ def test_finite_transpose_failures_on_a_non_exact_pair():
                               ("round-trip-fixes-source-generators", False),
                               ("round-trip-fixes-target-generators", False)]
     assert rep.details == {"route": "transpose", "sizes": [6561, 6561]}
+
+
+def test_transpose_builds_the_backward_hom_only_after_the_forward_pass(
+        monkeypatch):
+    # Z/27 with the pair (9, 9): a forward transpose of G_0 -> H_1 fails,
+    # so the backward Hom presentation would never be read
+    pair = _z27_pair(9, 9)
+    calls = []
+    hom = homcalc.hom_presentation
+    monkeypatch.setattr(homcalc, "hom_presentation",
+                        lambda *args: calls.append(args) or hom(*args))
+    rep = _transpose(pair, ("G", 0), ("H", 1))
+    assert _verdicts(rep) == [("transpose-determined-mod-relations", False),
+                              ("forward-transposes-exist", False)]
+    assert len(calls) == 1
+
+
+def test_graded_transpose_slices_each_functional_matrix_once_per_degree(
+        pair_f5, monkeypatch):
+    # F_5[x,y,z]/(xy) at D = 6: the transposes and the uniqueness kernel of
+    # each direction read one factorization of its F_x^T
+    ring = pair_f5.ring
+    src, tgt = ("G", ring.parse("z")), ("G", ring.parse("z^2"))
+    watched = {homcalc._functional_rows(pair_f5, *x).transpose().entries
+               for x in (src, ("H", tgt[1]))}
+    sliced = []
+    slice_matrix = linalg.slice_matrix
+
+    def recorded(mat, d):
+        if mat.entries in watched:
+            sliced.append((mat.entries, d))
+        return slice_matrix(mat, d)
+
+    monkeypatch.setattr(linalg, "slice_matrix", recorded)
+    rep = verify_hom_transpose(pair_f5, src, tgt, 6)
+    assert rep.passed, rep.first_failure()
+    assert {entries for entries, _ in sliced} == watched
+    assert len(set(sliced)) == len(sliced)
 
 
 # -- End rings ----------------------------------------------------------------

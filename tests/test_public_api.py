@@ -75,6 +75,19 @@ def _traced() -> set:
             for module, entries in table.items() for qualname in entries}
 
 
+def test_every_traced_name_resolves():
+    # Tracer.install() getattrs each name, so a rename would break only
+    # a traced benchmark run
+    traced = _traced()
+    assert len(traced) > 20  # the tables were read
+    for name in sorted(traced):
+        module, _, qualname = name.partition(".")
+        owner = importlib.import_module(f"totref.{module}")
+        for attr in qualname.split("."):
+            assert hasattr(owner, attr), name
+            owner = getattr(owner, attr)
+
+
 def test_strings_are_not_uses():
     used = _names_used('from .rings import scope_of\n'
                        'raise WrongBackend("graded_basis needs graded")\n'
