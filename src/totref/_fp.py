@@ -113,27 +113,23 @@ def kernel(rows, width: int, p: int, span=None) -> list[dict[int, int]]:
     """A right-kernel basis of the ``width``-column matrix ``rows``, as
     vectors: the identity on free columns, -RREF on pivots.
 
-    With ``span``, the rows of a matrix whose columns lie in the kernel,
-    only the basis vectors that enlarge it are returned:
-    ``extend_independent``'s picks among them.  Basis vector j is the
-    kernel vector that is 1 at the j-th free column and 0 at the others,
-    so ``span`` has kernel coordinates ``span[free]``.  Vector j enlarges
-    the span exactly when no vector in the span of those coordinates ends
-    at j, and those last positions are the pivots of ``span[free]^T`` with
-    its columns reversed.  The picks need only the forward pass, so
-    back-substitution runs for the picked vectors alone, pivot rows from
-    the last up.
+    With ``span``, only the basis vectors that enlarge the span of some
+    kernel vectors are returned: ``extend_independent``'s picks among
+    them.  Basis vector j is the kernel vector that is 1 at the j-th free
+    column and 0 at the others, so a kernel vector is fixed by its entries
+    at the free columns ``free``.  ``span(free)``, called once ``free`` is
+    known and not empty, gives the spanning vectors by those entries alone,
+    free[j] at position len(free) - 1 - j.  Vector j enlarges the span
+    exactly when no vector in it ends at j: the leading columns of its
+    echelon form, read back from the last.  The picks need only the
+    forward pass, so back-substitution runs for the picked vectors alone.
     """
     basis = _echelon(rows, p)
     free = [c for c in range(width) if c not in basis]
     picked = range(len(free))
     if span and free:
         last = len(free) - 1
-        reversed_t: dict[int, dict[int, int]] = {}
-        for j, c in enumerate(free):
-            for k, v in span[c].items():
-                reversed_t.setdefault(k, {})[last - j] = v
-        ends = {last - c for c in _echelon(reversed_t.values(), p)}
+        ends = {last - c for c in _echelon(span(free), p)}
         picked = [j for j in picked if j not in ends]
     if not picked:
         return []

@@ -20,7 +20,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (InconclusiveStrategy, NonHomogeneous, ParseError,
                      PreconditionFailed, TooLarge, TotrefError, WrongBackend)
@@ -173,10 +173,10 @@ _HOM_MEMO: contextvars.ContextVar = contextvars.ContextVar("hom_memo",
 def hom_memo():
     """Compute each distinct Hom once while the block runs.
 
-    Inside the block hom_presentation returns the stored result for inputs
-    it has seen: the same ring, bound, and source and target labels,
-    presentation entries and degree layouts.  The memo is dropped when the
-    block exits, so nothing outlives the run that opened it.
+    Inside the block hom_presentation answers from the memo every input
+    it has computed: the same ring, bound, presentation entries and degree
+    layouts, whatever the labels.  The memo is dropped when the block
+    exits, so nothing outlives the run that opened it.
     """
     token = _HOM_MEMO.set({})
     try:
@@ -187,7 +187,7 @@ def hom_memo():
 
 def _module_key(module: PresentedModule):
     rho = module.rho
-    return (module.label, rho.entries, rho.row_degs, rho.col_degs)
+    return (rho.entries, rho.row_degs, rho.col_degs)
 
 
 def hom_presentation(source: PresentedModule, target: PresentedModule,
@@ -197,7 +197,8 @@ def hom_presentation(source: PresentedModule, target: PresentedModule,
     The generating map matrices come from the kernel of the combined
     lifting system in the unknowns (psi, xi); the relations among their
     cosets come from a second kernel over the generator coefficients.
-    Inside a hom_memo() block a repeated input is answered from the memo.
+    Inside a hom_memo() block a repeated input is answered from the memo,
+    under the caller's labels: only the presentations name a computation.
     """
     memo = _HOM_MEMO.get()
     if memo is None:
@@ -206,6 +207,9 @@ def hom_presentation(source: PresentedModule, target: PresentedModule,
     hp = memo.get(key)
     if hp is None:
         hp = memo[key] = _hom_presentation(source, target, bound)
+    elif (hp.source.label, hp.target.label) != (source.label, target.label):
+        hp = replace(hp, source=source, target=target, module=PresentedModule(
+            hp.ring, hp.module.rho, f"Hom({source.label},{target.label})"))
     return hp
 
 
@@ -1252,7 +1256,7 @@ def run_family(pair: ExactZeroDivisorPair, b_sequence, n_max=None,
     The battery certifies, per index: total reflexivity, non-freeness and
     indecomposability of both flavors; then pairwise non-isomorphism of
     all 2 n_max modules; then every entry of the Hom table.  Each distinct
-    Hom module is computed once per run.
+    Hom is computed once per run, whatever its modules' labels.
     """
     with hom_memo():
         return _run_family(pair, b_sequence, n_max, bound, i_max)

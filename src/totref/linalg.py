@@ -23,6 +23,7 @@ incoming one; ``homology`` counts cycles and boundaries for Ext only.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 
 from . import _fp, _zn
@@ -372,27 +373,46 @@ def _twist_layout(ring, degs: tuple, d: int):
     return hit
 
 
-def slice_matrix(mat: Matrix, d: int) -> tuple[list[dict[int, int]], int]:
-    """Degree-d slice of the twisted map described by ``mat``: its rows as
-    ``{column: residue}`` dicts, and its width."""
+def _slice_blocks(mat: Matrix, d: int):
+    """The degree-d slice of the twisted map described by ``mat``, block by
+    block: its height and width, and per nonzero entry of mat its block's
+    row offset, column offset and nonzero entries (dst, src, coeff)."""
     ring = mat.ring
     if mat.row_degs is None or mat.col_degs is None:
         raise NonHomogeneous("matrix has no degree layout; call "
                              "infer_degrees first")
-    row_off, row_w, row_total = _twist_layout(ring, mat.row_degs, d)
-    col_off, col_w, col_total = _twist_layout(ring, mat.col_degs, d)
-    rows: list[dict[int, int]] = [{} for _ in range(row_total)]
-    for i, entries in enumerate(mat.entries):
-        if row_w[i] == 0:
-            continue
-        r0 = row_off[i]
-        for j, e in enumerate(entries):
-            if e.is_zero or col_w[j] == 0:
-                continue
-            c0 = col_off[j]
-            for dst, src, coeff in ring.mult_matrix(e, d - mat.col_degs[j]):
-                rows[r0 + dst][c0 + src] = coeff
-    return rows, col_total
+    row_off, row_w, height = _twist_layout(ring, mat.row_degs, d)
+    col_off, col_w, width = _twist_layout(ring, mat.col_degs, d)
+    blocks = [(row_off[i], col_off[j],
+               ring.mult_matrix(e, d - mat.col_degs[j]))
+              for i, entries in enumerate(mat.entries) if row_w[i]
+              for j, e in enumerate(entries) if col_w[j] and not e.is_zero]
+    return height, width, blocks
+
+
+def slice_matrix(mat: Matrix, d: int) -> tuple[list[dict[int, int]], int]:
+    """Degree-d slice of the twisted map described by ``mat``: its rows as
+    ``{column: residue}`` dicts, and its width."""
+    height, width, blocks = _slice_blocks(mat, d)
+    rows: list[dict[int, int]] = [{} for _ in range(height)]
+    for r0, c0, block in blocks:
+        for dst, src, coeff in block:
+            rows[r0 + dst][c0 + src] = coeff
+    return rows, width
+
+
+def _free_span(mat: Matrix, d: int, free: list[int]):
+    """The columns of ``mat``'s degree-d slice on the rows ``free`` alone,
+    as ``_fp.kernel``'s span: row free[j] becomes entry len(free) - 1 - j."""
+    last = len(free) - 1
+    at = {r: last - j for j, r in enumerate(free)}
+    cols: dict[int, dict[int, int]] = {}
+    for r0, c0, block in _slice_blocks(mat, d)[2]:
+        for dst, src, coeff in block:
+            k = at.get(r0 + dst)
+            if k is not None:
+                cols.setdefault(c0 + src, {})[k] = coeff
+    return cols.values()
 
 
 def slice_vector_to_matrix(ring, vec: dict[int, int], degs, d: int) -> Matrix:
@@ -410,14 +430,12 @@ def slice_vector_to_matrix(ring, vec: dict[int, int], degs, d: int) -> Matrix:
     return Matrix._trusted(ring, col, degs, (d,))
 
 
-def matrix_column_to_slice(col: Matrix, d: int) -> dict[int, int]:
-    """Stacked slice coordinates ``{index: residue}`` of a homogeneous
-    element column."""
-    ring = col.ring
-    degs = col.row_degs
+def matrix_column_to_slice(ring, column, degs, d: int) -> dict[int, int]:
+    """Stacked slice coordinates ``{index: residue}`` of the homogeneous
+    element column ``column`` of degree d over sum_i A(-degs[i])."""
     offsets, widths, _ = _twist_layout(ring, degs, d)
     vec: dict[int, int] = {}
-    for (e,), s, off, w in zip(col.entries, degs, offsets, widths):
+    for e, s, off, w in zip(column, degs, offsets, widths):
         if w and not e.is_zero:
             vec.update((off + i, c)
                        for i, c in ring.vector_of(e, d - s).items())
@@ -505,8 +523,7 @@ class Factored:
                 out_degs.append(rho.col_degs[0] if rho.col_degs else 0)
                 continue
             target = matrix_column_to_slice(
-                Matrix(ring, [[rhs.entries[i][k]] for i in range(rhs.nrows)],
-                       rho.row_degs, (u,)), u)
+                ring, [row[k] for row in rhs.entries], rho.row_degs, u)
             sol = _fp.solve(*self._slice(u), target, ring.p)
             if sol is None:
                 return None
@@ -541,7 +558,7 @@ class Factored:
             # the degree-d multiples of the earlier generators, held side by
             # side as rho.col_degs -> their degrees, lie in K_d; only the
             # kernel basis vectors off their span are built
-            span = slice_matrix(held, d)[0] if gens else None
+            span = functools.partial(_free_span, held, d) if gens else None
             rows, width = self._slice(d) if keep else slice_matrix(rho, d)
             kern = _fp.kernel(rows, width, ring.p, span)
             if kern:

@@ -95,7 +95,7 @@ def test_extend_independent_picks_where_the_rank_grows(case):
         expected = [j for j in range(basis.shape[1])
                     if ranks[j + 1] > ranks[j]]
         vectors = _fp.kernel(sparse_rows(a), a.shape[1], p,
-                             sparse_rows(inside))
+                             lambda free: sparse_rows(inside[free[::-1]].T))
         assert _residues(vectors, p)
         picked = _columns(vectors, a.shape[1])
         assert np.array_equal(picked, basis[:, expected])

@@ -782,9 +782,29 @@ def test_hom_memo_answers_repeats_and_keeps_labels_apart(pair_z9):
         other = hom_presentation(twin, twin)
     assert again is first
     assert other is not first
+    # the twin's Hom is the same computation under other labels
+    assert other.generators is first.generators
+    assert (other.source, other.target) == (twin, twin)
     assert first.module.label == f"Hom({module.label},{module.label})"
     assert other.module.label == "Hom(twin,twin)"
     assert other.module.rho.entries == first.module.rho.entries
+
+
+def test_run_family_computes_each_distinct_hom_once(pair_f5, monkeypatch):
+    # of the 45 Hom inputs of the run, 9 repeat the presentations of
+    # another under other labels, e.g. Hom(G(3z), H(3z)) of the
+    # non-isomorphism battery and Hom(H(2z), G(2z)) of the swapped pair
+    calls = []
+    compute = homcalc._hom_presentation
+
+    def counted(src, tgt, bound):
+        calls.append((src.label, tgt.label))
+        return compute(src, tgt, bound)
+
+    monkeypatch.setattr(homcalc, "_hom_presentation", counted)
+    fam = run_family(pair_f5, ["z"], n_max=3, bound=8)
+    assert fam.passed
+    assert len(calls) == 36
 
 
 def test_run_family_closes_its_memo_on_a_failed_precondition(pair_f5,

@@ -405,6 +405,28 @@ def test_slice_matrix_rows_match_the_oracle(case, m, n, d, rng):
     assert permuted == slice_rows(oracle, polys, row_degs, col_degs, d)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GRADED_CASES), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 5), st.randoms(use_true_random=False))
+def test_free_span_is_the_sliced_span_on_the_free_rows(case, m, n, d, rng):
+    """The span columns kernel picks against are the columns of
+    slice_matrix(held, d) on the free rows, row free[j] at entry
+    len(free) - 1 - j, with the columns that vanish there left out."""
+    ring, oracle = case
+    row_degs = [rng.randrange(3) for _ in range(m)]
+    col_degs = [rng.randrange(3) for _ in range(n)]
+    held, _ = _graded_matrix(ring, oracle, row_degs, col_degs, rng)
+    rows, width = linalg.slice_matrix(held, d)
+    free = sorted(rng.sample(range(len(rows)), rng.randint(0, len(rows))))
+    last = len(free) - 1
+    columns = [{last - j: rows[r][c] for j, r in enumerate(free)
+                if c in rows[r]} for c in range(width)]
+    expected = sorted(sorted(col.items()) for col in columns if col)
+    got = sorted(sorted(col.items())
+                 for col in linalg._free_span(held, d, free))
+    assert got == expected
+
+
 def test_graded_slices_beyond_int64():
     """Over F_p[x,y]/(xy) with p = 2^64 - 59, where residues pass int64,
     slice ranks and kernel generators match the oracle's ranks."""
