@@ -109,9 +109,11 @@ def solve(rows, width: int, b: dict[int, int],
             if width in basis[lead]}
 
 
-def kernel(rows, width: int, p: int, span=None) -> list[dict[int, int]]:
+def kernel(rows, width: int, p: int,
+           span=None) -> tuple[list[dict[int, int]], int]:
     """A right-kernel basis of the ``width``-column matrix ``rows``, as
-    vectors: the identity on free columns, -RREF on pivots.
+    vectors: the identity on free columns, -RREF on pivots; and the rank
+    of ``rows``, which the same forward pass gives.
 
     With ``span``, only the basis vectors that enlarge the span of some
     kernel vectors are returned: ``extend_independent``'s picks among
@@ -132,7 +134,7 @@ def kernel(rows, width: int, p: int, span=None) -> list[dict[int, int]]:
         ends = {last - c for c in _echelon(span(free), p)}
         picked = [j for j in picked if j not in ends]
     if not picked:
-        return []
+        return [], len(basis)
     # at[c] = {output vector: its entry c} of the picked vectors
     at = {free[j]: {k: 1} for k, j in enumerate(picked)}
     for lead in sorted(basis, reverse=True):
@@ -147,7 +149,7 @@ def kernel(rows, width: int, p: int, span=None) -> list[dict[int, int]]:
     for c, entries in at.items():
         for k, w in entries.items():
             out[k][c] = w
-    return out
+    return out, len(basis)
 
 
 def extend_independent(rows, held: int, p: int) -> list[int]:

@@ -34,6 +34,11 @@ from .zerodiv import exact_pair, verify_regular_pair
 
 PRECONDITION_ERRORS = (PreconditionFailed, UnitInput)
 
+# caps on the integer flags whose work and report grow with the value: the
+# family resolutions are periodic of period 2, so a long window repeats
+# itself, and run-main certifies on the order of n_max^2 Hom modules
+_FLAG_CAPS = {"length": 64, "i_max": 64, "n_max": 16}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -239,9 +244,12 @@ def _cmd_family_identify(args):
 
 
 def _cmd_family_run_main(args):
+    b_seq = [part.strip() for part in args.b.split(",") if part.strip()]
+    if len(b_seq) > _FLAG_CAPS["n_max"]:  # the list sets n_max too
+        raise TooLarge(f"--b lists {len(b_seq)} multipliers, past the cap "
+                       f"of {_FLAG_CAPS['n_max']}")
     ring = _load_ring(args.ring)
     pair = _pair_of(ring, args)
-    b_seq = [part.strip() for part in args.b.split(",") if part.strip()]
     fam = run_family(pair, b_seq, args.n_max, args.degree, args.i_max)
     return fam, (0 if fam.passed else 1)
 
@@ -404,6 +412,11 @@ def main(argv=None) -> int:
         if args.degree is not None and args.degree < 0:
             raise ParseError(f"--degree must be non-negative, "
                              f"got {args.degree}")
+        for name, cap in _FLAG_CAPS.items():
+            value = getattr(args, name, None)
+            if value is not None and value > cap:
+                raise TooLarge(f"--{name.replace('_', '-')} {value} is past "
+                               f"the cap of {cap}")
         payload, code = handler(args)
         text = _render(args, payload, code)
     except PRECONDITION_ERRORS as exc:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import copy
+import functools
 import itertools
 import json
 import math
@@ -26,8 +28,8 @@ from .errors import (InconclusiveStrategy, NonHomogeneous, ParseError,
                      PreconditionFailed, TooLarge, TotrefError, WrongBackend)
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
                      phi_matrix, verify_total_reflexivity)
-from .linalg import (Factored, Matrix, _flatten_vector, _unflatten_vector,
-                     homology, hstack, kernel_gens, kron)
+from .linalg import (Factored, Matrix, _flatten_vector, _twist_layout,
+                     _unflatten_vector, homology, hstack, kernel_gens, kron)
 from .modules import (PresentedModule, fitting_ideal, hilbert_function,
                       ideals_equal, minimal_generator_count,
                       verify_iso_witness)
@@ -115,7 +117,7 @@ def _vec_span(source: PresentedModule, target: PresentedModule, maps,
     if col_degs is None or None in col_degs:
         carrier = col_degs = None
     columns = [[e for row in psi.entries for e in row] for psi in maps]
-    return hstack([_columns_matrix(ring, columns, carrier, col_degs),
+    return hstack([Matrix(ring, list(zip(*columns)), carrier, col_degs),
                    kron(target.rho, _dual_identity(ring, source.ngens, s1))])
 
 
@@ -129,11 +131,6 @@ def _express(span: Factored, psi: Matrix):
     """Coefficients writing vec(psi) over the columns of span, or None."""
     vec = [[e] for row in psi.entries for e in row]
     return span.solve(Matrix(span.ring, vec, span.rho.row_degs, None))
-
-
-def _columns_matrix(ring, columns, row_degs, col_degs) -> Matrix:
-    rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
-    return Matrix(ring, rows, row_degs, col_degs)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +172,9 @@ def hom_memo():
 
     Inside the block hom_presentation answers from the memo every input
     it has computed: the same ring, bound, presentation entries and degree
-    layouts, whatever the labels.  The memo is dropped when the block
-    exits, so nothing outlives the run that opened it.
+    layouts, whatever the labels.  The memo also holds one record per
+    family module and bound (see _family_record).  It is dropped when the
+    block exits, so nothing outlives the run that opened it.
     """
     token = _HOM_MEMO.set({})
     try:
@@ -208,8 +206,9 @@ def hom_presentation(source: PresentedModule, target: PresentedModule,
     if hp is None:
         hp = memo[key] = _hom_presentation(source, target, bound)
     elif (hp.source.label, hp.target.label) != (source.label, target.label):
-        hp = replace(hp, source=source, target=target, module=PresentedModule(
-            hp.ring, hp.module.rho, f"Hom({source.label},{target.label})"))
+        module = copy.copy(hp.module)  # shares the recorded dimensions
+        module.label = f"Hom({source.label},{target.label})"
+        hp = replace(hp, source=source, target=target, module=module)
     return hp
 
 
@@ -249,28 +248,30 @@ def _hom_presentation(src: PresentedModule, tgt: PresentedModule,
         module = PresentedModule(ring, one, label)
         return HomPresentation(src, tgt, (), (), module, scope)
 
-    coeff = _vec_span(src, tgt, generators, gen_degrees)
-    use_degs = coeff.col_degs is not None
-    col_deg_list = list(gen_degrees)
-    rel_columns = []
-    rel_col_degs = []
+    # the relations: the heads of the kernel of coeff = [vec psi |
+    # kron(rho_2, I)], whose eliminations also give Hom's Hilbert function
     k = len(generators)
-    for gen in kernel_gens(coeff, bound):
-        head = [gen.entries[r][0] for r in range(k)]
-        if all(e.is_zero for e in head):
-            continue
-        rel_columns.append(head)
-        if gen.col_degs is not None:
-            rel_col_degs.append(gen.col_degs[0])
-    if rel_columns:
-        rel = _columns_matrix(ring, rel_columns,
-                              tuple(col_deg_list) if use_degs else None,
-                              tuple(rel_col_degs) if use_degs else None)
+    relations = Factored(_vec_span(src, tgt, generators, gen_degrees), bound)
+    rel_gens = [gen for gen in relations._kernel(keep=False)
+                if not all(row[0].is_zero for row in gen.entries[:k])]
+    row_degs = tuple(gen_degrees) if graded else None
+    if rel_gens:
+        rel = Matrix(ring, [[gen.entries[r][0] for gen in rel_gens]
+                            for r in range(k)], row_degs,
+                     [gen.col_degs[0] for gen in rel_gens] if graded else None)
     else:
-        rel = Matrix.zeros(ring, k, 1,
-                           tuple(col_deg_list) if use_degs else None,
-                           (col_deg_list[0],) if use_degs else None)
+        rel = Matrix.zeros(ring, k, 1, row_degs,
+                           row_degs[:1] if graded else None)
     module = PresentedModule(ring, rel, label)
+    if graded:
+        # dim Hom_d = rank(coeff_d) - dim T_d, T the image of the relation
+        # columns kron(rho_2, I): rho_2 once per source generator k, in
+        # degree d + s1[k], and rank rho_2 is the free rank less dim N
+        def rho2_rank(e: int) -> int:
+            return _twist_layout(ring, s2, e)[2] - tgt.slice_dim(e)
+        module._dims.update(
+            (d, r - sum(rho2_rank(d + s) for s in s1))
+            for d, r in relations._ranks.items())
     return HomPresentation(src, tgt, tuple(generators), tuple(gen_degrees),
                            module, scope)
 
@@ -584,18 +585,12 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b, bound,
     ring = pair.ring
     scope = scope_of(ring, bound)
     ab = a * b
-    if kind == "hg":
-        rho1 = eta(pair, b, strict=False)
-        source = module_h(pair, b, strict=False)
-        claim_rho = gamma(pair, ab, strict=False)
-        claimed = module_g(pair, ab, strict=False)
-    else:
-        rho1 = gamma(pair, ab, strict=False)
-        source = module_g(pair, ab, strict=False)
-        claim_rho = eta(pair, b, strict=False)
-        claimed = module_h(pair, b, strict=False)
-    target = module_g(pair, a, strict=False)
-    rho2 = target.rho.without_degrees()
+    ends = (("H", b), ("G", ab)) if kind == "hg" else (("G", ab), ("H", b))
+    source = _flavor_module(pair, *ends[0], bound)
+    claimed = _family_record(pair, *ends[1], bound)
+    target = _flavor_module(pair, "G", a, bound)
+    rho1_plain, rho2, claim_plain = (m.rho.without_degrees() for m in (
+        source, target, claimed.module))
     z, o = ring.zero(), ring.one()
     if kind == "hg":
         psis, xis = special_generators_hg(pair, a, b)
@@ -618,9 +613,7 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b, bound,
     rep = VerificationReport(name, PASS, scope,
                              {"a": ring.format(a), "b": ring.format(b),
                               "route": route,
-                              "presentation": repr(claim_rho)})
-    rho1_plain = rho1.without_degrees()
-    claim_plain = claim_rho.without_degrees()
+                              "presentation": repr(claim_plain)})
 
     gen_ok = all((psis[t] * rho1_plain).entries
                  == (rho2 * xis[t]).entries for t in (0, 1))
@@ -651,7 +644,7 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b, bound,
     rep.add(_generators_covered(hp, span, scope,
                                 "computed-generators-covered"))
 
-    claim = Factored(claim_plain, bound)
+    claim = claimed.factored_rho
     kernel_ok = True
     kernel_count = 0
     for gen in span.kernel():
@@ -667,7 +660,7 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b, bound,
     rep.add(report("kernel-inside-presentation", kernel_ok, scope,
                    {"kernel_generators": kernel_count}))
 
-    rep.add(_profile_match(hp, claimed, psis[:2], source.gen_degs,
+    rep.add(_profile_match(hp, claimed.module, psis[:2], source.gen_degs,
                            target.gen_degs, bound, scope))
     return rep
 
@@ -738,7 +731,7 @@ def _hom_entry(pair: ExactZeroDivisorPair, sp: ExactZeroDivisorPair,
         route, claimed, core = "transpose+swapped-pair", ("G", c), (-s, c)
         reports.append(verify_hom_transpose(pair, source, target, bound))
         hom_of = (("H", t), ("H", s))
-    m_src, m_tgt, m_claimed = (_flavor_module(pair, *desc)
+    m_src, m_tgt, m_claimed = (_flavor_module(pair, *desc, bound)
                                for desc in (*hom_of, claimed))
     reports.append(_core_hom_sequence(
         over, "hg" if src_fl != tgt_fl else "gg", *core, bound,
@@ -749,7 +742,8 @@ def _hom_entry(pair: ExactZeroDivisorPair, sp: ExactZeroDivisorPair,
         z, o = ring.zero(), ring.one()
         twist = Matrix(ring, [[o, z], [z, -o]])
         reports.append(verify_iso_witness(
-            _flavor_module(sp, _PARTNER[claimed[0]], claimed[1]), m_claimed,
+            _flavor_module(sp, _PARTNER[claimed[0]], claimed[1], bound),
+            m_claimed,
             twist, twist, bound,
             name=f"swapped-image-matches-{m_claimed.label}"))
     elif src_fl == "G" and c == ring.one():
@@ -846,9 +840,48 @@ def verify_hom_g_ab_a(pair: ExactZeroDivisorPair, a, b, bound=None,
 _PARTNER = {"G": "H", "H": "G"}
 
 
-def _flavor_module(pair, flavor: str, elem) -> PresentedModule:
-    return module_g(pair, elem, strict=False) if flavor == "G" \
-        else module_h(pair, elem, strict=False)
+class _FamilyModule:
+    """A family module and what certificates ask of it, each part built
+    when first asked for: ``module`` holds its Hilbert function,
+    ``factored_rho`` is rho without degrees factored, and ``f_t`` is F_x^T,
+    the transposed functional rows, with its factorization and kernel."""
+
+    def __init__(self, pair, flavor: str, elem, bound):
+        self.desc, self.bound = (pair, flavor, elem), bound
+        build = module_g if flavor == "G" else module_h
+        self.module = build(pair, elem, strict=False)
+
+    @functools.cached_property
+    def factored_rho(self) -> Factored:
+        return Factored(self.module.rho.without_degrees(), self.bound)
+
+    @functools.cached_property
+    def f_t(self) -> Matrix:
+        return _functional_rows(*self.desc).transpose()
+
+    @functools.cached_property
+    def factored_f_t(self) -> Factored:
+        return Factored(self.f_t, self.bound)
+
+    @functools.cached_property
+    def f_t_kernel(self) -> list[Matrix]:
+        return self.factored_f_t.kernel()
+
+
+def _family_record(pair, flavor: str, elem, bound) -> _FamilyModule:
+    """The record of one family module: inside a hom_memo() block one per
+    pair, flavor, element and bound for the block's length, else new."""
+    memo = _HOM_MEMO.get()
+    if memo is None:
+        return _FamilyModule(pair, flavor, elem, bound)
+    key = ("module", pair.x, pair.y, flavor, elem, bound)
+    if key not in memo:
+        memo[key] = _FamilyModule(pair, flavor, elem, bound)
+    return memo[key]
+
+
+def _flavor_module(pair, flavor: str, elem, bound) -> PresentedModule:
+    return _family_record(pair, flavor, elem, bound).module
 
 
 def _functional_rows(pair, flavor: str, elem) -> Matrix:
@@ -876,28 +909,30 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
     scope = scope_of(ring, bound)
     src_fl, src_el = src
     tgt_fl, tgt_el = tgt
-    m_src = _flavor_module(pair, src_fl, src_el)
-    m_tgt = _flavor_module(pair, tgt_fl, tgt_el)
-    d_src = _flavor_module(pair, _PARTNER[src_fl], src_el)
-    d_tgt = _flavor_module(pair, _PARTNER[tgt_fl], tgt_el)
+    m_src = _flavor_module(pair, src_fl, src_el, bound)
+    m_tgt = _flavor_module(pair, tgt_fl, tgt_el, bound)
+    d_src = _flavor_module(pair, _PARTNER[src_fl], src_el, bound)
+    d_tgt = _flavor_module(pair, _PARTNER[tgt_fl], tgt_el, bound)
     name = f"hom({m_src.label},{m_tgt.label})-matches-" \
            f"hom({d_tgt.label},{d_src.label})"
     rep = VerificationReport(name, PASS, scope, {"route": "transpose"})
     ends = ((src, tgt),
             ((_PARTNER[tgt_fl], tgt_el), (_PARTNER[src_fl], src_el)))
     # direction k solves Theta^T F_x = F_y psi for its ends x -> y, and
-    # works modulo the relations of the dual module its transposes land in
-    f_x = [Factored(_functional_rows(pair, *x).transpose(), bound)
-           for x, _ in ends]
-    f_y = [_functional_rows(pair, *y).transpose() for _, y in ends]
-    rel = [Factored(m.rho.without_degrees(), bound) for m in (d_src, m_tgt)]
+    # works modulo the relations of the dual module its transposes land in,
+    # the partner of x
+    x_rec = [_family_record(pair, *x, bound) for x, _ in ends]
+    f_y = [_family_record(pair, *y, bound).f_t for _, y in ends]
+    rel = [_family_record(pair, _PARTNER[fl], el, bound).factored_rho
+           for (fl, el), _ in ends]
 
     def transpose(k: int, psi: Matrix) -> Matrix | None:
-        theta = f_x[k].solve(psi.without_degrees().transpose() * f_y[k])
+        theta = x_rec[k].factored_f_t.solve(
+            psi.without_degrees().transpose() * f_y[k])
         return None if theta is None else theta.without_degrees()
 
     unique_ok = all(rel[k].outside(gen.without_degrees()
-                                   for gen in f_x[k].kernel()) is None
+                                   for gen in x_rec[k].f_t_kernel) is None
                     for k in (0, 1))
     rep.add(report("transpose-determined-mod-relations", unique_ok, scope,
                    {}))
@@ -974,7 +1009,7 @@ def verify_end_ring(pair: ExactZeroDivisorPair, a, bound=None,
     rep = VerificationReport(f"end-ring({ring.format(a)})", PASS, scope,
                              {"a": ring.format(a), "hypotheses": info})
     for flavor in ("G", "H"):
-        module = _flavor_module(pair, flavor, a)
+        module = _flavor_module(pair, flavor, a, bound)
         hp = hom_presentation(module, module, bound)
         span = Factored(_vec_span(module, module,
                                   [Matrix.identity(ring, module.ngens)]),
@@ -1124,12 +1159,12 @@ def verify_ext_swap(pair: ExactZeroDivisorPair, a, b, i_max: int = 2,
         f"ext-interchange({ring.format(a)},{ring.format(b)},i<={i_max})",
         PASS, scope, {"a": ring.format(a), "b": ring.format(b)})
     graded = isinstance(ring, GradedMonomialRing)
-    if graded and not (a.is_homogeneous() and b.is_homogeneous()
-                       and not a.is_zero and not b.is_zero):
-        raise PreconditionFailed("graded Ext comparison needs nonzero "
-                                 "homogeneous elements")
-    alpha = a.degree() if graded else 0
-    beta = b.degree() if graded else 0
+    if graded and not (a.is_homogeneous() and b.is_homogeneous()):
+        raise NonHomogeneous("graded Ext comparison needs homogeneous "
+                             "elements")
+    # a zero element takes the twist deg y, as in the family layouts
+    alpha, beta = (0 if not graded else (pair.y.degree() or 0) if e.is_zero
+                   else e.degree() for e in (a, b))
     cases = [
         ("ext(H_b,G_a)-vs-ext(H_a,G_b)",
          ("H", b, module_g(pair, a, strict=False)),
@@ -1300,7 +1335,7 @@ def _run_family(pair, b_sequence, n_max, bound, i_max) -> FamilyReport:
         certificates.add(verify_total_reflexivity(pair, a_n, i_max, bound))
         certificates.add(verify_end_ring(pair, a_n, bound))
         for flavor in ("G", "H"):
-            module = _flavor_module(pair, flavor, a_n)
+            module = _flavor_module(pair, flavor, a_n, bound)
             module_list.append((flavor, n, module))
             mu = minimal_generator_count(module)
             fit1 = fitting_ideal(module, 1)
@@ -1344,8 +1379,10 @@ def _run_family(pair, b_sequence, n_max, bound, i_max) -> FamilyReport:
         for rep in reports:
             certificates.add(rep)
         ok = all(r.passed for r in (*reports, *backing))
-        hom_table.append({"source": _flavor_module(pair, *source).label,
-                          "target": _flavor_module(pair, *target).label,
+        hom_table.append({"source": _flavor_module(pair, *source,
+                                                   bound).label,
+                          "target": _flavor_module(pair, *target,
+                                                   bound).label,
                           "claimed": claimed, "route": route,
                           "verdict": PASS if ok else FAIL})
 

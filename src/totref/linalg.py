@@ -451,8 +451,9 @@ class Factored:
     The finite backend flattens rho once into ``span``, a ``SpanSolver``;
     the graded backend slices rho once per degree that a question asks
     for.  ``solve``, ``kernel`` and ``outside`` all read that one
-    factorization.  A graded rho without a degree layout is only solved,
-    by a truncated search up to ``bound``.
+    factorization, and ``_ranks`` holds the rank of each slice a kernel
+    eliminated, by degree.  A graded rho without a degree layout is only
+    solved, by a truncated search up to ``bound``.
     """
 
     def __init__(self, rho: Matrix, bound: int | None = None):
@@ -461,6 +462,7 @@ class Factored:
         self.bound = bound
         self.span = None
         self._slices: dict[int, tuple] = {}
+        self._ranks: dict[int, int] = {}
         if isinstance(ring, FiniteLocalRing):
             cols, height = _flatten_columns(rho)
             self.span = _zn.SpanSolver(cols, ring.n, height)
@@ -560,7 +562,7 @@ class Factored:
             # kernel basis vectors off their span are built
             span = functools.partial(_free_span, held, d) if gens else None
             rows, width = self._slice(d) if keep else slice_matrix(rho, d)
-            kern = _fp.kernel(rows, width, ring.p, span)
+            kern, self._ranks[d] = _fp.kernel(rows, width, ring.p, span)
             if kern:
                 gens += [slice_vector_to_matrix(ring, vec, rho.col_degs, d)
                          for vec in kern]

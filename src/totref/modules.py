@@ -34,6 +34,7 @@ class PresentedModule:
         self.gen_degs = rho.row_degs
         self._solver = None
         self._tables = None  # coset tables, built by homcalc._target_tables
+        self._dims: dict[int, int] = {}  # the Hilbert function, by degree
 
     @classmethod
     def free(cls, ring, n: int = 1, degs=None, label: str = "A") -> "PresentedModule":
@@ -63,10 +64,14 @@ class PresentedModule:
         return total // self._span_solver().span_size()
 
     def slice_dim(self, d: int) -> int:
+        """dim M_d, held once known: a Hom module's are recorded as it is
+        built, and the others are read off a slice of rho when asked."""
         if not isinstance(self.ring, GradedMonomialRing):
             raise WrongBackend("graded slices need the graded backend")
-        free_dim = _twist_layout(self.ring, self.gen_degs, d)[2]
-        return free_dim and free_dim - slice_rank(self.rho, d)
+        if d not in self._dims:
+            free_dim = _twist_layout(self.ring, self.gen_degs, d)[2]
+            self._dims[d] = free_dim and free_dim - slice_rank(self.rho, d)
+        return self._dims[d]
 
 
 def hilbert_function(module: PresentedModule, lo: int, hi: int) -> list[int]:

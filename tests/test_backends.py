@@ -6,15 +6,13 @@ The finite descriptor ``{"kind": "finite", "p": p, "k": 1, "vars": ["t"],
 pairs are (t^i, t^(d - i)).  The finite backend answers by enumeration, so
 it is an oracle for the graded kernels and slices: every verb must reach
 the same verdict and exit code on both, and a finite module of size p^n
-must have graded slices of total dimension n.  The one known exception,
-graded ``hom verify-ext`` with a zero element, is pinned by an xfail.
+must have graded slices of total dimension n.
 """
 
 import contextlib
 import io
 import json
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from totref import cli, homcalc
@@ -80,18 +78,11 @@ def _run(kind, case, group, action, takes_a, takes_b):
                                                     payload.get("kind")))
 
 
-def _ext_refuses_zero(verb, case) -> bool:
-    """graded verify-ext refuses a zero element (see the xfail below)."""
-    _, _, _, a, b = case
-    return verb[1] == "verify-ext" and None in (a, b)
-
-
 @settings(max_examples=30)
 @given(overlaps(), st.sampled_from(VERBS), st.sampled_from("GH"),
        st.sampled_from("GH"))
 def test_backends_agree_on_verdicts_and_module_sizes(case, verb, fa, fb):
-    if not _ext_refuses_zero(verb, case):
-        assert _run("graded", case, *verb) == _run("finite", case, *verb)
+    assert _run("graded", case, *verb) == _run("finite", case, *verb)
     # |Hom(M_a, N_b)| and |Ext^i(M_a, N_b)| against the graded dimensions
     p, d, i, a, b = case
     answers = []
@@ -114,9 +105,6 @@ def test_backends_agree_on_verdicts_and_module_sizes(case, verb, fa, fb):
     assert ext_f == [p ** sum(dims.values()) for dims in ext_g]
 
 
-@pytest.mark.xfail(strict=True, reason="graded verify-ext needs nonzero "
-                   "elements for its twist shift; the finite backend "
-                   "compares a = 0 and passes")
 def test_graded_ext_swap_accepts_a_zero_element():
     case = (3, 4, 2, None, 1)
     verb = ("hom", "verify-ext", True, True)

@@ -345,6 +345,39 @@ def test_degree_window_past_the_carrier_budget_is_refused(capsys,
             assert json.loads(out)["error"] == "TooLarge"
 
 
+def test_integer_flags_past_their_cap_are_refused_before_any_work(
+        capsys, monkeypatch):
+    def reached(*args):
+        raise cli.PreconditionFailed("the value was accepted")
+
+    monkeypatch.setattr(cli, "_load_ring", reached)
+    for argv, flag in ((("family", "verify-complex", "--a", "1"), "--length"),
+                       (("family", "verify-tr", "--a", "1"), "--i-max"),
+                       (("family", "run-main", "--b", "3"), "--n-max"),
+                       (("family", "run-main", "--b", "3"), "--i-max"),
+                       (("hom", "verify-ext", "--a", "1", "--b", "1"),
+                        "--i-max")):
+        cap = cli._FLAG_CAPS[flag[2:].replace("-", "_")]
+        for value, expected in ((str(cap), 3), (str(cap + 1), 2),
+                                ("100000000000", 2)):
+            code, out, _ = run(capsys, *argv, flag, value, "--ring", Z9,
+                               "--x", "3", "--y", "3", "--format", "json")
+            assert code == expected, (argv, flag, value)
+            record = json.loads(out)
+            assert record["kind"] == "error"
+            assert record["exit_code"] == expected
+            if expected == 2:
+                assert record["error"] == "TooLarge"
+    # a --b list longer than the --n-max cap sets n_max past it
+    cap = cli._FLAG_CAPS["n_max"]
+    for count, expected in ((cap, 3), (cap + 1, 2)):
+        code, out, _ = run(capsys, "family", "run-main", "--b",
+                           ",".join(["3"] * count), "--ring", Z9, "--x", "3",
+                           "--y", "3", "--format", "json")
+        assert code == expected, count
+        assert json.loads(out)["exit_code"] == expected
+
+
 def test_closed_stdout_keeps_the_verdict_exit_code():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -447,11 +480,15 @@ VERBS = {("pair", "verify"): ((), ()),
          ("hom", "verify-ext"): (("--a", "--b"), ("--i-max",)),
          ("oracle", "hom"): (("--source", "--target"), ("--budget",))}
 # numbers stay small so every run is quick: the degree window is 3 unless
-# a drawn --degree replaces it (a huge window on a graded ring is not
-# refused yet and grows without bound; see ROADMAP item 6)
+# a drawn --degree replaces it.  The capped flags may also draw a value
+# past their cap, which is refused before any work: --degree by the
+# carrier budget on a graded ring (a finite ring has no window), the
+# others by their fixed caps
 NUMBERS = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "1", "2", "a"])
+CAPPED = {"--degree", "--length", "--i-max", "--n-max"}
+CAPPED_NUMBERS = st.one_of(NUMBERS, st.just("100000000000"))
 COMMON = st.sampled_from([
-    ("--degree", NUMBERS), ("--probe", None),
+    ("--degree", CAPPED_NUMBERS), ("--probe", None),
     ("--format", st.sampled_from(["json", "text", "json", "xml"])),
     ("--output", st.just("no_such_dir/out.json"))])
 
@@ -473,7 +510,8 @@ def command_lines(draw):
             value = f"{draw(FLAVORS) if flag == bad else 'gamma'}:{value}"
         argv += [flag, value]
     optional = st.one_of(COMMON, st.sampled_from(numeric).map(
-        lambda flag: (flag, NUMBERS))) if numeric else COMMON
+        lambda flag: (flag, CAPPED_NUMBERS if flag in CAPPED else NUMBERS))
+    ) if numeric else COMMON
     for flag, values in draw(st.lists(optional, max_size=2)):
         argv += [flag] if values is None else [flag, draw(values)]
     junk = draw(st.sampled_from([None] * 7 + ["--bogus", "--degree",

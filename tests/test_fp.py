@@ -81,7 +81,7 @@ def test_extend_independent_picks_where_the_rank_grows(case):
     # kernel's picks: with a span inside the kernel, exactly the basis
     # vectors that extend_independent picks after it; checked on a kernel
     # and on the identity basis of a zero-row matrix
-    kern = _columns(_fp.kernel(sparse_rows(span.T), span.shape[0], p),
+    kern = _columns(_fp.kernel(sparse_rows(span.T), span.shape[0], p)[0],
                     span.shape[0])
     k = kern.shape[1]
     inside = np.array(kern, dtype=object) @ np.array(cand[:k], dtype=object)
@@ -94,8 +94,8 @@ def test_extend_independent_picks_where_the_rank_grows(case):
                  for j in range(basis.shape[1] + 1)]
         expected = [j for j in range(basis.shape[1])
                     if ranks[j + 1] > ranks[j]]
-        vectors = _fp.kernel(sparse_rows(a), a.shape[1], p,
-                             lambda free: sparse_rows(inside[free[::-1]].T))
+        vectors, _ = _fp.kernel(sparse_rows(a), a.shape[1], p,
+                                lambda free: sparse_rows(inside[free[::-1]].T))
         assert _residues(vectors, p)
         picked = _columns(vectors, a.shape[1])
         assert np.array_equal(picked, basis[:, expected])
@@ -143,8 +143,10 @@ def test_rref_is_the_reduced_row_echelon_form(case):
 @given(span_and_candidates())
 def test_kernel_columns_are_a_kernel_basis(case):
     p, _, a = case
-    basis = _columns(_fp.kernel(sparse_rows(a), a.shape[1], p), a.shape[1])
+    vectors, eliminated = _fp.kernel(sparse_rows(a), a.shape[1], p)
+    basis = _columns(vectors, a.shape[1])
     rank = rank_mod_p(a.tolist(), p)
+    assert eliminated == rank
     assert basis.shape == (a.shape[1], a.shape[1] - rank)
     product = np.array(a, dtype=object) @ np.array(basis, dtype=object)
     assert not np.any(product % p)
@@ -182,7 +184,7 @@ def test_kernel_and_solve_are_read_off_the_rref(case):
         expected = np.zeros((n, len(free)), dtype=red.dtype)
         expected[free, range(len(free))] = 1
         expected[pivots] = -red[:len(pivots)][:, free] % p
-        vectors = _fp.kernel(sparse_rows(a), n, p)
+        vectors, _ = _fp.kernel(sparse_rows(a), n, p)
         assert _residues(vectors, p)
         basis = _columns(vectors, n)
         assert np.array_equal(basis, expected)

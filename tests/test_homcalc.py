@@ -5,6 +5,7 @@ oracles.py (hom_count); the tests re-run that oracle beside the library.
 """
 
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import ext_size, hom_count, matrix_columns, span_closure
 from totref import _zn, homcalc, linalg
-from totref.errors import (InconclusiveStrategy, PreconditionFailed,
-                           TooLarge)
+from totref.errors import (InconclusiveStrategy, NonHomogeneous,
+                           PreconditionFailed, TooLarge)
 from totref.family import module_g, module_h
 from totref.linalg import Factored, Matrix
 from totref.modules import PresentedModule
@@ -661,7 +662,7 @@ def test_ext_swap_finite(pair_z9):
 
 def test_ext_swap_needs_homogeneous_graded_inputs(pair_f5):
     ring = pair_f5.ring
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(NonHomogeneous):
         verify_ext_swap(pair_f5, ring.parse("1+z"), ring.parse("z"), 1, 6)
 
 
@@ -805,6 +806,74 @@ def test_run_family_computes_each_distinct_hom_once(pair_f5, monkeypatch):
     fam = run_family(pair_f5, ["z"], n_max=3, bound=8)
     assert fam.passed
     assert len(calls) == 36
+
+
+def test_run_family_factors_each_functional_matrix_once(pair_f5,
+                                                        monkeypatch):
+    # every module's F_x^T is factored by the first transpose certificate
+    # that asks for it, and its record answers the later ones
+    ring = pair_f5.ring
+    watched = {homcalc._functional_rows(pair_f5, flavor,
+                                        ring.parse(elem)).transpose().entries
+               for flavor in "GH" for elem in ("z", "z^2")}
+    factored = []
+    build = homcalc.Factored
+
+    def counted(rho, bound=None):
+        if rho.entries in watched:
+            factored.append(rho.entries)
+        return build(rho, bound)
+
+    monkeypatch.setattr(homcalc, "Factored", counted)
+    fam = run_family(pair_f5, ["z"], n_max=2, bound=6)
+    assert fam.passed
+    assert len(factored) == len(set(factored))
+    assert set(factored) == watched
+
+
+# graded rings with an exact pair, and homogeneous elements for G and H
+RECORD_CASES = (
+    (GradedMonomialRing(5, ("x", "y", "z"), ((1, 1, 0),)), "x", "y",
+     ("0", "z", "z^2", "x*z", "x", "y^2")),
+    (GradedMonomialRing(3, ("x", "y", "z"), ((1, 2, 0),)), "x", "y^2",
+     ("0", "z", "y", "x*z", "z^2")),
+    (GradedMonomialRing(2, ("x", "y"), ((2, 0), (0, 2))), "x", "x",
+     ("0", "x", "y", "x*y")))
+
+
+@functools.lru_cache(maxsize=None)
+def _record_pair(index: int):
+    ring, x, y, _ = RECORD_CASES[index]
+    return exact_pair(ring, ring.parse(x), ring.parse(y), 8)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, len(RECORD_CASES) - 1), st.sampled_from("GH"),
+       st.sampled_from("GH"), st.integers(3, 7), st.data())
+def test_recorded_hom_dimensions_match_the_relation_slices(index, fa, fb,
+                                                           bound, data):
+    # dim Hom_d recorded as the Hom is built, against the slice of its
+    # relation matrix, in every degree of the window that has generators
+    pair = _record_pair(index)
+    ring, elems = pair.ring, RECORD_CASES[index][3]
+    a, b = (ring.parse(data.draw(st.sampled_from(elems))) for _ in "ab")
+    flavor = {"G": module_g, "H": module_h}
+    source = flavor[fa](pair, a, strict=False)
+    target = flavor[fb](pair, b, strict=False)
+    with homcalc.hom_memo():
+        hp = hom_presentation(source, target, bound)
+        recorded = dict(hp.module._dims)
+        relabelled = hom_presentation(
+            PresentedModule(ring, source.rho, "S"),
+            PresentedModule(ring, target.rho, "T"), bound)
+    assert relabelled.module.label == "Hom(S,T)"
+    assert relabelled.module._dims == recorded
+    sliced = PresentedModule(ring, hp.module.rho)
+    window = [d for d in range(min(sliced.gen_degs), bound + 1)
+              if linalg._twist_layout(ring, sliced.gen_degs, d)[2]]
+    if hp.generators:
+        assert set(window) <= set(recorded)
+    assert recorded == {d: sliced.slice_dim(d) for d in recorded}
 
 
 def test_run_family_closes_its_memo_on_a_failed_precondition(pair_f5,
