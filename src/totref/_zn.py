@@ -177,9 +177,6 @@ class SpanSolver:
             bounds[j] = piv
         return bounds
 
-    def kernel_generators(self) -> list[list[int]]:
-        return [list(r) for r in self.kernel_rows]
-
     def span_size(self) -> int:
         return _pivot_product(self.value_rows, self.n)
 

@@ -17,7 +17,8 @@ kernel of the column of e's homogeneous components, and e in (g_1 .. g_k)
 is solving [g_1 .. g_k] x = e.  Hom and Ext are too: ``kron`` builds every
 lifting and cochain matrix as a Kronecker product.  Exactness is every
 kernel generator of the outgoing map solving into the image of the
-incoming one; ``homology`` counts cycles and boundaries for Ext only.
+incoming one; ``homology`` counts cycles and boundaries for Ext only, by
+rank-nullity on both backends: span sizes over Z/n, slice ranks over F_p.
 """
 
 from __future__ import annotations
@@ -451,9 +452,10 @@ class Factored:
     The finite backend flattens rho once into ``span``, a ``SpanSolver``;
     the graded backend slices rho once per degree that a question asks
     for.  ``solve``, ``kernel`` and ``outside`` all read that one
-    factorization, and ``_ranks`` holds the rank of each slice a kernel
-    eliminated, by degree.  A graded rho without a degree layout is only
-    solved, by a truncated search up to ``bound``.
+    factorization, ``transpose`` holds one of rho^T, and ``_ranks`` holds
+    the rank of each slice a kernel eliminated, by degree.  A graded rho
+    without a degree layout is only solved, by a truncated search up to
+    ``bound``.
     """
 
     def __init__(self, rho: Matrix, bound: int | None = None):
@@ -461,6 +463,7 @@ class Factored:
         self.ring = ring
         self.bound = bound
         self.span = None
+        self._transpose = None
         self._slices: dict[int, tuple] = {}
         self._ranks: dict[int, int] = {}
         if isinstance(ring, FiniteLocalRing):
@@ -551,7 +554,7 @@ class Factored:
         if self.span is not None:
             return [Matrix._trusted(ring, [[e] for e in _unflatten_vector(
                 ring, vec, self.rho.ncols)])
-                for vec in self.span.kernel_generators()]
+                for vec in self.span.kernel_rows]
         rho = infer_degrees(self.rho)  # raises when rho has no layout
         gens: list[Matrix] = []
         for d in range(min(rho.col_degs), degree_bound(self.bound) + 1):
@@ -573,6 +576,12 @@ class Factored:
         """The first of ``columns`` that does not solve, or None."""
         return next((col for col in columns if self.solve(col) is None),
                     None)
+
+    def transpose(self) -> "Factored":
+        """rho^T, factored when first asked and held for later questions."""
+        if self._transpose is None:
+            self._transpose = Factored(self.rho.transpose(), self.bound)
+        return self._transpose
 
 
 def solve_right(rho: Matrix, rhs: Matrix, bound: int | None = None) -> Matrix | None:
@@ -746,51 +755,59 @@ def homology(incoming: Matrix, outgoing: Matrix, rel_mid: Matrix,
     Z is the v with outgoing * v in span(rel_out) and B is im(incoming),
     and both include span(rel_mid); Z does so because outgoing must carry
     span(rel_mid) into span(rel_out), as a map of presented modules does.
-    Finite backend: (|Z|, |B|).  Graded backend: [d, dim Z_d, dim B_d]
-    for each degree d from the lowest middle twist up to ``bound`` at
-    which the middle slice is nonzero.
+    Both backends count Z by rank-nullity: it is ker[outgoing | rel_out]
+    cut to the middle coordinates, with fibres ker(rel_out).  Finite
+    backend: (|Z|, |B|).  Graded backend: [d, dim Z_d, dim B_d] for each
+    degree d from the lowest middle twist up to ``bound`` at which the
+    middle slice is nonzero.  Raises NotAComplex where B cannot lie in Z.
     """
     incoming, outgoing = _with_middle(incoming, outgoing)
     ring = incoming.ring
     up = hstack([outgoing, rel_out])
     down = hstack([rel_mid, incoming])
     if isinstance(ring, FiniteLocalRing):
-        # the kernel rows generate ker(up) over Z/n, so their leading
-        # coordinates, those of the middle module, generate Z
-        width = outgoing.ncols * ring.ext_degree
-        rows = Factored(up).span.kernel_generators()
-        cycles = [v[:width] for v in rows]
-        return _zn.span_size(cycles, ring.n), column_span_size(down)
+        held, spans, boundaries = map(column_span_size, (rel_out, up, down))
+        cycles = ring.n ** (outgoing.ncols * ring.ext_degree) * held // spans
+        if cycles % boundaries:
+            raise NotAComplex(f"{boundaries} boundaries do not divide "
+                              f"{cycles} cycles")
+        return cycles, boundaries
     dims = []
     for d in range(min(outgoing.col_degs), degree_bound(bound) + 1):
         width = _twist_layout(ring, outgoing.col_degs, d)[2]
         if width:
             dims.append([d, width - slice_rank(up, d)
                          + slice_rank(rel_out, d), slice_rank(down, d)])
+    if any(b > z for _, z, b in dims):
+        raise NotAComplex("more boundaries than cycles in some degree")
     return dims
 
 
-def check_exact_at(incoming: Matrix, outgoing: Matrix,
-                   bound: int | None = None,
+def check_exact_at(incoming, outgoing, bound: int | None = None,
                    name: str = "exactness") -> VerificationReport:
     """Certify ker(outgoing) = im(incoming) at the shared middle module.
 
-    Raises NotAComplex when the composite is nonzero.  Once it vanishes
-    the image lies in the kernel, so the maps are exact when every
-    generator of ker(outgoing) solves into im(incoming); the first one
-    that does not is the witness.  The finite backend's generators are
-    complete; the graded backend's span the kernel in every twisted
-    degree up to ``bound``.
+    Either map may come as a ``Factored`` that the caller holds for other
+    positions of a complex; a matrix is factored here.  Raises NotAComplex
+    when the composite is nonzero.  Once it vanishes the image lies in the
+    kernel, so the maps are exact when every generator of ker(outgoing)
+    solves into im(incoming); the first one that does not is the witness.
+    The finite backend's generators are complete; the graded backend's
+    span the kernel in every twisted degree up to ``bound``.
     """
+    held_in, held_out = (m if isinstance(m, Factored) else None
+                         for m in (incoming, outgoing))
+    incoming, outgoing = (getattr(m, "rho", m) for m in (incoming, outgoing))
     if outgoing.ncols != incoming.nrows:
         raise DimensionMismatch("maps do not share a middle module")
     composite = outgoing * incoming
     if not composite.is_zero:
         raise NotAComplex(f"{name}: composite of consecutive maps is nonzero")
     incoming, outgoing = _with_middle(incoming, outgoing)
-    gens = kernel_gens(outgoing, bound)
+    gens = held_out.kernel() if held_out else kernel_gens(outgoing, bound)
     details = {"kernel_generators": len(gens)}
-    witness = Factored(incoming, bound).outside(gens) if gens else None
+    witness = (held_in or Factored(incoming, bound)).outside(gens) \
+        if gens else None
     if witness is not None:
         details["witness_in_kernel_not_image"] = repr(witness)
     return VerificationReport(name, FAIL if witness is not None else PASS,

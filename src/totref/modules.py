@@ -187,19 +187,20 @@ def dual_presentation(module: PresentedModule,
     return PresentedModule(module.ring, rho_dual, f"dual({module.label})")
 
 
-def validate_resolution(module: PresentedModule, differentials: list[Matrix],
+def validate_resolution(module: PresentedModule, differentials: list,
                         bound=None) -> VerificationReport:
-    """Check that d_1, d_2, ... resolve M: d_1 = rho and exact at each F_i."""
-    if not differentials or differentials[0].entries != module.rho.entries:
+    """Check that d_1, d_2, ... resolve M: d_1 = rho and exact at each F_i;
+    a map held as a ``Factored`` is factored once for all its positions."""
+    head = getattr(differentials[0], "rho", differentials[0]) \
+        if differentials else None
+    if head is None or head.entries != module.rho.entries:
         raise InvalidResolution("first differential must be the presentation")
     rep = VerificationReport("resolution-valid", PASS,
                              scope_of(module.ring, bound))
     for i in range(len(differentials) - 1):
-        outgoing = differentials[i]
-        incoming = differentials[i + 1]
         try:
-            sub = check_exact_at(incoming, outgoing, bound,
-                                 name=f"exact-at-step-{i + 1}")
+            sub = check_exact_at(differentials[i + 1], differentials[i],
+                                 bound, name=f"exact-at-step-{i + 1}")
         except NotAComplex as ex:
             raise InvalidResolution(str(ex)) from ex
         rep.add(sub)
@@ -209,14 +210,15 @@ def validate_resolution(module: PresentedModule, differentials: list[Matrix],
     return rep
 
 
-def ext_vanishing(module: PresentedModule, differentials: list[Matrix],
+def ext_vanishing(module: PresentedModule, differentials: list,
                   i_max: int, bound=None,
                   name: str = "ext-vanishing") -> VerificationReport:
     """Certify Ext^i(M, A) = 0 for 1 <= i <= i_max from a free resolution.
 
     ``differentials`` must contain d_1 .. d_(i_max+1); the resolution is
     validated first and a failing validation raises InvalidResolution.
-    Each vanishing claim is the exactness of the dualized complex at F_i*.
+    Each vanishing claim is the exactness of the dualized complex at F_i*;
+    a ``Factored`` differential holds its transpose for every position.
     """
     if len(differentials) < i_max + 1:
         raise InvalidResolution(
@@ -224,8 +226,7 @@ def ext_vanishing(module: PresentedModule, differentials: list[Matrix],
     rep = VerificationReport(name, PASS, scope_of(module.ring, bound))
     rep.add(validate_resolution(module, differentials, bound))
     for i in range(1, i_max + 1):
-        incoming = differentials[i - 1].transpose()
-        outgoing = differentials[i].transpose()
-        rep.add(check_exact_at(incoming, outgoing, bound,
+        rep.add(check_exact_at(differentials[i - 1].transpose(),
+                               differentials[i].transpose(), bound,
                                name=f"ext-{i}-vanishes"))
     return rep

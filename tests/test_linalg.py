@@ -500,6 +500,60 @@ def test_finite_exactness_matches_the_oracle(ring, m, n, variant, data):
         assert witness in kernel and witness not in image
 
 
+# (ring, scales of incoming and outgoing): the scales multiply to zero, so
+# the scaled maps form a complex; Z/4[t]/(t^2) flattens to twice the width
+HOMOLOGY_CASES = ((FiniteLocalRing(2, 3), ("2", "4")),
+                  (FiniteLocalRing(3, 2), ("3", "3")),
+                  (FiniteLocalRing(2, 2, "t", (0, 0)), ("t", "t")))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("ring, scales", HOMOLOGY_CASES)
+def test_finite_homology_matches_brute_force(ring, scales, seed):
+    """(|Z|, |B|) against cycles and boundaries enumerated element by
+    element: on complexes at even seeds, on arbitrary maps at odd ones,
+    where homology must refuse when |B| does not divide |Z|."""
+    rng = random.Random(seed)
+    s_in, s_out = map(ring.parse, scales if seed % 2 == 0 else ("1", "1"))
+
+    def draw(rows, cols, scale=ring.one()):
+        return Matrix(ring, [[scale * ring.element(
+            [rng.randrange(ring.n) for _ in range(ring.ext_degree)])
+            for _ in range(cols)] for _ in range(rows)])
+
+    k = rng.randint(1, 2)  # the middle module's rank
+    outgoing = draw(rng.randint(1, 2), k, s_out)
+    rel_out = draw(outgoing.nrows, 3 - k)
+    incoming, rel_mid = draw(k, rng.randint(1, 2), s_in), draw(k, 1, s_in)
+
+    def coords(mat):
+        return [[e.coords for e in row] for row in mat.entries]
+
+    width = k * ring.ext_degree
+    cycles = {v[:width] for v in module_kernel(
+        ring.n, ring.ext_reduction, coords(hstack([outgoing, rel_out])))}
+    boundaries = module_image(ring.n, ring.ext_reduction,
+                              coords(hstack([rel_mid, incoming])))
+    if seed % 2 == 0:
+        assert boundaries <= cycles
+    if len(cycles) % len(boundaries):
+        with pytest.raises(NotAComplex):
+            linalg.homology(incoming, outgoing, rel_mid, rel_out)
+    else:
+        assert linalg.homology(incoming, outgoing, rel_mid, rel_out) == \
+            (len(cycles), len(boundaries))
+
+
+def test_homology_refuses_maps_that_are_not_a_complex(z9, f5):
+    # the identity after the identity: no cycles, and every element of the
+    # middle module a boundary
+    for ring, degs, bound in ((z9, None, None), (f5, (0,), 2)):
+        one = Matrix.identity(ring, 1, degs)
+        zero = Matrix.zeros(ring, 1, 1, degs, degs)
+        with pytest.raises(NotAComplex):
+            linalg.homology(one, one, zero, zero, bound)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(GRADED_CASES), st.integers(1, 2), st.integers(1, 3),
        VARIANTS, st.randoms(use_true_random=False))
