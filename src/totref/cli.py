@@ -168,9 +168,9 @@ def _presentation(pair, text: str):
     kind = kind.strip().lower()
     elem = pair.ring.parse(expr)
     if kind in ("gamma", "g"):
-        return module_g(pair, elem, strict=False)
+        return module_g(pair, elem)
     if kind in ("eta", "h"):
-        return module_h(pair, elem, strict=False)
+        return module_h(pair, elem)
     raise ParseError(f"unknown presentation flavor {kind!r}; "
                      "use gamma or eta")
 
@@ -212,10 +212,8 @@ def _cmd_family_build(args):
                "ring": ring.descriptor(), "pair": pair.describe(),
                "a": ring.format(a),
                "modules": [
-                   _module_stats(module_g(pair, a, strict=False),
-                                 args.degree),
-                   _module_stats(module_h(pair, a, strict=False),
-                                 args.degree)]}
+                   _module_stats(module_g(pair, a), args.degree),
+                   _module_stats(module_h(pair, a), args.degree)]}
     return payload, 0
 
 

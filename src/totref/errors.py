@@ -31,7 +31,7 @@ class WrongBackend(TotrefError):
 
 
 class NonHomogeneous(TotrefError):
-    """Graded operation received mixed-degree data and strict mode is on."""
+    """Graded operation received inhomogeneous data."""
 
 
 class UnitInput(TotrefError):

@@ -26,13 +26,17 @@ from .zerodiv import ExactZeroDivisorPair, weakly_regular_on_quotient
 
 
 def _family_layout(pair, a, flavor: str):
-    """Twist layout (row_degs, col_degs) for gamma_a or eta_a, if one exists."""
+    """Twist layout (row_degs, col_degs) for gamma_a or eta_a: none on the
+    finite backend, NonHomogeneous on graded data that has none."""
     ring = pair.ring
     if not isinstance(ring, GradedMonomialRing):
         return None, None
     if not (pair.x.is_homogeneous() and pair.y.is_homogeneous()
             and a.is_homogeneous()):
-        return None, None
+        raise NonHomogeneous(
+            f"{flavor}_a needs homogeneous x, y and a, got "
+            + ", ".join(f"{name} = {ring.format(e)}"
+                        for name, e in zip("xya", (pair.x, pair.y, a))))
     wx = pair.x.degree() or 0
     wy = pair.y.degree() or 0
     first, second = (wx, wy) if flavor == "gamma" else (wy, wx)
@@ -41,26 +45,18 @@ def _family_layout(pair, a, flavor: str):
     return (0, alpha - second), (first, alpha)
 
 
-def gamma(pair: ExactZeroDivisorPair, a, strict: bool = True) -> Matrix:
-    """The presentation [[x, a], [0, y]] of G_a, with twists when possible."""
+def gamma(pair: ExactZeroDivisorPair, a) -> Matrix:
+    """The presentation [[x, a], [0, y]] of G_a, with twists when graded."""
     ring = pair.ring
-    rows = [[pair.x, a], [ring.zero(), pair.y]]
-    row_degs, col_degs = _family_layout(pair, a, "gamma")
-    if isinstance(ring, GradedMonomialRing) and row_degs is None and strict:
-        raise NonHomogeneous("gamma_a needs homogeneous x, y, a; pass "
-                             "strict=False for an unlayouted matrix")
-    return Matrix(ring, rows, row_degs, col_degs)
+    return Matrix(ring, [[pair.x, a], [ring.zero(), pair.y]],
+                  *_family_layout(pair, a, "gamma"))
 
 
-def eta(pair: ExactZeroDivisorPair, a, strict: bool = True) -> Matrix:
-    """The presentation [[y, -a], [0, x]] of H_a, with twists when possible."""
+def eta(pair: ExactZeroDivisorPair, a) -> Matrix:
+    """The presentation [[y, -a], [0, x]] of H_a, with twists when graded."""
     ring = pair.ring
-    rows = [[pair.y, -a], [ring.zero(), pair.x]]
-    row_degs, col_degs = _family_layout(pair, a, "eta")
-    if isinstance(ring, GradedMonomialRing) and row_degs is None and strict:
-        raise NonHomogeneous("eta_a needs homogeneous x, y, a; pass "
-                             "strict=False for an unlayouted matrix")
-    return Matrix(ring, rows, row_degs, col_degs)
+    return Matrix(ring, [[pair.y, -a], [ring.zero(), pair.x]],
+                  *_family_layout(pair, a, "eta"))
 
 
 def phi_matrix(ring) -> Matrix:
@@ -70,12 +66,16 @@ def phi_matrix(ring) -> Matrix:
 
 
 def module_g(pair: ExactZeroDivisorPair, a, strict: bool = True) -> PresentedModule:
-    return PresentedModule(pair.ring, gamma(pair, a, strict),
+    """G_a = Coker(gamma_a).  ``strict`` is ignored: it is kept only because
+    perfbench/workloads.py passes ``strict=False``."""
+    return PresentedModule(pair.ring, gamma(pair, a),
                            f"G({pair.ring.format(a)})")
 
 
 def module_h(pair: ExactZeroDivisorPair, a, strict: bool = True) -> PresentedModule:
-    return PresentedModule(pair.ring, eta(pair, a, strict),
+    """H_a = Coker(eta_a).  ``strict`` is ignored: it is kept only because
+    perfbench/workloads.py passes ``strict=False``."""
+    return PresentedModule(pair.ring, eta(pair, a),
                            f"H({pair.ring.format(a)})")
 
 
@@ -87,7 +87,7 @@ def _shift_degs(mat: Matrix, offset: int) -> Matrix:
 
 
 def periodic_resolution(pair: ExactZeroDivisorPair, a, length: int,
-                        phase: str = "G", strict: bool = True) -> list[Matrix]:
+                        phase: str = "G") -> list[Matrix]:
     """Differentials d_1 .. d_length of the periodic free resolution.
 
     Phase "G" resolves G_a (d_1 = gamma_a, d_2 = eta_a shifted, ...);
@@ -96,7 +96,7 @@ def periodic_resolution(pair: ExactZeroDivisorPair, a, length: int,
     """
     if phase not in ("G", "H"):
         raise TotrefError("phase must be 'G' or 'H'")
-    base = [gamma(pair, a, strict), eta(pair, a, strict)]
+    base = [gamma(pair, a), eta(pair, a)]
     if phase == "H":
         base.reverse()
     out = []
@@ -119,9 +119,9 @@ def _resolutions(pair: ExactZeroDivisorPair, a, length: int, bound) -> dict:
     eta_a are factored once for every position of both (and transposed
     once); a graded d_(i+2) has its twists raised by deg x + deg y."""
     if not isinstance(pair.ring, FiniteLocalRing):
-        return {phase: periodic_resolution(pair, a, length, phase, False)
+        return {phase: periodic_resolution(pair, a, length, phase)
                 for phase in "GH"}
-    held = [Factored(make(pair, a, False), bound) for make in (gamma, eta)]
+    held = [Factored(make(pair, a), bound) for make in (gamma, eta)]
     return {phase: [held[(i + shift) % 2] for i in range(length)]
             for shift, phase in enumerate("GH")}
 
@@ -142,8 +142,8 @@ def verify_complex(pair: ExactZeroDivisorPair, a, length: int = 4,
     ring = pair.ring
     rep = VerificationReport("periodic-complex", PASS, scope_of(ring, bound),
                              {"a": repr(a), "pair_exact": pair.is_exact})
-    g = gamma(pair, a, strict=False)
-    e = eta(pair, a, strict=False)
+    g = gamma(pair, a)
+    e = eta(pair, a)
     ge = (g.without_degrees() * e.without_degrees()).is_zero
     eg = (e.without_degrees() * g.without_degrees()).is_zero
     rep.add(VerificationReport("composites-vanish",
@@ -194,12 +194,12 @@ def verify_total_reflexivity(pair: ExactZeroDivisorPair, a, i_max: int = 2,
     resolutions = _resolutions(pair, a, i_max + 1, bound)
     for phase, module_of, other in (("G", module_g, module_h),
                                     ("H", module_h, module_g)):
-        module = module_of(pair, a, strict=False)
+        module = module_of(pair, a)
         rep.add(ext_vanishing(module, resolutions[phase], i_max, bound,
                               name=f"ext-vanishing-{module.label}"))
         # d_2 is the other presentation: Coker(gamma^t) is H_a via phi and
         # Coker(eta^t) is G_a via phi
-        target = other(pair, a, strict=False)
+        target = other(pair, a)
         rep.add(verify_iso_witness(
             dual_presentation(module, target.rho), target, phi, phi, bound,
             name=f"dual-of-{module.label}-is-{target.label}"))
@@ -224,12 +224,12 @@ def verify_g_description(pair: ExactZeroDivisorPair, a, bound=None,
     """
     ring = pair.ring
     scope = scope_of(ring, bound)
-    in_x, wit = ideal_membership(ring, a, [pair.x], bound)
+    in_x, wit = ideal_membership(ring, a, [pair.x])
     if in_x:
         q = wit[0]
         one, zero = ring.one(), ring.zero()
-        src = module_g(pair, a, strict=False)
-        tgt = module_g(pair, zero, strict=False)
+        src = module_g(pair, a)
+        tgt = module_g(pair, zero)
         rep = VerificationReport("decomposable-case", PASS, scope,
                                  {"a": repr(a), "q": repr(q)})
         rep.add(verify_iso_witness(
@@ -246,7 +246,7 @@ def verify_g_description(pair: ExactZeroDivisorPair, a, bound=None,
     rep = VerificationReport("ideal-description", PASS, scope,
                              {"a": repr(a),
                               "a_injective_mod_y": hypothesis})
-    g = gamma(pair, a, strict=False).without_degrees()
+    g = gamma(pair, a).without_degrees()
     row = Matrix(ring, [[pair.y, -a]])
     composite = row * g
     rep.details["row_kills_relations"] = composite.is_zero

@@ -10,7 +10,9 @@ col_degs[j] - row_degs[i].  All solving is exact, and one ``Factored``
 per matrix answers its solves, its kernel and the first column outside its
 image: the finite backend flattens the matrix to an integer block matrix
 in Howell normal form, the graded backend slices it degree by degree over
-F_p.  Degree-bounded answers say so in their scope.
+F_p.  Graded data must be homogeneous: a graded matrix is factored under a
+degree layout, and data that admits none is refused with NonHomogeneous.
+Degree-bounded answers say so in their scope.
 
 Ideal questions are matrix questions over the same core: Ann(e) is the
 kernel of the column of e's homogeneous components, and e in (g_1 .. g_k)
@@ -454,8 +456,8 @@ class Factored:
     for.  ``solve``, ``kernel`` and ``outside`` all read that one
     factorization, ``transpose`` holds one of rho^T, and ``_ranks`` holds
     the rank of each slice a kernel eliminated, by degree.  A graded rho
-    without a degree layout is only solved, by a truncated search up to
-    ``bound``.
+    gets its degree layout here, and raises NonHomogeneous when it admits
+    none; ``bound`` is read by kernels alone.
     """
 
     def __init__(self, rho: Matrix, bound: int | None = None):
@@ -470,12 +472,7 @@ class Factored:
             cols, height = _flatten_columns(rho)
             self.span = _zn.SpanSolver(cols, ring.n, height)
         else:
-            try:
-                rho = infer_degrees(rho)
-            except NonHomogeneous:
-                if bound is None:
-                    raise
-                rho = rho.without_degrees()
+            rho = infer_degrees(rho)
         self.rho = rho
 
     def _slice(self, d: int) -> tuple[list[dict[int, int]], int]:
@@ -486,10 +483,8 @@ class Factored:
     def solve(self, rhs: Matrix) -> Matrix | None:
         """Exact solution X of rho * X = rhs, or None when none exists.
 
-        Finite backend: always exact.  Graded backend: exact whenever both
-        matrices carry (or admit) a degree layout; otherwise a truncated
-        search up to ``bound`` is made and only positive answers are
-        meaningful.
+        Every answer is exact, on both backends.  A graded rhs column must
+        be homogeneous against rho's row layout, else NonHomogeneous.
         """
         rho, ring = self.rho, self.ring
         if rhs.ring.key != ring.key:
@@ -505,13 +500,7 @@ class Factored:
                     return None
                 out_cols.append(_unflatten_vector(ring, x, rho.ncols))
             return Matrix._trusted(ring, list(zip(*out_cols)))
-        if rho.col_degs is not None:
-            try:
-                return self._solve_graded(rhs)
-            except NonHomogeneous:
-                if self.bound is None:
-                    raise
-        return _solve_right_window(rho, rhs, self.bound)
+        return self._solve_graded(rhs)
 
     def _solve_graded(self, rhs: Matrix) -> Matrix | None:
         """Solve degree by degree, on rho's slice of each column's degree."""
@@ -525,7 +514,7 @@ class Factored:
             u = _rhs_column_degree(rho, rhs, k)
             if u is None:
                 out_columns.append([ring.zero()] * rho.ncols)
-                out_degs.append(rho.col_degs[0] if rho.col_degs else 0)
+                out_degs.append(rho.col_degs[0])
                 continue
             target = matrix_column_to_slice(
                 ring, [row[k] for row in rhs.entries], rho.row_degs, u)
@@ -550,12 +539,11 @@ class Factored:
         return self._kernel(keep=True)
 
     def _kernel(self, keep: bool) -> list[Matrix]:
-        ring = self.ring
+        ring, rho = self.ring, self.rho
         if self.span is not None:
             return [Matrix._trusted(ring, [[e] for e in _unflatten_vector(
-                ring, vec, self.rho.ncols)])
+                ring, vec, rho.ncols)])
                 for vec in self.span.kernel_rows]
-        rho = infer_degrees(self.rho)  # raises when rho has no layout
         gens: list[Matrix] = []
         for d in range(min(rho.col_degs), degree_bound(self.bound) + 1):
             if not _twist_layout(ring, rho.col_degs, d)[2]:
@@ -584,9 +572,9 @@ class Factored:
         return self._transpose
 
 
-def solve_right(rho: Matrix, rhs: Matrix, bound: int | None = None) -> Matrix | None:
-    """``Factored(rho, bound).solve(rhs)``, for a matrix solved once."""
-    return Factored(rho, bound).solve(rhs)
+def solve_right(rho: Matrix, rhs: Matrix) -> Matrix | None:
+    """``Factored(rho).solve(rhs)``, for a matrix solved once."""
+    return Factored(rho).solve(rhs)
 
 
 def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
@@ -612,63 +600,6 @@ def _rhs_column_degree(rho: Matrix, rhs: Matrix, k: int) -> int | None:
             raise NonHomogeneous(f"column {k} of the right hand side has "
                                  "inconsistent degrees")
     return deg
-
-
-def _solve_right_window(rho: Matrix, rhs: Matrix, bound: int) -> Matrix | None:
-    """Truncated search for inhomogeneous data; positives are verified."""
-    ring = rho.ring
-    top = bound
-    for row in rho.entries + rhs.entries:
-        for e in row:
-            d = e.degree()
-            if d is not None:
-                top = max(top, bound + d)
-
-    def window_vector(elements) -> dict[int, int]:
-        """Slice coordinates of the elements in degrees 0..top, stacked
-        degree by degree."""
-        vec: dict[int, int] = {}
-        off = 0
-        for d in range(top + 1):
-            for e in elements:
-                vec.update((off + i, c)
-                           for i, c in ring.vector_of(e, d).items())
-                off += ring.dim(d)
-        return vec
-
-    height = rho.nrows * sum(ring.dim(d) for d in range(top + 1))
-    system: list[dict[int, int]] = [{} for _ in range(height)]
-    meta = []
-    for j in range(rho.ncols):
-        col_elems = [rho.entries[i][j] for i in range(rho.nrows)]
-        for d in range(bound + 1):
-            for exp in ring.basis(d):
-                mono = ring.monomial_element(exp)
-                image = [mono * e for e in col_elems]
-                if any((e.degree() or 0) > top for e in image):
-                    continue
-                for i, c in window_vector(image).items():
-                    system[i][len(meta)] = c
-                meta.append((j, mono))
-    if not meta:
-        return None
-    out_cols = []
-    for k in range(rhs.ncols):
-        b = window_vector([rhs.entries[i][k] for i in range(rhs.nrows)])
-        sol = _fp.solve(system, len(meta), b, ring.p)
-        if sol is None:
-            return None
-        col = [ring.zero() for _ in range(rho.ncols)]
-        for idx in sorted(sol):
-            j, mono = meta[idx]
-            col[j] = col[j] + ring.from_int(sol[idx]) * mono
-        out_cols.append(col)
-    rows = [[out_cols[k][j] for k in range(rhs.ncols)]
-            for j in range(rho.ncols)]
-    solution = Matrix(ring, rows)
-    if (rho.without_degrees() * solution).entries != rhs.entries:
-        return None
-    return solution
 
 
 def column_span_size(mat: Matrix) -> int:
@@ -701,21 +632,19 @@ def annihilator(ring, e, bound: int | None = None) -> tuple:
     return tuple(g.entries[0][0] for g in kernel_gens(column, bound))
 
 
-def ideal_membership(ring, e, generators, bound: int | None = None):
+def ideal_membership(ring, e, generators):
     """Decide e in (generators); on success also return witness coefficients.
 
-    Finite backend answers are exhaustive.  On the graded backend the answer
-    is exact whenever the generator row admits a degree layout, and e is
-    then solved for one homogeneous component per column; otherwise the
-    witness search is truncated at ``bound`` and a miss only means "not
-    found within the bound".
+    Every answer is exact.  On the graded backend the generators must be
+    homogeneous (else NonHomogeneous), and e is solved for one homogeneous
+    component per column.
     """
     gens = list(generators)
     if not gens:
         return (True, []) if e.is_zero else (False, None)
-    row = Factored(Matrix(ring, [gens]), degree_bound(bound))
+    row = Factored(Matrix(ring, [gens]))
     rhs = Matrix(ring, [[e]])
-    if row.rho.col_degs is not None:
+    if row.span is None:
         parts = list(e.homogeneous_components().values()) or [e]
         rhs = Matrix(ring, [parts])
     solution = row.solve(rhs)

@@ -102,12 +102,12 @@ def fitting_ideal(module: PresentedModule, j: int) -> list:
     return seen
 
 
-def ideals_equal(ring, gens1, gens2, bound=None) -> bool:
+def ideals_equal(ring, gens1, gens2) -> bool:
     for e in gens1:
-        if not ideal_membership(ring, e, list(gens2), bound)[0]:
+        if not ideal_membership(ring, e, list(gens2))[0]:
             return False
     for e in gens2:
-        if not ideal_membership(ring, e, list(gens1), bound)[0]:
+        if not ideal_membership(ring, e, list(gens1))[0]:
             return False
     return True
 
@@ -136,7 +136,7 @@ def verify_iso_witness(source: PresentedModule, target: PresentedModule,
     rho_tgt = target.rho.without_degrees()
     details: dict = {"P": repr(p_matrix)}
     if s_matrix is None:
-        s_matrix = solve_right(rho_tgt, p_matrix * rho_src, bound)
+        s_matrix = solve_right(rho_tgt, p_matrix * rho_src)
         if s_matrix is None:
             details["failure"] = "P does not carry relations into relations"
             return VerificationReport(name, FAIL, scope, details)
@@ -147,8 +147,7 @@ def verify_iso_witness(source: PresentedModule, target: PresentedModule,
         details["failure"] = "P rho != rho' S"
         return VerificationReport(name, FAIL, scope, details)
     stacked = hstack([p_matrix, rho_tgt])
-    solution = solve_right(stacked, Matrix.identity(ring, target.ngens),
-                           bound)
+    solution = solve_right(stacked, Matrix.identity(ring, target.ngens))
     if solution is None:
         details["failure"] = "P has no right inverse modulo the target " \
                              "relations"

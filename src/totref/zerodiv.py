@@ -63,7 +63,7 @@ def verify_exact_pair(ring, x, y, bound=None) -> VerificationReport:
         contained = True
         witnesses = []
         for g in gens:
-            ok, wit = ideal_membership(ring, g, [other], bound)
+            ok, wit = ideal_membership(ring, g, [other])
             if not ok:
                 contained = False
                 details[f"ann_{label}_escape"] = repr(g)
@@ -101,7 +101,7 @@ def weakly_regular_on_quotient(ring, e, ideal_gens, bound=None) -> bool:
         row = row.with_degrees((-t,), [0] + [g.degree() - t for g in gens])
     for gen in kernel_gens(row, bound):
         a = gen.entries[0][0]
-        if not a.is_zero and not ideal_membership(ring, a, gens, bound)[0]:
+        if not a.is_zero and not ideal_membership(ring, a, gens)[0]:
             return False
     return True
 

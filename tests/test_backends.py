@@ -93,8 +93,8 @@ def test_backends_agree_on_verdicts_and_module_sizes(case, verb, fa, fb):
                           ring.parse(f"t^{d - i}"), bound)
         elem_a, elem_b = (ring.zero() if j is None else ring.parse(f"t^{j}")
                           for j in (a, b))
-        source = FLAVORS[fa](pair, elem_a, strict=False)
-        target = FLAVORS[fb](pair, elem_b, strict=False)
+        source = FLAVORS[fa](pair, elem_a)
+        target = FLAVORS[fb](pair, elem_b)
         hom = homcalc.hom_presentation(source, target, bound).module
         ext = homcalc._ext_profile(pair, fa, elem_a, target, 2, bound)
         answers.append((hom, ext))

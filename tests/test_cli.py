@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from totref import cli
@@ -322,6 +323,39 @@ def test_window_below_the_pair_degree_is_refused(capsys):
         assert code == expected, (y, degree)
         if expected == 2:
             assert json.loads(out)["error"] == "ParseError"
+
+
+# every graded verb that takes a family element, with an inhomogeneous one
+INHOMOGENEOUS = "z^2+x"
+GRADED_VERB_SHAPES = {
+    "build": ("family", "build", "--a", INHOMOGENEOUS),
+    "verify-complex": ("family", "verify-complex", "--a", INHOMOGENEOUS),
+    "verify-tr": ("family", "verify-tr", "--a", INHOMOGENEOUS),
+    "identify": ("family", "identify", "--a", INHOMOGENEOUS),
+    "run-main": ("family", "run-main", "--b", INHOMOGENEOUS),
+    "compute-source": ("hom", "compute", "--source",
+                       f"gamma:{INHOMOGENEOUS}", "--target", "eta:z"),
+    "compute-target": ("hom", "compute", "--source", "eta:z",
+                       "--target", f"gamma:{INHOMOGENEOUS}"),
+    "verify-hg": ("hom", "verify-hg", "--a", INHOMOGENEOUS, "--b", "z"),
+    "verify-gaba": ("hom", "verify-gaba", "--a", INHOMOGENEOUS, "--b", "z"),
+    "verify-end": ("hom", "verify-end", "--a", INHOMOGENEOUS),
+    "verify-ext": ("hom", "verify-ext", "--a", INHOMOGENEOUS, "--b", "z"),
+}
+
+
+@pytest.mark.parametrize("probe", [(), ("--probe",)], ids=["", "probe"])
+@pytest.mark.parametrize("shape", GRADED_VERB_SHAPES.values(),
+                         ids=GRADED_VERB_SHAPES.keys())
+def test_graded_verbs_refuse_inhomogeneous_elements(capsys, shape, probe):
+    ring = str(Path(__file__).resolve().parents[1] / "rings" /
+               "f5_xyz_xy.json")
+    code, out, _ = run(capsys, *shape[:2], "--ring", ring, "--x", "x",
+                       "--y", "y", "--format", "json", *shape[2:], *probe)
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "NonHomogeneous"
+    assert record["exit_code"] == 2
 
 
 def test_degree_window_past_the_carrier_budget_is_refused(capsys,

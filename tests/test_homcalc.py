@@ -313,13 +313,13 @@ def test_special_generator_matrices_lift(pair_f5):
     ring = pair_f5.ring
     a, b = ring.parse("z"), ring.parse("z^2")
     from totref.family import eta, gamma
-    rho_src = eta(pair_f5, b, strict=False).without_degrees()
-    rho_tgt = gamma(pair_f5, a, strict=False).without_degrees()
+    rho_src = eta(pair_f5, b).without_degrees()
+    rho_tgt = gamma(pair_f5, a).without_degrees()
     for psi, xi in zip(*special_generators_hg(pair_f5, a, b)):
         prod = psi * rho_src
         lifted = rho_tgt * xi
         assert prod.entries == lifted.entries
-    rho_src2 = gamma(pair_f5, a * b, strict=False).without_degrees()
+    rho_src2 = gamma(pair_f5, a * b).without_degrees()
     for psi, xi in zip(*special_generators_gg(pair_f5, a, b)):
         assert (psi * rho_src2).entries == (rho_tgt * xi).entries
 
@@ -662,7 +662,7 @@ def test_ext_sizes_match_cochain_oracle(pair_name, request):
     for (a, b), phase, flavor in itertools.product(cases, "GH", "GH"):
         first, second = rows_of[phase], rows_of["H" if phase == "G" else "G"]
         diffs = (first(a), second(a)) * 2 + (first(a),)
-        target = modules[flavor](pair, ring.from_int(b), strict=False)
+        target = modules[flavor](pair, ring.from_int(b))
         want = [_cached_ext_size(n, diffs[i - 1], diffs[i],
                                  rows_of[flavor](b)) for i in range(1, 5)]
         got = homcalc._ext_profile(pair, phase, ring.from_int(a), target, 4,
@@ -790,7 +790,7 @@ def test_run_family_mixed_sequence(pair_f5):
 
 def test_hom_memo_answers_repeats_and_keeps_labels_apart(pair_z9):
     ring = pair_z9.ring
-    module = module_g(pair_z9, ring.parse("3"), strict=False)
+    module = module_g(pair_z9, ring.parse("3"))
     twin = PresentedModule(ring, module.rho, "twin")
     assert hom_presentation(module, module) is not \
         hom_presentation(module, module)
@@ -875,8 +875,8 @@ def test_recorded_hom_dimensions_match_the_relation_slices(index, fa, fb,
     ring, elems = pair.ring, RECORD_CASES[index][3]
     a, b = (ring.parse(data.draw(st.sampled_from(elems))) for _ in "ab")
     flavor = {"G": module_g, "H": module_h}
-    source = flavor[fa](pair, a, strict=False)
-    target = flavor[fb](pair, b, strict=False)
+    source = flavor[fa](pair, a)
+    target = flavor[fb](pair, b)
     with homcalc.hom_memo():
         hp = hom_presentation(source, target, bound)
         recorded = dict(hp.module._dims)

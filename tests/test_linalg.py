@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (MonomialQuotientOracle, module_image, module_kernel,
                      rank_mod_p, slice_rows, span_closure)
 from totref import _zn, homcalc, linalg
-from totref.errors import DimensionMismatch, NotAComplex, TotrefError
+from totref.errors import (DimensionMismatch, NonHomogeneous, NotAComplex,
+                           TotrefError)
 from totref.family import eta, gamma, periodic_resolution
 from totref.linalg import (Matrix, check_exact_at, column_span_size,
                            hstack, ideal_membership, infer_degrees,
@@ -209,7 +210,7 @@ def test_failing_finite_exactness_factors_each_map_once(monkeypatch):
     # them is already off the image, so one solve on incoming decides
     ring = FiniteLocalRing(3, 3)
     pair = exact_pair(ring, ring.parse("9"), ring.parse("9"))
-    diffs = periodic_resolution(pair, ring.zero(), 3, "G", strict=False)
+    diffs = periodic_resolution(pair, ring.zero(), 3, "G")
     built = []
 
     class CountedSolver(_zn.SpanSolver):
@@ -232,7 +233,7 @@ def test_passing_finite_exactness_factors_each_map_once(monkeypatch):
     # outgoing map solve into the image, over one solver of the incoming map
     ring = FiniteLocalRing(3, 3)
     pair = exact_pair(ring, ring.parse("3"), ring.parse("9"))
-    diffs = periodic_resolution(pair, ring.zero(), 3, "G", strict=False)
+    diffs = periodic_resolution(pair, ring.zero(), 3, "G")
     built = []
 
     class CountedSolver(_zn.SpanSolver):
@@ -257,7 +258,7 @@ def test_graded_solve_right_round_trip(pair_f5):
     x = Matrix(ring, [[ring.parse("z")], [ring.parse("x")]],
                row_degs=g.col_degs, col_degs=(2,))
     rhs = g * x
-    sol = solve_right(g, rhs, 8)
+    sol = solve_right(g, rhs)
     assert sol is not None
     assert (g * sol - rhs).is_zero
 
@@ -279,23 +280,35 @@ def test_graded_exactness_certificate(pair_f5):
     assert rep.scope["mode"] == "degree"
 
 
-def test_graded_membership_branches(f5, monkeypatch):
-    windowed = []
-    window = linalg._solve_right_window
-    monkeypatch.setattr(linalg, "_solve_right_window",
-                        lambda *args: windowed.append(args) or window(*args))
-    # a homogeneous row is solved one component of e at a time, so the
-    # window does not cap the witness degree; zero generators stay exact
+def test_graded_membership_branches(f5):
+    # a homogeneous row is solved one component of e at a time, so no
+    # window caps the witness degree; zero generators stay exact
     z = f5.parse("z")
-    ok, wit = ideal_membership(f5, f5.parse("z^9 + z"), [z], 3)
+    ok, wit = ideal_membership(f5, f5.parse("z^9 + z"), [z])
     assert ok and [f5.format(w) for w in wit] == ["z^8 + 1"]
-    ok, wit = ideal_membership(f5, f5.parse("z^9"), [f5.zero(), z], 3)
+    ok, wit = ideal_membership(f5, f5.parse("z^9"), [f5.zero(), z])
     assert ok and [f5.format(w) for w in wit] == ["0", "z^8"]
-    assert not windowed
-    # an inhomogeneous generator has no layout: the windowed search runs
+    # an inhomogeneous generator has no layout: it is refused
     g = f5.parse("x + y^2")
-    assert ideal_membership(f5, g, [g], 3) == (True, [f5.one()])
-    assert windowed
+    with pytest.raises(NonHomogeneous):
+        ideal_membership(f5, g, [g])
+
+
+def test_graded_data_without_a_layout_is_refused_even_with_a_bound(f5):
+    # a bound used to send such data to a truncated search; an
+    # inhomogeneous entry and homogeneous entries whose twists conflict
+    # are both refused, whether a bound is given or not
+    x, y, z = (f5.parse(v) for v in "xyz")
+    rhs = Matrix(f5, [[x], [y]])
+    for rho in (Matrix(f5, [[f5.parse("x + y^2"), z], [y, x]]),
+                Matrix(f5, [[x, y * y], [y, x]])):
+        for bound in (None, 3):
+            with pytest.raises(NonHomogeneous):
+                linalg.Factored(rho, bound)
+            with pytest.raises(NonHomogeneous):
+                kernel_gens(rho, bound)
+        with pytest.raises(NonHomogeneous):
+            solve_right(rho, rhs)
 
 
 # F_5[x,y,z]/(xy) and F_3[x,y]/(x^2, y^2), each beside its oracle

@@ -13,11 +13,13 @@ Every parameter with a default, of any function or method in the package,
 public or private, must likewise be passed, by position or by keyword, at
 some call in the package or in perfbench/.  Callees are matched by name,
 a class name stands for the class's ``__init__``, and calls that splat
-``*args`` or ``**kwargs`` are skipped.
+``*args`` or ``**kwargs`` are skipped.  The other way round, every call in
+perfbench/ to a name imported from totref must fit the callee's signature.
 """
 
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -176,6 +178,54 @@ def test_every_optional_parameter_is_passed_somewhere():
             unpassed.append(qualname)
     assert sorted(set(unpassed) - UNPASSED_ALLOWED) == []
     assert UNPASSED_ALLOWED <= set(unpassed)  # no stale allowance
+
+
+def test_perfbench_calls_fit_the_signatures_they_call():
+    # the reverse of the test above: perfbench/ changes only with the
+    # benchmark, so a parameter dropped from a function it calls would
+    # show only as a failed benchmark run
+    calls = bad = 0
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}  # name -> the totref function, class or module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and not node.level \
+                    and node.module.partition(".")[0] == "totref":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    name = alias.name
+                    imported[alias.asname or name] = \
+                        getattr(module, name, None) or \
+                        importlib.import_module(f"{node.module}.{name}")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) \
+                    or any(isinstance(a, ast.Starred) for a in node.args) \
+                    or any(k.arg is None for k in node.keywords):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                callee = imported.get(func.id)
+            elif isinstance(func, ast.Attribute) \
+                    and isinstance(func.value, ast.Name) \
+                    and inspect.ismodule(imported.get(func.value.id)):
+                callee = getattr(imported[func.value.id], func.attr, None)
+                assert callee is not None, (path.name, func.attr)
+            else:
+                continue
+            # exception classes take any arguments and have no signature
+            if callee is None or inspect.ismodule(callee) or (
+                    isinstance(callee, type)
+                    and issubclass(callee, BaseException)):
+                continue
+            calls += 1
+            try:
+                inspect.signature(callee).bind(
+                    *node.args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                bad += 1
+                print(f"{path.name}:{node.lineno}: {exc}")
+    assert calls >= 8  # the scan sees the workloads' calls
+    assert bad == 0
 
 
 def test_no_module_of_the_package_imports_numpy():
