@@ -325,7 +325,7 @@ class _TargetTables:
         for s in range(d):
             # t^s e_u is t^(s + u mod d) in e_u's generator block
             products = self._lookup(
-                [[0] * (u - u % d) + list(ring._powers[s + u % d])
+                [[0] * (u - u % d) + list(ring.power_coords(s + u % d))
                  + [0] * (g * d - d - u + u % d) for u in units])
             row = [self.zero_idx]
             for u, product in zip(units, products):
@@ -425,7 +425,8 @@ def _map_closure(hp: HomPresentation, budget: int, cap: int):
         raise WrongBackend("map enumeration needs the finite backend")
     n1 = hp.source.ngens
     tables = _target_tables(hp.target, budget)
-    scalars = [tables.mul[t_j] for t_j in ring._powers[:ring.ext_degree]]
+    scalars = [tables.mul[ring.power_coords(j)]
+               for j in range(ring.ext_degree)]
     add = tables.add
     reached = [(tables.zero_idx,) * n1]
     found = set(reached)

@@ -1,9 +1,9 @@
 """Two exact ring backends and element-level operations.
 
-FiniteLocalRing models Z/p^k, optionally extended by one nilpotent-style
-generator with a monic rewrite whose lower coefficients lie in (p).  Every
-element is a coordinate vector over Z/p^k, the carrier is finite, and all
-linear questions are decided exactly by Howell normal forms.
+FiniteLocalRing models Z/p^k, optionally extended to Z/p^k[t]/(t^d) by one
+nilpotent generator.  Every element is a coordinate vector over Z/p^k, the
+carrier is finite, and all linear questions are decided exactly by Howell
+normal forms.
 
 GradedMonomialRing models F_p[x_1..x_v]/(pure monomial ideal).  Elements are
 sparse maps from exponent vectors to coefficients, kept in normal form by
@@ -188,21 +188,53 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
+# elements
+
+class _Element:
+    """What both element classes share: the mixed-ring check, subtraction,
+    powers and printing.  Each subclass holds its own data and defines
+    addition, negation, multiplication, equality and hashing."""
+
+    __slots__ = ()
+
+    def _check(self, other):
+        if isinstance(other, int):
+            return self.ring.from_int(other)
+        if isinstance(other, type(self)) and other.ring.key == self.ring.key:
+            return other
+        raise TotrefError("cannot mix elements of different rings")
+
+    def __sub__(self, other):
+        return self + (-self._check(other))
+
+    def __rsub__(self, other):
+        return (-self) + self._check(other)
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise TotrefError("negative exponents are not supported")
+        result = self.ring.one()
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+    def __repr__(self):
+        return self.ring.format(self)
+
+
+# ---------------------------------------------------------------------------
 # finite backend
 
-class FiniteElement:
+class FiniteElement(_Element):
     __slots__ = ("ring", "coords")
 
     def __init__(self, ring: "FiniteLocalRing", coords: tuple[int, ...]):
         self.ring = ring
         self.coords = coords
-
-    def _check(self, other) -> "FiniteElement":
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        if isinstance(other, FiniteElement) and other.ring.key == self.ring.key:
-            return other
-        raise TotrefError("cannot mix elements of different rings")
 
     def __add__(self, other):
         other = self._check(other)
@@ -216,29 +248,11 @@ class FiniteElement:
         n = self.ring.n
         return FiniteElement(self.ring, tuple((-a) % n for a in self.coords))
 
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._check(other)
-
     def __mul__(self, other):
         other = self._check(other)
         return FiniteElement(self.ring, self.ring._mul(self.coords, other.coords))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise TotrefError("negative exponents are not supported")
-        result = self.ring.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     def __eq__(self, other):
         return (isinstance(other, FiniteElement)
@@ -255,60 +269,35 @@ class FiniteElement:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def __repr__(self):
-        return self.ring.format(self)
-
 
 class FiniteLocalRing:
-    """Z/p^k, optionally extended by a single monic nilpotent generator.
+    """Z/p^k, or Z/p^k[t]/(t^d) with a nilpotent extension variable t.
 
-    The optional extension adjoins a variable t with a rewrite
-    t^d = r_0 + r_1 t + ... + r_{d-1} t^{d-1} where every r_i is divisible
-    by p.  That constraint keeps the ring local with residue field F_p and
-    makes t land in the maximal ideal, which the minimal-generator count
-    relies on.
+    An element is its coordinate vector over 1, t, ..., t^(d-1); without an
+    extension d = 1.  Since t^d = 0, t lies in the maximal ideal, so the
+    ring is local with residue field F_p, which the unit test and the
+    minimal-generator count rely on.
     """
 
     kind = "finite"
 
     def __init__(self, p: int, k: int, ext_var: str | None = None,
-                 ext_reduction: tuple[int, ...] | None = None):
+                 ext_degree: int = 1):
         _require_prime(p)
         if k < 1:
             raise TotrefError("k must be positive")
+        if ext_degree < 1:
+            raise TotrefError(f"the extension degree must be positive, got "
+                              f"{ext_degree}")
+        if ext_var is None and ext_degree != 1:
+            raise TotrefError("an extension of degree above 1 needs a "
+                              "variable")
         self.p = p
         self.k = k
         self.n = p ** k
-        if ext_var is None:
-            self.ext_var = None
-            self.ext_reduction: tuple[int, ...] = ()
-            self.ext_degree = 1
-        else:
-            if not ext_reduction:
-                raise TotrefError("extension requires a rewrite vector")
-            red = tuple(c % self.n for c in ext_reduction)
-            if any(c % p for c in red):
-                raise TotrefError("extension rewrite must lie in (p) to keep "
-                                  "the ring local")
-            self.ext_var = ext_var
-            self.ext_reduction = red
-            self.ext_degree = len(red)
-        d = self.ext_degree
-        # powers of t up to t^(2d-2), as coordinate vectors
-        self._powers: list[tuple[int, ...]] = []
-        for j in range(2 * d - 1):
-            if j < d:
-                vec = [0] * d
-                vec[j] = 1
-                self._powers.append(tuple(vec))
-            else:
-                prev = self._powers[j - 1]
-                shifted = [0] + list(prev[:d - 1])
-                carry = prev[d - 1]
-                vec = [(shifted[i] + carry * self.ext_reduction[i]) % self.n
-                       for i in range(d)]
-                self._powers.append(tuple(vec))
-        self.key = ("finite", p, k, self.ext_var, self.ext_reduction)
+        self.ext_var = ext_var
+        self.ext_degree = ext_degree
+        self.key = ("finite", p, k, ext_var, ext_degree)
 
     # -- construction -----------------------------------------------------
 
@@ -331,12 +320,7 @@ class FiniteLocalRing:
 
     def variable(self, name: str) -> FiniteElement:
         if self.ext_var is not None and name == self.ext_var:
-            coords = [0] * self.ext_degree
-            if self.ext_degree == 1:
-                # t itself rewrites immediately
-                return self.element(self.ext_reduction)
-            coords[1] = 1
-            return self.element(coords)
+            return FiniteElement(self, self.power_coords(1))
         raise UnknownVariable(f"ring has no variable {name!r}")
 
     def parse(self, text: str) -> FiniteElement:
@@ -344,23 +328,21 @@ class FiniteLocalRing:
 
     # -- arithmetic core ---------------------------------------------------
 
+    def power_coords(self, j: int) -> tuple[int, ...]:
+        """Coordinates of t^j: a unit vector below d, zero from t^d = 0 on."""
+        return tuple(int(i == j) for i in range(self.ext_degree))
+
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         d = self.ext_degree
         n = self.n
         if d == 1:
             return ((a[0] * b[0]) % n,)
-        conv = [0] * (2 * d - 1)
+        # the convolution of the coordinates, cut at t^d = 0
+        out = [0] * d
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = [0] * d
-        for j, cj in enumerate(conv):
-            if cj:
-                power = self._powers[j]
-                for i in range(d):
-                    out[i] += cj * power[i]
+                for j in range(d - i):
+                    out[i + j] += ai * b[j]
         return tuple(c % n for c in out)
 
     # -- queries -----------------------------------------------------------
@@ -373,13 +355,10 @@ class FiniteLocalRing:
         return e.coords[0] % self.p
 
     def mult_columns(self, e: FiniteElement) -> list[list[int]]:
-        """Columns of the multiplication-by-e map on coordinates."""
+        """Columns of the multiplication-by-e map on coordinates: column j
+        is e t^j, e's coordinates shifted down j places."""
         d = self.ext_degree
-        cols = []
-        for j in range(d):
-            tj = FiniteElement(self, self._powers[j])
-            cols.append(list((e * tj).coords))
-        return cols
+        return [[0] * j + list(e.coords[:d - j]) for j in range(d)]
 
     def carrier_size(self) -> int:
         return self.n ** self.ext_degree
@@ -411,10 +390,6 @@ class FiniteLocalRing:
             desc["vars"] = []
             desc["relations"] = []
             return desc
-        # the file format only covers pure nilpotent rewrites t^d = 0
-        if any(self.ext_reduction):
-            raise TotrefError("only pure nilpotent extensions have a file "
-                              "descriptor")
         desc["vars"] = [self.ext_var]
         desc["relations"] = [f"{self.ext_var}^{self.ext_degree}"]
         return desc
@@ -423,19 +398,12 @@ class FiniteLocalRing:
 # ---------------------------------------------------------------------------
 # graded backend
 
-class GradedElement:
+class GradedElement(_Element):
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: "GradedMonomialRing", terms: tuple):
         self.ring = ring
         self.terms = terms  # tuple of (exponent tuple, coeff), canonical order
-
-    def _check(self, other) -> "GradedElement":
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        if isinstance(other, GradedElement) and other.ring.key == self.ring.key:
-            return other
-        raise TotrefError("cannot mix elements of different rings")
 
     def __add__(self, other):
         other = self._check(other)
@@ -456,12 +424,6 @@ class GradedElement:
         return GradedElement(self.ring,
                              tuple((exp, (-c) % p) for exp, c in self.terms))
 
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._check(other)
-
     def __mul__(self, other):
         other = self._check(other)
         ring = self.ring
@@ -480,18 +442,6 @@ class GradedElement:
         return ring._from_dict(data)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise TotrefError("negative exponents are not supported")
-        result = self.ring.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     def __eq__(self, other):
         return (isinstance(other, GradedElement)
@@ -524,9 +474,6 @@ class GradedElement:
             buckets.setdefault(sum(exp), {})[exp] = c
         return {d: self.ring._from_dict(data)
                 for d, data in sorted(buckets.items())}
-
-    def __repr__(self):
-        return self.ring.format(self)
 
 
 def _monomial_sort_key(exp: tuple[int, ...]):
@@ -761,7 +708,7 @@ def ring_from_descriptor(desc: dict):
                               "extension variable")
         name = variables[0]
         exp = _parse_pure_power(relations[0], name)
-        return FiniteLocalRing(p, k, ext_var=name, ext_reduction=(0,) * exp)
+        return FiniteLocalRing(p, k, ext_var=name, ext_degree=exp)
     if kind == "graded":
         p = _int_field(desc, "p")
         variables = tuple(_str_list_field(desc, "vars"))

@@ -27,7 +27,6 @@ class ExactZeroDivisorPair:
     y: object
     exact_report: VerificationReport
     regular: str = "unknown"            # "true", "false" or "unknown"
-    regular_report: VerificationReport | None = None
 
     @property
     def is_exact(self) -> bool:
@@ -149,5 +148,4 @@ def verify_regular_pair(pair: ExactZeroDivisorPair, bound=None) -> VerificationR
     if not (cond1 and cond2 and cond3):
         rep.verdict = FAIL
     pair.regular = "true" if rep.verdict == PASS else "false"
-    pair.regular_report = rep
     return rep

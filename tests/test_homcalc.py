@@ -121,7 +121,7 @@ def test_hom_budget_guard(pair_z9, monkeypatch):
 def test_map_closure_over_dual_numbers_matches_oracle(p, k, d):
     # over (Z/p^k)[t]/(t^d) multiplying by t is not an integer multiple,
     # so the closure steps by t^j g for every generator g and j < d
-    ring = FiniteLocalRing(p, k, ext_var="t", ext_reduction=(0,) * d)
+    ring = FiniteLocalRing(p, k, ext_var="t", ext_degree=d)
     nonunits = [c for c in ring.enumerate_carrier() if not ring.is_unit(c)]
     rng = random.Random(400 + p)
 
@@ -258,7 +258,7 @@ def _reference_tables(module):
 TABLE_RINGS = [FiniteLocalRing(p, k) for p, k in
                [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
                 (5, 1), (5, 2), (7, 1), (11, 1), (13, 1), (23, 1)]] + \
-    [FiniteLocalRing(2, 2, "t", (0, 0)), FiniteLocalRing(3, 1, "t", (0, 0))]
+    [FiniteLocalRing(2, 2, "t", 2), FiniteLocalRing(3, 1, "t", 2)]
 
 
 @given(st.data())

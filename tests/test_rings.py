@@ -9,7 +9,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import MonomialQuotientOracle, annihilator as naive_ann
+from oracles import MonomialQuotientOracle, annihilator as naive_ann, ext_mul
 from totref import rings
 from totref.errors import ParseError, TotrefError, UnknownVariable
 from totref.linalg import annihilator, ideal_membership
@@ -68,6 +68,10 @@ def test_finite_ring_rejects_nonsense():
         z9.parse("3 +")
     with pytest.raises(UnknownVariable):
         z9.parse("w")
+    with pytest.raises(TotrefError):
+        FiniteLocalRing(3, 2, ext_var="t", ext_degree=0)
+    with pytest.raises(TotrefError):
+        FiniteLocalRing(3, 2, ext_degree=2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,12 +86,28 @@ def test_z9_ring_axioms(a, b, c):
 
 def test_finite_extension_ring_basics():
     # Z/4[t]/(t^2): 16 elements, t a zero divisor, 1+t a unit
-    ring = FiniteLocalRing(2, 2, ext_var="t", ext_reduction=(0, 0))
+    ring = FiniteLocalRing(2, 2, ext_var="t", ext_degree=2)
     assert ring.carrier_size() == 16
     t = ring.parse("t")
     assert (t * t).is_zero
     assert ring.is_unit(ring.parse("1+t"))
     assert not ring.is_unit(t)
+
+
+@pytest.mark.parametrize("p, k, d", [(2, 2, 2), (3, 2, 2), (2, 1, 3)],
+                         ids=["4-t^2", "9-t^2", "2-t^3"])
+def test_extension_products_match_the_oracle(p, k, d):
+    # every product of Z/p^k[t]/(t^d), and every column of mult_columns,
+    # against the oracle's convolution with the zero rewrite t^d = 0
+    ring = FiniteLocalRing(p, k, ext_var="t", ext_degree=d)
+    zero = (0,) * d
+    elems = list(ring.enumerate_carrier())
+    for a in elems:
+        for b in elems:
+            assert (a * b).coords == ext_mul(ring.n, zero, a.coords, b.coords)
+        for j, col in enumerate(ring.mult_columns(a)):
+            t_j = tuple(int(i == j) for i in range(d))
+            assert tuple(col) == ext_mul(ring.n, zero, a.coords, t_j)
 
 
 # -- graded backend ---------------------------------------------------------
@@ -165,10 +185,12 @@ def test_graded_annihilator_of_x_is_y(f5):
 # -- descriptors ------------------------------------------------------------
 
 def test_descriptor_round_trips(z9, z8, f5):
-    for ring in (z9, z8, f5):
+    z4t2 = FiniteLocalRing(2, 2, ext_var="t", ext_degree=2)
+    for ring in (z9, z8, f5, z4t2):
         clone = ring_from_descriptor(json.loads(json.dumps(
             ring.descriptor())))
         assert clone.key == ring.key
+        assert clone.descriptor() == ring.descriptor()
 
 
 def test_descriptor_rejects_bad_input():
