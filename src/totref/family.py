@@ -16,8 +16,7 @@ lies in (x), the ideal (y, a) when a is injective on A/(y).
 from __future__ import annotations
 
 from .errors import NonHomogeneous, PreconditionFailed, TotrefError
-from .linalg import (Factored, Matrix, check_exact_at, ideal_membership,
-                     kernel_gens)
+from .linalg import Matrix, check_exact_at, ideal_membership, kernel_gens
 from .modules import (PresentedModule, dual_presentation, ext_vanishing,
                       verify_iso_witness)
 from .report import FAIL, PASS, VerificationReport
@@ -113,15 +112,18 @@ def periodic_resolution(pair: ExactZeroDivisorPair, a, length: int,
     return out
 
 
-def _resolutions(pair: ExactZeroDivisorPair, a, length: int, bound) -> dict:
-    """d_1 .. d_length of both phases for one certificate.  On the finite
-    backend d_(i+2) = d_i and phase H is phase G one step on, so gamma_a and
-    eta_a are factored once for every position of both (and transposed
-    once); a graded d_(i+2) has its twists raised by deg x + deg y."""
+def _resolutions(pair: ExactZeroDivisorPair, a, modules: dict,
+                 length: int) -> dict:
+    """d_1 .. d_length of both phases for one certificate, whose G_a and
+    H_a are ``modules["G"]`` and ``modules["H"]``.  On the finite backend
+    d_(i+2) = d_i and phase H is phase G one step on, so every position of
+    both is one of the two modules' ``relations``, and their transposes
+    are the ones their duals hold; a graded d_(i+2) has its twists raised
+    by deg x + deg y."""
     if not isinstance(pair.ring, FiniteLocalRing):
         return {phase: periodic_resolution(pair, a, length, phase)
                 for phase in "GH"}
-    held = [Factored(make(pair, a), bound) for make in (gamma, eta)]
+    held = [modules[phase].relations for phase in "GH"]
     return {phase: [held[(i + shift) % 2] for i in range(length)]
             for shift, phase in enumerate("GH")}
 
@@ -142,26 +144,24 @@ def verify_complex(pair: ExactZeroDivisorPair, a, length: int = 4,
     ring = pair.ring
     rep = VerificationReport("periodic-complex", PASS, scope_of(ring, bound),
                              {"a": repr(a), "pair_exact": pair.is_exact})
-    g = gamma(pair, a)
-    e = eta(pair, a)
-    ge = (g.without_degrees() * e.without_degrees()).is_zero
-    eg = (e.without_degrees() * g.without_degrees()).is_zero
+    modules = {"G": module_g(pair, a), "H": module_h(pair, a)}
+    g, e = modules["G"].rho, modules["H"].rho
+    ge = (g * e).is_zero
+    eg = (e * g).is_zero
     rep.add(VerificationReport("composites-vanish",
                                PASS if ge and eg else FAIL,
                                scope_of(pair.ring, bound),
                                {"gamma_eta_zero": ge, "eta_gamma_zero": eg}))
     phi = phi_matrix(ring)
-    gt = g.without_degrees().transpose()
-    et = e.without_degrees().transpose()
-    id1 = (phi * gt).entries == (e.without_degrees() * phi).entries
-    id2 = (phi * et).entries == (g.without_degrees() * phi).entries
+    id1 = (phi * g.transpose()).entries == (e * phi).entries
+    id2 = (phi * e.transpose()).entries == (g * phi).entries
     rep.add(VerificationReport("half-turn-identities",
                                PASS if id1 and id2 else FAIL,
                                scope_of(pair.ring, bound),
                                {"phi_gamma_t_eq_eta_phi": id1,
                                 "phi_eta_t_eq_gamma_phi": id2}))
     if ge and eg:
-        for phase, diffs in _resolutions(pair, a, length, bound).items():
+        for phase, diffs in _resolutions(pair, a, modules, length).items():
             for i in range(len(diffs) - 1):
                 rep.add(check_exact_at(
                     diffs[i + 1], diffs[i], bound,
@@ -191,15 +191,15 @@ def verify_total_reflexivity(pair: ExactZeroDivisorPair, a, i_max: int = 2,
     rep = VerificationReport("total-reflexivity", PASS,
                              scope_of(pair.ring, bound), {"a": repr(a)})
     phi = phi_matrix(pair.ring)
-    resolutions = _resolutions(pair, a, i_max + 1, bound)
-    for phase, module_of, other in (("G", module_g, module_h),
-                                    ("H", module_h, module_g)):
-        module = module_of(pair, a)
+    modules = {"G": module_g(pair, a), "H": module_h(pair, a)}
+    resolutions = _resolutions(pair, a, modules, i_max + 1)
+    for phase, other in (("G", "H"), ("H", "G")):
+        module = modules[phase]
         rep.add(ext_vanishing(module, resolutions[phase], i_max, bound,
                               name=f"ext-vanishing-{module.label}"))
         # d_2 is the other presentation: Coker(gamma^t) is H_a via phi and
         # Coker(eta^t) is G_a via phi
-        target = other(pair, a)
+        target = modules[other]
         rep.add(verify_iso_witness(
             dual_presentation(module, target.rho), target, phi, phi, bound,
             name=f"dual-of-{module.label}-is-{target.label}"))
@@ -233,9 +233,8 @@ def verify_g_description(pair: ExactZeroDivisorPair, a, bound=None,
         rep = VerificationReport("decomposable-case", PASS, scope,
                                  {"a": repr(a), "q": repr(q)})
         rep.add(verify_iso_witness(
-            PresentedModule(ring, src.rho.without_degrees(), src.label),
-            PresentedModule(ring, tgt.rho.without_degrees(), "G(0)"),
-            Matrix.identity(ring, 2), Matrix(ring, [[one, q], [zero, one]]),
+            src, tgt, Matrix.identity(ring, 2),
+            Matrix(ring, [[one, q], [zero, one]]),
             bound, name="column-operation-witness"))
         return rep
     hypothesis = weakly_regular_on_quotient(ring, a, [pair.y], bound)
@@ -246,19 +245,17 @@ def verify_g_description(pair: ExactZeroDivisorPair, a, bound=None,
     rep = VerificationReport("ideal-description", PASS, scope,
                              {"a": repr(a),
                               "a_injective_mod_y": hypothesis})
-    g = gamma(pair, a).without_degrees()
+    module = module_g(pair, a)
     row = Matrix(ring, [[pair.y, -a]])
-    composite = row * g
+    composite = row * module.rho
     rep.details["row_kills_relations"] = composite.is_zero
     if not composite.is_zero:
         rep.verdict = FAIL
         return rep
-    degs = _family_layout(pair, a, "gamma")[0]
-    if degs is not None:
-        row = row.with_degrees((-(pair.y.degree() or 0),), degs)
+    if module.gen_degs is not None:
+        row = row.with_degrees((-(pair.y.degree() or 0),), module.gen_degs)
     gens = kernel_gens(row, bound)
-    escaping = Factored(g, bound).outside(
-        gen.without_degrees() for gen in gens)
+    escaping = module.relations.outside(gens)
     rep.details["kernel_generators"] = len(gens)
     rep.details["kernel_inside_image"] = escaping is None
     if escaping is not None:

@@ -251,8 +251,8 @@ def _hom_presentation(src: PresentedModule, tgt: PresentedModule,
     # the relations: the heads of the kernel of coeff = [vec psi |
     # kron(rho_2, I)], whose eliminations also give Hom's Hilbert function
     k = len(generators)
-    relations = Factored(_vec_span(src, tgt, generators, gen_degrees), bound)
-    rel_gens = [gen for gen in relations._kernel(keep=False)
+    relations = Factored(_vec_span(src, tgt, generators, gen_degrees))
+    rel_gens = [gen for gen in relations._kernel(bound, keep=False)
                 if not all(row[0].is_zero for row in gen.entries[:k])]
     row_degs = tuple(gen_degrees) if graded else None
     if rel_gens:
@@ -303,7 +303,7 @@ class _TargetTables:
         ring = module.ring
         g, d = module.ngens, ring.ext_degree
         self.ring = ring
-        self.solver = module._span_solver()
+        self.solver = module.relations.span
         bounds = self.solver.reduced_bounds()
         self.keys = list(itertools.product(*map(range, bounds)))
         self.reps = [tuple(_unflatten_vector(ring, key, g))
@@ -641,14 +641,14 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b, bound,
                    {"witnesses": [repr(w) for _, w in reductions]}))
 
     hp = hom_presentation(source, target, bound)
-    span = Factored(_vec_span(source, target, psis[:2]), bound)
+    span = Factored(_vec_span(source, target, psis[:2]))
     rep.add(_generators_covered(hp, span, scope,
                                 "computed-generators-covered"))
 
-    claim = claimed.factored_rho
+    claim = claimed.module.relations
     kernel_ok = True
     kernel_count = 0
-    for gen in span.kernel():
+    for gen in span.kernel(bound):
         head = [gen.entries[0][0], gen.entries[1][0]]
         if all(e.is_zero for e in head):
             continue
@@ -835,9 +835,9 @@ _PARTNER = {"G": "H", "H": "G"}
 
 class _FamilyModule:
     """A family module and what certificates ask of it, each part built
-    when first asked for: ``module`` holds its Hilbert function,
-    ``factored_rho`` is rho without degrees factored, and ``f_t`` is F_x^T,
-    the transposed functional rows, with its factorization and kernel."""
+    when first asked for: ``module`` holds its Hilbert function and its
+    relations, and ``f_t`` is F_x^T, the transposed functional rows, with
+    its factorization and its kernel up to the record's bound."""
 
     def __init__(self, pair, flavor: str, elem, bound):
         self.desc, self.bound = (pair, flavor, elem), bound
@@ -845,20 +845,16 @@ class _FamilyModule:
         self.module = build(pair, elem)
 
     @functools.cached_property
-    def factored_rho(self) -> Factored:
-        return Factored(self.module.rho.without_degrees(), self.bound)
-
-    @functools.cached_property
     def f_t(self) -> Matrix:
         return _functional_rows(*self.desc).transpose()
 
     @functools.cached_property
     def factored_f_t(self) -> Factored:
-        return Factored(self.f_t, self.bound)
+        return Factored(self.f_t)
 
     @functools.cached_property
     def f_t_kernel(self) -> list[Matrix]:
-        return self.factored_f_t.kernel()
+        return self.factored_f_t.kernel(self.bound)
 
 
 def _family_record(pair, flavor: str, elem, bound) -> _FamilyModule:
@@ -915,7 +911,7 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
     # the partner of x
     x_rec = [_family_record(pair, *x, bound) for x, _ in ends]
     f_y = [_family_record(pair, *y, bound).f_t for _, y in ends]
-    rel = [_family_record(pair, _PARTNER[fl], el, bound).factored_rho
+    rel = [_flavor_module(pair, _PARTNER[fl], el, bound).relations
            for (fl, el), _ in ends]
 
     def transpose(k: int, psi: Matrix) -> Matrix | None:
@@ -1004,10 +1000,9 @@ def verify_end_ring(pair: ExactZeroDivisorPair, a, bound=None,
         module = _flavor_module(pair, flavor, a, bound)
         hp = hom_presentation(module, module, bound)
         span = Factored(_vec_span(module, module,
-                                  [Matrix.identity(ring, module.ngens)]),
-                        bound)
+                                  [Matrix.identity(ring, module.ngens)]))
         onto = rep.add(_identity_generates(hp, span, scope))
-        faithful = rep.add(_identity_faithful(hp, span, scope))
+        faithful = rep.add(_identity_faithful(hp, span, bound, scope))
         if not (onto.passed and faithful.passed):
             rep.add(_idempotent_scan(hp, bound, idempotent_budget, scope))
             continue
@@ -1035,12 +1030,8 @@ def _identity_generates(hp: HomPresentation, span: Factored, scope):
                   {"scalars": scalars if ok else "incomplete"})
 
 
-def _identity_faithful(hp: HomPresentation, span: Factored, scope):
-    ok = True
-    for gen in span.kernel():
-        if not gen.entries[0][0].is_zero:
-            ok = False
-            break
+def _identity_faithful(hp: HomPresentation, span: Factored, bound, scope):
+    ok = all(gen.entries[0][0].is_zero for gen in span.kernel(bound))
     return report(f"identity-faithful({hp.module.label})", ok, scope, {})
 
 
@@ -1077,7 +1068,7 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
                            for i in range(n)])))
         detail = {"classes": len(states)}
     else:
-        rho = Factored(module.rho.without_degrees(), bound)
+        rho = module.relations
         degree_zero = [psi for psi, t in zip(hp.generators, hp.gen_degrees)
                        if t == 0]
         if ring.p ** len(degree_zero) > budget:

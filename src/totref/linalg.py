@@ -457,13 +457,13 @@ class Factored:
     factorization, ``transpose`` holds one of rho^T, and ``_ranks`` holds
     the rank of each slice a kernel eliminated, by degree.  A graded rho
     gets its degree layout here, and raises NonHomogeneous when it admits
-    none; ``bound`` is read by kernels alone.
+    none.  No bound is held: a graded kernel takes its degree window as an
+    argument, so one factorization serves every window.
     """
 
-    def __init__(self, rho: Matrix, bound: int | None = None):
+    def __init__(self, rho: Matrix):
         ring = rho.ring
         self.ring = ring
-        self.bound = bound
         self.span = None
         self._transpose = None
         self._slices: dict[int, tuple] = {}
@@ -528,7 +528,7 @@ class Factored:
                 for j in range(rho.ncols)]
         return Matrix._trusted(ring, rows, rho.col_degs, out_degs)
 
-    def kernel(self) -> list[Matrix]:
+    def kernel(self, bound: int | None = None) -> list[Matrix]:
         """Generators of ker(rho) as element columns.
 
         Finite backend: a complete generating set, computed exhaustively.
@@ -536,16 +536,16 @@ class Factored:
         twisted degrees up to ``bound``, starting from the smallest column
         twist.  Each slice is kept for the questions that follow.
         """
-        return self._kernel(keep=True)
+        return self._kernel(bound, keep=True)
 
-    def _kernel(self, keep: bool) -> list[Matrix]:
+    def _kernel(self, bound: int | None, keep: bool) -> list[Matrix]:
         ring, rho = self.ring, self.rho
         if self.span is not None:
             return [Matrix._trusted(ring, [[e] for e in _unflatten_vector(
                 ring, vec, rho.ncols)])
                 for vec in self.span.kernel_rows]
         gens: list[Matrix] = []
-        for d in range(min(rho.col_degs), degree_bound(self.bound) + 1):
+        for d in range(min(rho.col_degs), degree_bound(bound) + 1):
             if not _twist_layout(ring, rho.col_degs, d)[2]:
                 continue
             # the degree-d multiples of the earlier generators, held side by
@@ -568,7 +568,7 @@ class Factored:
     def transpose(self) -> "Factored":
         """rho^T, factored when first asked and held for later questions."""
         if self._transpose is None:
-            self._transpose = Factored(self.rho.transpose(), self.bound)
+            self._transpose = Factored(self.rho.transpose())
         return self._transpose
 
 
@@ -578,9 +578,9 @@ def solve_right(rho: Matrix, rhs: Matrix) -> Matrix | None:
 
 
 def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
-    """``Factored(rho, bound).kernel()``, for a matrix asked nothing else:
+    """``Factored(rho).kernel(bound)``, for a matrix asked nothing else:
     no slice is kept past its degree, so memory holds one at a time."""
-    return Factored(rho, bound)._kernel(keep=False)
+    return Factored(rho)._kernel(bound, keep=False)
 
 
 def _rhs_column_degree(rho: Matrix, rhs: Matrix, k: int) -> int | None:
@@ -722,7 +722,8 @@ def check_exact_at(incoming, outgoing, bound: int | None = None,
     kernel, so the maps are exact when every generator of ker(outgoing)
     solves into im(incoming); the first one that does not is the witness.
     The finite backend's generators are complete; the graded backend's
-    span the kernel in every twisted degree up to ``bound``.
+    span the kernel in every twisted degree up to ``bound``, whether
+    outgoing comes factored or not.
     """
     held_in, held_out = (m if isinstance(m, Factored) else None
                          for m in (incoming, outgoing))
@@ -733,10 +734,10 @@ def check_exact_at(incoming, outgoing, bound: int | None = None,
     if not composite.is_zero:
         raise NotAComplex(f"{name}: composite of consecutive maps is nonzero")
     incoming, outgoing = _with_middle(incoming, outgoing)
-    gens = held_out.kernel() if held_out else kernel_gens(outgoing, bound)
+    gens = held_out.kernel(bound) if held_out \
+        else kernel_gens(outgoing, bound)
     details = {"kernel_generators": len(gens)}
-    witness = (held_in or Factored(incoming, bound)).outside(gens) \
-        if gens else None
+    witness = (held_in or Factored(incoming)).outside(gens) if gens else None
     if witness is not None:
         details["witness_in_kernel_not_image"] = repr(witness)
     return VerificationReport(name, FAIL if witness is not None else PASS,

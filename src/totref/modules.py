@@ -9,7 +9,9 @@ graded one.
 
 from __future__ import annotations
 
-from . import _fp, _zn
+import functools
+
+from . import _fp
 from .errors import (DimensionMismatch, InvalidResolution, NotAComplex,
                      TotrefError, WrongBackend)
 from .linalg import (Factored, Matrix, _twist_layout, check_exact_at,
@@ -20,7 +22,8 @@ from .rings import FiniteLocalRing, GradedMonomialRing, scope_of
 
 
 class PresentedModule:
-    """M = Coker(rho), with rho's rows indexing the generators of M."""
+    """M = Coker(rho), with rho's rows indexing the generators of M.
+    ``relations``, the one ``Factored`` of rho, is built when first used."""
 
     def __init__(self, ring, rho: Matrix, label: str = "M"):
         if rho.ring.key != ring.key:
@@ -32,7 +35,6 @@ class PresentedModule:
         self.label = label
         self.ngens = rho.nrows
         self.gen_degs = rho.row_degs
-        self._solver = None
         self._tables = None  # coset tables, built by homcalc._target_tables
         self._dims: dict[int, int] = {}  # the Hilbert function, by degree
 
@@ -47,21 +49,16 @@ class PresentedModule:
     def __repr__(self):
         return f"<module {self.label}: {self.ngens} generators>"
 
-    # -- coset arithmetic (finite backend) ----------------------------------
-
-    def _span_solver(self) -> _zn.SpanSolver:
-        if self._solver is None:
-            if not isinstance(self.ring, FiniteLocalRing):
-                raise WrongBackend("coset enumeration needs the finite backend")
-            self._solver = Factored(self.rho).span
-        return self._solver
+    @functools.cached_property
+    def relations(self) -> Factored:
+        return Factored(self.rho)
 
     def size(self) -> int:
         """Cardinality of M, finite backend only."""
         if not isinstance(self.ring, FiniteLocalRing):
             raise WrongBackend("cardinality needs the finite backend")
         total = self.ring.carrier_size() ** self.ngens
-        return total // self._span_solver().span_size()
+        return total // self.relations.span.span_size()
 
     def slice_dim(self, d: int) -> int:
         """dim M_d, held once known: a Hom module's are recorded as it is
@@ -130,13 +127,12 @@ def verify_iso_witness(source: PresentedModule, target: PresentedModule,
     """
     ring = source.ring
     scope = scope_of(ring, bound)
-    # twist layouts are re-derived per solve; witnesses stay layout-free
+    # witnesses stay layout-free
     p_matrix = p_matrix.without_degrees()
-    rho_src = source.rho.without_degrees()
-    rho_tgt = target.rho.without_degrees()
+    rho_src, rho_tgt = source.rho, target.rho
     details: dict = {"P": repr(p_matrix)}
     if s_matrix is None:
-        s_matrix = solve_right(rho_tgt, p_matrix * rho_src)
+        s_matrix = target.relations.solve(p_matrix * rho_src)
         if s_matrix is None:
             details["failure"] = "P does not carry relations into relations"
             return VerificationReport(name, FAIL, scope, details)
@@ -155,7 +151,7 @@ def verify_iso_witness(source: PresentedModule, target: PresentedModule,
     p_inv = Matrix(ring,
                    [solution.entries[i] for i in range(source.ngens)])
     details["P_inverse"] = repr(p_inv)
-    src = Factored(rho_src, bound)
+    src = source.relations
     if src.solve(p_inv * rho_tgt) is None:
         details["failure"] = "P^-1 does not carry relations into relations"
         return VerificationReport(name, FAIL, scope, details)
@@ -177,13 +173,18 @@ def dual_presentation(module: PresentedModule,
     differential is ``next_matrix``, dualizing the complex exhibits
     Hom(M, A) as Coker(rho transposed).  The composite rho * next must
     vanish; exactness of the ambient complex is the caller's certificate.
+    The dual's relations are ``module.relations.transpose()``, the one
+    factorization of rho^T that the dualized complex also reads.
     """
     if module.rho.ncols != next_matrix.nrows:
         raise DimensionMismatch("next differential has the wrong shape")
     if not (module.rho * next_matrix).is_zero:
         raise NotAComplex("rho composed with the next differential is nonzero")
-    rho_dual = module.rho.transpose()
-    return PresentedModule(module.ring, rho_dual, f"dual({module.label})")
+    relations = module.relations.transpose()
+    dual = PresentedModule(module.ring, relations.rho,
+                           f"dual({module.label})")
+    dual.relations = relations
+    return dual
 
 
 def validate_resolution(module: PresentedModule, differentials: list,

@@ -8,6 +8,7 @@ from totref.family import (eta, gamma, module_g, module_h,
                            periodic_resolution, phi_matrix, verify_complex,
                            verify_g_description, verify_total_reflexivity)
 from totref.homcalc import verify_hom_hg
+from totref.linalg import Factored, check_exact_at
 from totref.rings import FiniteLocalRing
 from totref.zerodiv import exact_pair
 
@@ -169,7 +170,19 @@ def test_one_period_is_factored_once(monkeypatch, verb):
     }[verb]
     small = _factorizations(monkeypatch, lambda: calls(2))
     assert small == _factorizations(monkeypatch, lambda: calls(64))
-    assert small == {"tr": (8, 8), "complex": (2, 2), "ext": (0, 3)}[verb]
+    assert small == {"tr": (6, 6), "complex": (2, 2), "ext": (0, 3)}[verb]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 8])
+def test_factored_maps_are_asked_in_the_checks_window(pair_f5, bound):
+    # position 1 of the G resolution of G_z: a map passed in factored has
+    # its kernel taken up to the check's bound, as a matrix has
+    d1, d2 = periodic_resolution(pair_f5, pair_f5.ring.parse("z"), 2)
+    plain = check_exact_at(d2, d1, bound)
+    held = check_exact_at(Factored(d2), Factored(d1), bound)
+    assert held.details == plain.details
+    assert (held.verdict, held.scope) == (plain.verdict, plain.scope)
+    assert plain.passed
 
 
 def test_ideal_iso(pair_f5, pair_z9):

@@ -179,7 +179,7 @@ def test_coset_table_refusal_precedes_enumeration(z9, monkeypatch):
     def enumerated(vectors):
         pytest.fail("the refusal ran the coset enumeration first")
 
-    monkeypatch.setattr(module._span_solver(), "reduce", enumerated)
+    monkeypatch.setattr(module.relations.span, "reduce", enumerated)
     with pytest.raises(TooLarge, match="coset table exceeds"):
         homcalc._target_tables(module, 80)
 
@@ -416,6 +416,28 @@ def test_hom_transpose_bijection(pair_f5):
     ring = pair_f5.ring
     rep = verify_hom_transpose(pair_f5, ("G", ring.parse("z")),
                                ("G", ring.parse("z^2")), 8)
+    assert rep.passed, rep.first_failure()
+
+
+# F_3[x,y,z]/(xy^2) with deg x = 1 and deg y^2 = 2: at a = 0 the family
+# layout of H(0) puts its generators in different degrees, which the
+# layout inferred from its entries alone does not
+XY2 = GradedMonomialRing(3, ("x", "y", "z"), ((1, 2, 0),))
+XY2_MODULES = [f + e for f in "GH" for e in ("0", "z")]
+
+
+@functools.lru_cache(maxsize=None)
+def _xy2_pair(x: str, y: str):
+    return exact_pair(XY2, XY2.parse(x), XY2.parse(y), 8)
+
+
+@pytest.mark.parametrize("x, y", [("x", "y^2"), ("y^2", "x")])
+@pytest.mark.parametrize("src, tgt",
+                         list(itertools.product(XY2_MODULES, repeat=2)))
+def test_hom_transpose_bijection_with_unequal_degrees(x, y, src, tgt):
+    pair = _xy2_pair(x, y)
+    rep = verify_hom_transpose(pair, (src[0], XY2.parse(src[1:])),
+                               (tgt[0], XY2.parse(tgt[1:])), 8)
     assert rep.passed, rep.first_failure()
 
 
@@ -836,10 +858,10 @@ def test_run_family_factors_each_functional_matrix_once(pair_f5,
     factored = []
     build = homcalc.Factored
 
-    def counted(rho, bound=None):
+    def counted(rho):
         if rho.entries in watched:
             factored.append(rho.entries)
-        return build(rho, bound)
+        return build(rho)
 
     monkeypatch.setattr(homcalc, "Factored", counted)
     fam = run_family(pair_f5, ["z"], n_max=2, bound=6)

@@ -304,7 +304,7 @@ def test_graded_data_without_a_layout_is_refused_even_with_a_bound(f5):
                 Matrix(f5, [[x, y * y], [y, x]])):
         for bound in (None, 3):
             with pytest.raises(NonHomogeneous):
-                linalg.Factored(rho, bound)
+                linalg.Factored(rho).kernel(bound)
             with pytest.raises(NonHomogeneous):
                 kernel_gens(rho, bound)
         with pytest.raises(NonHomogeneous):

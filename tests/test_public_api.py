@@ -15,6 +15,9 @@ some call in the package or in perfbench/.  Callees are matched by name,
 a class name stands for the class's ``__init__``, and calls that splat
 ``*args`` or ``**kwargs`` are skipped.  The other way round, every call in
 perfbench/ to a name imported from totref must fit the callee's signature.
+
+Outside modules.py no call factors a presentation's rho: a presented
+module's ``relations`` is the one factorization of it.
 """
 
 import ast
@@ -226,6 +229,45 @@ def test_perfbench_calls_fit_the_signatures_they_call():
                 print(f"{path.name}:{node.lineno}: {exc}")
     assert calls >= 8  # the scan sees the workloads' calls
     assert bad == 0
+
+
+def _rho_factorizations(source: str) -> list:
+    """The lines of source that call Factored on some m.rho, with or
+    without .without_degrees(), and the number of Factored calls seen."""
+    lines, seen = [], 0
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            getattr(func, "attr", None)
+        if name != "Factored":
+            continue
+        seen += 1
+        for arg in node.args + [k.value for k in node.keywords]:
+            if isinstance(arg, ast.Call) and not arg.args \
+                    and isinstance(arg.func, ast.Attribute) \
+                    and arg.func.attr == "without_degrees":
+                arg = arg.func.value
+            if isinstance(arg, ast.Attribute) and arg.attr == "rho":
+                lines.append(node.lineno)
+    return lines, seen
+
+
+def test_presentations_are_factored_only_as_module_relations():
+    # a presented module's relations are the one factorization of its rho;
+    # only modules.py builds it, everything else asks module.relations
+    assert _rho_factorizations(
+        "Factored(m.rho)\nlinalg.Factored(m.rho.without_degrees(), 8)\n"
+        "Factored(m.rho.transpose())\nFactored(rho)\n") == ([1, 2], 4)
+    seen = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "modules.py":
+            continue
+        lines, count = _rho_factorizations(path.read_text(encoding="utf-8"))
+        seen += count
+        assert lines == [], path.name
+    assert seen > 5  # the scan sees the package's factorizations
 
 
 def test_no_module_of_the_package_imports_numpy():
