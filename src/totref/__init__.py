@@ -12,7 +12,7 @@ or degree bounded) at which it was established.
 """
 
 from .errors import TotrefError
-from .linalg import annihilator, ideal_membership
+from .linalg import ideal_membership
 from .rings import FiniteLocalRing, GradedMonomialRing, ring_from_descriptor
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "FiniteLocalRing",
     "GradedMonomialRing",
     "ring_from_descriptor",
-    "annihilator",
     "ideal_membership",
 ]
 

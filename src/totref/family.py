@@ -224,7 +224,7 @@ def verify_g_description(pair: ExactZeroDivisorPair, a, bound=None,
     """
     ring = pair.ring
     scope = scope_of(ring, bound)
-    in_x, wit = ideal_membership(ring, a, [pair.x])
+    in_x, wit = ideal_membership(pair.quotient_x.relations, a)
     if in_x:
         q = wit[0]
         one, zero = ring.one(), ring.zero()
@@ -237,7 +237,7 @@ def verify_g_description(pair: ExactZeroDivisorPair, a, bound=None,
             Matrix(ring, [[one, q], [zero, one]]),
             bound, name="column-operation-witness"))
         return rep
-    hypothesis = weakly_regular_on_quotient(ring, a, [pair.y], bound)
+    hypothesis = weakly_regular_on_quotient(a, pair.quotient_y, bound)
     if strict and not (pair.is_exact and hypothesis):
         raise PreconditionFailed("a is not in (x), and G_a = (y, a) needs "
                                  "a verified exact pair and a injective "

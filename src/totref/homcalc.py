@@ -36,8 +36,7 @@ from .modules import (PresentedModule, fitting_ideal, hilbert_function,
 from .report import FAIL, PASS, SCHEMA_VERSION, VerificationReport, report
 from .rings import (FiniteLocalRing, GradedMonomialRing, degree_bound,
                     scope_of)
-from .zerodiv import ExactZeroDivisorPair, verify_regular_pair, \
-    weakly_regular_on_quotient
+from .zerodiv import ExactZeroDivisorPair
 
 DEFAULT_MAX_CARRIER = 2_000_000
 DEFAULT_IDEMPOTENT_BUDGET = 4096
@@ -509,18 +508,6 @@ def special_generators_gg(pair: ExactZeroDivisorPair, a, b):
     return psis, xis
 
 
-def _pair_is_regular(pair: ExactZeroDivisorPair, bound) -> bool:
-    if pair.regular == "unknown":
-        verify_regular_pair(pair, bound)
-    return pair.regular == "true"
-
-
-def _weakly_regular_xy(pair: ExactZeroDivisorPair, e, bound) -> bool:
-    if e.is_zero:
-        return False
-    return weakly_regular_on_quotient(pair.ring, e, [pair.x, pair.y], bound)
-
-
 def _hypotheses(pair, bound, strict: bool, checked: str, *, a=None,
                 b=None, need: str) -> dict:
     """Hypothesis record for the Hom identities.
@@ -529,11 +516,11 @@ def _hypotheses(pair, bound, strict: bool, checked: str, *, a=None,
     regular, b unconstrained).  Unmet hypotheses raise PreconditionFailed
     when strict.
     """
-    regular = _pair_is_regular(pair, bound)
+    regular = pair.is_regular(bound)
     info = {"pair_regular": regular}
     ok = regular
-    wr_a = _weakly_regular_xy(pair, a, bound) if a is not None else None
-    wr_b = _weakly_regular_xy(pair, b, bound) if b is not None else None
+    wr_a = pair.weakly_regular(a, bound) if a is not None else None
+    wr_b = pair.weakly_regular(b, bound) if b is not None else None
     if a is not None:
         info["a_weakly_regular_mod_xy"] = wr_a
     if b is not None:
@@ -1290,12 +1277,12 @@ def _run_family(pair, b_sequence, n_max, bound, i_max) -> FamilyReport:
         bs = bs * n_max
     if len(bs) != n_max:
         raise TotrefError("b sequence length does not match n_max")
-    if not _pair_is_regular(pair, bound):
+    if not pair.is_regular(bound):
         raise PreconditionFailed("the pair is not a regular exact pair")
     for idx, e in enumerate(bs, start=1):
         if ring.is_unit(e):
             raise PreconditionFailed(f"b_{idx} is a unit")
-        if not _weakly_regular_xy(pair, e, bound):
+        if not pair.weakly_regular(e, bound):
             raise PreconditionFailed(
                 f"b_{idx} is not weakly regular on A/(x, y)")
 

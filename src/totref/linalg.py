@@ -14,11 +14,11 @@ F_p.  Graded data must be homogeneous: a graded matrix is factored under a
 degree layout, and data that admits none is refused with NonHomogeneous.
 Degree-bounded answers say so in their scope.
 
-Ideal questions are matrix questions over the same core: Ann(e) is the
-kernel of the column of e's homogeneous components, and e in (g_1 .. g_k)
-is solving [g_1 .. g_k] x = e.  Hom and Ext are too: ``kron`` builds every
-lifting and cochain matrix as a Kronecker product.  Exactness is every
-kernel generator of the outgoing map solving into the image of the
+Ideal questions are matrix questions over the same core: A/I is presented
+by the row of I's generators, e lies in I when the row solves against e,
+and Ann(e) is the kernel of [e].  Hom and Ext are too: ``kron`` builds
+every lifting and cochain matrix as a Kronecker product.  Exactness is
+every kernel generator of the outgoing map solving into the image of the
 incoming one; ``homology`` counts cycles and boundaries for Ext only, by
 rank-nullity on both backends: span sizes over Z/n, slice ranks over F_p.
 """
@@ -615,34 +615,14 @@ def slice_rank(mat: Matrix, d: int) -> int:
 # ---------------------------------------------------------------------------
 # ideals
 
-def annihilator(ring, e, bound: int | None = None) -> tuple:
-    """Generators of Ann(e), exhaustive (finite) or in degrees <= bound.
+def ideal_membership(row: Factored, e):
+    """Decide e in I, for ``row`` the factored 1 x g row of I's generators;
+    on success also return the witness coefficients, one per generator.
 
-    Ann(e) is the kernel of the column of e's homogeneous components.  On
-    the graded backend component c sits in row degree -deg(c) and the
-    column in degree 0, so the kernel's twisted degree is the degree of
-    the annihilating element.
+    Every answer is exact.  On the graded backend e is solved for one
+    homogeneous component per column.
     """
-    if isinstance(ring, FiniteLocalRing):
-        column = Matrix(ring, [[e]])
-    else:
-        parts = list(e.homogeneous_components().items()) or [(0, e)]
-        column = Matrix(ring, [[c] for _, c in parts],
-                        [-d for d, _ in parts], (0,))
-    return tuple(g.entries[0][0] for g in kernel_gens(column, bound))
-
-
-def ideal_membership(ring, e, generators):
-    """Decide e in (generators); on success also return witness coefficients.
-
-    Every answer is exact.  On the graded backend the generators must be
-    homogeneous (else NonHomogeneous), and e is solved for one homogeneous
-    component per column.
-    """
-    gens = list(generators)
-    if not gens:
-        return (True, []) if e.is_zero else (False, None)
-    row = Factored(Matrix(ring, [gens]))
+    ring = row.ring
     rhs = Matrix(ring, [[e]])
     if row.span is None:
         parts = list(e.homogeneous_components().values()) or [e]
@@ -651,7 +631,7 @@ def ideal_membership(ring, e, generators):
     if solution is None:
         return False, None
     witnesses = [sum(entries, ring.zero()) for entries in solution.entries]
-    _check_witnesses(ring, e, witnesses, gens)
+    _check_witnesses(ring, e, witnesses, row.rho.entries[0])
     return True, witnesses
 
 

@@ -46,6 +46,14 @@ class PresentedModule:
         rho = Matrix.zeros(ring, n, 1, degs, col_degs)
         return cls(ring, rho, label)
 
+    @classmethod
+    def quotient(cls, ring, gens) -> "PresentedModule":
+        """A/I for the ideal I of ``gens``, presented by the 1 x g row of
+        them, or by one zero column when there are none.  Its ``relations``
+        answer every question about I: e lies in I when the row solves
+        against e, and the row's kernel holds the generators' syzygies."""
+        return cls(ring, Matrix(ring, [list(gens) or [ring.zero()]]), "A/I")
+
     def __repr__(self):
         return f"<module {self.label}: {self.ngens} generators>"
 
@@ -100,13 +108,12 @@ def fitting_ideal(module: PresentedModule, j: int) -> list:
 
 
 def ideals_equal(ring, gens1, gens2) -> bool:
-    for e in gens1:
-        if not ideal_membership(ring, e, list(gens2))[0]:
-            return False
-    for e in gens2:
-        if not ideal_membership(ring, e, list(gens1))[0]:
-            return False
-    return True
+    """Whether (gens1) = (gens2): each side is factored once, as A/I, and
+    every generator of the other side must solve against it."""
+    first, second = (PresentedModule.quotient(ring, gens)
+                     for gens in (gens1, gens2))
+    return all(ideal_membership(second.relations, e)[0] for e in gens1) \
+        and all(ideal_membership(first.relations, e)[0] for e in gens2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ exactly degree by degree.
 
 Both backends share an expression parser, canonical printing (degree first,
 then lexicographic by the declared variable order), unit tests and the
-scope helpers.  Ideal questions (annihilators, membership) are matrix
-questions and live in linalg.
+scope helpers.  An ideal I is asked about through A/I, the module that the
+row of I's generators presents (``PresentedModule.quotient``).
 """
 
 from __future__ import annotations
@@ -300,12 +300,6 @@ class FiniteLocalRing:
         self.key = ("finite", p, k, ext_var, ext_degree)
 
     # -- construction -----------------------------------------------------
-
-    def element(self, coords) -> FiniteElement:
-        coords = tuple(int(c) % self.n for c in coords)
-        if len(coords) != self.ext_degree:
-            raise TotrefError("wrong coordinate length")
-        return FiniteElement(self, coords)
 
     def zero(self) -> FiniteElement:
         return FiniteElement(self, (0,) * self.ext_degree)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from totref import _zn
 from totref.rings import FiniteLocalRing, GradedMonomialRing
 from totref.zerodiv import exact_pair
 
@@ -39,3 +40,29 @@ def pair_z8(z8):
 @pytest.fixture(scope="session")
 def pair_f5(f5):
     return exact_pair(f5, f5.parse("x"), f5.parse("y"), 8)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """``count(call)``: the SpanSolver builds and Howell forms that
+    ``call()`` makes, and what it returns."""
+    def count(call):
+        counts = [0, 0]
+        howell = _zn.howell
+
+        class CountedSolver(_zn.SpanSolver):
+            def __init__(self, *args):
+                counts[0] += 1
+                super().__init__(*args)
+
+        def counted_howell(*args):
+            counts[1] += 1
+            return howell(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_zn, "SpanSolver", CountedSolver)
+            patch.setattr(_zn, "howell", counted_howell)
+            result = call()
+        return counts[0], counts[1], result
+
+    return count

@@ -161,6 +161,32 @@ class MonomialQuotientOracle:
         return len(self.basis(degree))
 
 
+def parse_poly(text: str, variables) -> dict:
+    """The polynomial of a canonically printed graded element, such as
+    ``2*x*y^2 + z``."""
+    poly: dict = {}
+    if text == "0":
+        return poly
+    for term in text.split(" + "):
+        coeff, exp = 1, [0] * len(variables)
+        for factor in term.split("*"):
+            name, _, power = factor.partition("^")
+            if name.isdigit():
+                coeff = int(name)
+            else:
+                exp[variables.index(name)] += int(power or 1)
+        poly[tuple(exp)] = coeff
+    return poly
+
+
+def poly_text(poly: dict, variables) -> str:
+    """The polynomial written as a sum of ``c*x^k`` terms."""
+    terms = [f"{c}" + "".join(f"*{v}^{k}" for v, k in zip(variables, exp)
+                               if k)
+             for exp, c in sorted(poly.items())]
+    return " + ".join(terms) or "0"
+
+
 def sparse_rows(matrix) -> list:
     """The rows of a dense matrix as ``{column: entry}`` dicts of Python
     integers, holding every entry that is not 0 as it is, unreduced."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from totref import _zn, homcalc
+from totref import homcalc
 from totref.errors import NonHomogeneous, PreconditionFailed, TotrefError
 from totref.family import (eta, gamma, module_g, module_h,
                            periodic_resolution, phi_matrix, verify_complex,
@@ -133,29 +133,8 @@ def test_total_reflexivity_deeper_ext_range(pair_z9):
     assert rep.passed
 
 
-def _factorizations(monkeypatch, call) -> tuple[int, int]:
-    """SpanSolver builds and Howell forms made by ``call()``."""
-    counts = [0, 0]
-    howell = _zn.howell
-
-    class CountedSolver(_zn.SpanSolver):
-        def __init__(self, *args):
-            counts[0] += 1
-            super().__init__(*args)
-
-    def counted_howell(*args):
-        counts[1] += 1
-        return howell(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(_zn, "SpanSolver", CountedSolver)
-        patch.setattr(_zn, "howell", counted_howell)
-        call()
-    return tuple(counts)
-
-
 @pytest.mark.parametrize("verb", ["tr", "complex", "ext"])
-def test_one_period_is_factored_once(monkeypatch, verb):
+def test_one_period_is_factored_once(factorizations, verb):
     # Z/27 with (3, 9) and a = 3: d_(i+2) = d_i, so every position of both
     # phases, and every Ext^i, reads factorizations made for one period;
     # the count is the same at the smallest window and at the CLI's cap
@@ -168,8 +147,8 @@ def test_one_period_is_factored_once(monkeypatch, verb):
         "complex": lambda n: verify_complex(pair, a, n),
         "ext": lambda n: homcalc._ext_profile(pair, "G", a, target, n, None),
     }[verb]
-    small = _factorizations(monkeypatch, lambda: calls(2))
-    assert small == _factorizations(monkeypatch, lambda: calls(64))
+    small = factorizations(lambda: calls(2))[:2]
+    assert small == factorizations(lambda: calls(64))[:2]
     assert small == {"tr": (6, 6), "complex": (2, 2), "ext": (0, 3)}[verb]
 
 

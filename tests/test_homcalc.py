@@ -20,7 +20,7 @@ from totref.family import module_g, module_h
 from totref.linalg import Factored, Matrix
 from totref.modules import PresentedModule
 from totref.rings import FiniteLocalRing, GradedMonomialRing
-from totref.zerodiv import exact_pair
+from totref.zerodiv import ExactZeroDivisorPair, exact_pair
 from totref.homcalc import (_express, _vec_span, brute_force_hom_oracle,
                             hom_presentation, hom_maps_from_presentation,
                             noniso_certificate, run_family,
@@ -456,24 +456,16 @@ def _transpose(pair, src, tgt):
     (("G", 3), ("G", 9), [243, 243]),
     (("H", 1), ("H", 3), [27, 27]),
 ])
-def test_finite_transpose_factors_four_matrices_once(monkeypatch, src, tgt,
-                                                     sizes):
+def test_finite_transpose_factors_four_matrices_once(factorizations, src,
+                                                     tgt, sizes):
     # Z/27 with the pair (3, 9): besides the Hom presentations, every solve
     # and kernel goes through F_x^T of each direction or the relations of
     # M* and N, so the solver count does not grow with the generators
     pair = _z27_pair(3, 9)
-    built = []
-
-    class CountedSolver(_zn.SpanSolver):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(_zn, "SpanSolver", CountedSolver)
-    rep = _transpose(pair, src, tgt)
+    built, _, rep = factorizations(lambda: _transpose(pair, src, tgt))
     assert rep.passed, rep.first_failure()
     assert rep.details == {"route": "transpose", "sizes": sizes}
-    assert len(built) == 10
+    assert built == 10
 
 
 def _verdicts(rep):
@@ -923,7 +915,7 @@ def test_run_family_closes_its_memo_on_a_failed_precondition(pair_f5,
         seen.append(homcalc._HOM_MEMO.get())
         return False
 
-    monkeypatch.setattr(homcalc, "_pair_is_regular", not_regular)
+    monkeypatch.setattr(ExactZeroDivisorPair, "is_regular", not_regular)
     with pytest.raises(PreconditionFailed):
         run_family(pair_f5, ["z"], n_max=2, bound=6)
     assert seen == [{}]

@@ -11,7 +11,7 @@ from oracles import MonomialQuotientOracle, coker_hilbert, coker_size
 from totref.errors import InvalidResolution, NotAComplex, WrongBackend
 from totref.family import eta, gamma, module_g, module_h, periodic_resolution
 from totref.homcalc import _target_tables
-from totref.linalg import Matrix
+from totref.linalg import Matrix, ideal_membership
 from totref.modules import (PresentedModule, dual_presentation, ext_vanishing,
                             fitting_ideal, hilbert_function, ideals_equal,
                             minimal_generator_count, validate_resolution,
@@ -109,6 +109,22 @@ def test_fitting_ideals_distinguish_the_family(pair_f5):
     assert not ideals_equal(ring, fit1_g1, fit1_g2)
     # Fitt_0 is the determinant ideal; det gamma_a = xy = 0 here
     assert all(e.is_zero for e in fitting_ideal(g1, 0))
+
+
+@pytest.mark.parametrize("ring_name, nonzero", [("z9", "3"), ("f5", "z")])
+def test_the_zero_ideal_is_one_zero_column(request, ring_name, nonzero):
+    # A/() and A/(0) are both presented by one zero column: only 0 lies in
+    # the ideal, and the empty list and [0] generate the same ideal
+    ring = request.getfixturevalue(ring_name)
+    nonzero, zero = ring.parse(nonzero), ring.zero()
+    for gens in ([], [zero]):
+        quotient = PresentedModule.quotient(ring, gens)
+        assert quotient.rho.shape == (1, 1) and quotient.rho.is_zero
+        assert ideal_membership(quotient.relations, zero)[0]
+        assert ideal_membership(quotient.relations, nonzero) == (False, None)
+    assert ideals_equal(ring, [], [])
+    assert ideals_equal(ring, [], [zero])
+    assert not ideals_equal(ring, [], [nonzero])
 
 
 def test_fitting_ideal_is_presentation_invariant(pair_z9):

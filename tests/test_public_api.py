@@ -7,7 +7,8 @@ the syntax tree: a name, an attribute or an imported name, never a word
 inside a string.  The functions that perfbench/tracer.py wraps, listed by
 qualified name in its SPANS and LEAVES tables, count as used too.  Methods
 are matched by name alone, so a method counts as used wherever an
-attribute of that name is read.
+attribute of that name is read or the name is imported, but never through
+a bare name such as a local variable.
 
 Every parameter with a default, of any function or method in the package,
 public or private, must likewise be passed, by position or by keyword, at
@@ -17,7 +18,9 @@ a class name stands for the class's ``__init__``, and calls that splat
 perfbench/ to a name imported from totref must fit the callee's signature.
 
 Outside modules.py no call factors a presentation's rho: a presented
-module's ``relations`` is the one factorization of it.
+module's ``relations`` is the one factorization of it.  Likewise zerodiv.py
+factors nothing outside the construction of the quotients an exact pair
+holds: every ideal question reads their relations.
 """
 
 import ast
@@ -43,31 +46,34 @@ UNPASSED_ALLOWED = {"rings.GradedMonomialRing.monomial_element(coeff)"}
 
 
 def _definitions():
-    """(module.qualname, name) of every public function, class and method."""
+    """(module.qualname, name, is a method) of every public function, class
+    and method."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):
-                yield f"{path.stem}.{node.name}", node.name
+                yield f"{path.stem}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) \
                             and not item.name.startswith("_"):
                         yield f"{path.stem}.{node.name}.{item.name}", \
-                            item.name
+                            item.name, True
 
 
-def _names_used(source: str) -> set:
-    used = set()
+def _names_used(source: str) -> tuple[set, set]:
+    """The bare names, and the attributes and imported names, read in
+    source."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            used.add(node.name.rpartition(".")[2])
-    return used
+            attributes.add(node.name.rpartition(".")[2])
+    return names, attributes
 
 
 def _traced() -> set:
@@ -94,24 +100,36 @@ def test_every_traced_name_resolves():
 
 
 def test_strings_are_not_uses():
-    used = _names_used('from .rings import scope_of\n'
-                       'raise WrongBackend("graded_basis needs graded")\n'
-                       'ring.enumerate_carrier()\n')
+    names, attributes = _names_used(
+        'from .rings import scope_of\n'
+        'raise WrongBackend("graded_basis needs graded")\n'
+        'ring.enumerate_carrier()\n')
+    used = names | attributes
     assert {"scope_of", "WrongBackend", "enumerate_carrier"} <= used
     assert "graded_basis" not in used
 
 
+def test_a_bare_name_is_not_a_method_use():
+    # a loop variable named like a method does not call the method
+    names, attributes = _names_used("for element in gens:\n"
+                                    "    ring.parse(element)\n")
+    assert "element" in names and "element" not in attributes
+    assert "parse" in attributes
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    used = set()
+    names, attributes = set(), set()
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     for path in sources + sorted(PERFBENCH.glob("*.py")):
-        used |= _names_used(path.read_text(encoding="utf-8"))
+        found = _names_used(path.read_text(encoding="utf-8"))
+        names |= found[0]
+        attributes |= found[1]
     traced = _traced()
     definitions = list(_definitions())
     assert len(definitions) > 100  # the scan sees the package
-    unused = [qualname for qualname, name in definitions
-              if name not in used and qualname not in traced
-              and qualname not in ENTRY_POINTS]
+    unused = [qualname for qualname, name, method in definitions
+              if name not in attributes and (method or name not in names)
+              and qualname not in traced and qualname not in ENTRY_POINTS]
     assert unused == []
 
 
@@ -268,6 +286,37 @@ def test_presentations_are_factored_only_as_module_relations():
         seen += count
         assert lines == [], path.name
     assert seen > 5  # the scan sees the package's factorizations
+
+
+def _factoring_calls(source: str, allowed) -> list:
+    """The lines of source that call kernel_gens, solve_right or Factored
+    outside the functions named in allowed."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+              for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if name in ("kernel_gens", "solve_right", "Factored"):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_zerodiv_factors_only_the_quotients_a_pair_holds():
+    held = {"quotient_x", "quotient_y", "quotient_xy"}
+    assert _factoring_calls(
+        "def quotient_x(self):\n    return Factored(row)\n"
+        "def other(row):\n    kernel_gens(row)\n"
+        "    linalg.solve_right(row, row)\n", held) == [4, 5]
+    source = (PACKAGE / "zerodiv.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert held <= defined  # the scan knows the pair's quotients
+    assert _factoring_calls(source, held) == []
 
 
 def test_no_module_of_the_package_imports_numpy():

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import MonomialQuotientOracle, annihilator as naive_ann, ext_mul
 from totref import rings
 from totref.errors import ParseError, TotrefError, UnknownVariable
-from totref.linalg import annihilator, ideal_membership
+from totref.linalg import ideal_membership
+from totref.modules import PresentedModule
 from totref.rings import (FiniteLocalRing, GradedMonomialRing,
                           ring_from_descriptor)
 
@@ -51,10 +52,13 @@ def test_z9_parse_format_round_trip(z9):
 def test_z9_annihilators_match_naive_enumeration(z9):
     for x in range(1, 9):
         expected = set(naive_ann(9, x))
-        gens = annihilator(z9, z9.from_int(x))
+        # Ann(x) is the kernel of A/(x)'s row [x]
+        gens = [g.entries[0][0] for g in PresentedModule.quotient(
+            z9, [z9.from_int(x)]).relations.kernel()]
+        ann = PresentedModule.quotient(z9, gens).relations
         got = set()
         for e in z9.enumerate_carrier():
-            inside, _ = ideal_membership(z9, e, gens)
+            inside, _ = ideal_membership(ann, e)
             if inside:
                 got.add(int(z9.format(e)))
         assert got == expected, f"x={x}"
@@ -177,9 +181,9 @@ def test_f5_products_match_oracle(terms1, terms2):
     assert _as_dict(e1 + e2) == ORACLE.add(d1, d2)
 
 
-def test_graded_annihilator_of_x_is_y(f5):
-    gens = annihilator(f5, f5.parse("x"), 8)
-    assert [f5.format(g) for g in gens] == ["y"]
+def test_graded_annihilator_of_x_is_y(pair_f5):
+    # Ann(x) in degrees <= 8, as the exact pair (x, y) asks it
+    assert pair_f5.exact_report.details["ann_x_generators"] == ["y"]
 
 
 # -- descriptors ------------------------------------------------------------

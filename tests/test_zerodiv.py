@@ -1,13 +1,17 @@
 """Exact pairs of zero divisors and the regularity trichotomy."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import annihilator as naive_ann, span_closure
+from oracles import (MonomialQuotientOracle, annihilator as naive_ann,
+                     parse_poly, poly_text, rank_mod_p, span_closure)
 from totref.errors import PreconditionFailed, UnitInput
-from totref.linalg import annihilator, ideal_membership
-from totref.rings import FiniteLocalRing
-from totref.zerodiv import (exact_pair, intersection_trivial,
+from totref.linalg import ideal_membership
+from totref.modules import PresentedModule
+from totref.rings import FiniteLocalRing, GradedMonomialRing
+from totref.zerodiv import (ExactZeroDivisorPair, exact_pair,
                             verify_exact_pair, verify_regular_pair,
                             weakly_regular_on_quotient)
 
@@ -36,7 +40,8 @@ def test_z8_two_two_is_not_exact(z8):
 
 def test_unit_members_are_refused(z9):
     with pytest.raises(UnitInput):
-        verify_exact_pair(z9, z9.from_int(1), z9.from_int(3))
+        verify_exact_pair(ExactZeroDivisorPair(z9, z9.from_int(1),
+                                               z9.from_int(3)))
     with pytest.raises(UnitInput):
         exact_pair(z9, z9.from_int(3), z9.from_int(2))
 
@@ -75,18 +80,26 @@ def test_z8_pair_is_not_regular(pair_z8):
     assert rep.details["intersection_trivial"] is False
 
 
-def test_regularity_pieces_directly(z9, pair_f5):
+def _intersection(pair, bound=None):
+    """(x) intersect (y) = 0 as verify_regular_pair decides it, with its
+    witness: the first nonzero common element, or None."""
+    details = verify_regular_pair(pair, bound).details
+    witness = details.get("common_nonzero_element")
+    return (details["intersection_trivial"],
+            None if witness is None else pair.ring.parse(witness))
+
+
+def test_regularity_pieces_directly(z9, f5):
+    mod_3 = PresentedModule.quotient(z9, [z9.from_int(3)])
     # multiplication by 3 on Z/9 / (3) = Z/3 kills everything, not injective
-    assert not weakly_regular_on_quotient(z9, z9.from_int(3),
-                                          [z9.from_int(3)])
+    assert not weakly_regular_on_quotient(z9.from_int(3), mod_3, None)
     # multiplication by a unit is always injective
-    assert weakly_regular_on_quotient(z9, z9.from_int(2), [z9.from_int(3)])
-    ring = pair_f5.ring
-    trivial, witness = intersection_trivial(ring, ring.parse("x"),
-                                            ring.parse("y"), 8)
+    assert weakly_regular_on_quotient(z9.from_int(2), mod_3, None)
+    trivial, witness = _intersection(
+        exact_pair(f5, f5.parse("x"), f5.parse("y"), 8), 8)
     assert trivial and witness is None
-    nontrivial, witness = intersection_trivial(z9, z9.from_int(3),
-                                               z9.from_int(3))
+    nontrivial, witness = _intersection(
+        exact_pair(z9, z9.from_int(3), z9.from_int(3)))
     assert not nontrivial and witness is not None
 
 
@@ -97,7 +110,7 @@ def test_intersection_never_enumerates_the_carrier(monkeypatch):
     monkeypatch.setattr(FiniteLocalRing, "enumerate_carrier", refuse)
     ring = FiniteLocalRing(2, 40)
     x, y = ring.from_int(2), ring.from_int(2 ** 39)
-    assert intersection_trivial(ring, x, y) == (False, y)
+    assert _intersection(ExactZeroDivisorPair(ring, x, y)) == (False, y)
 
 
 PRIME_POWERS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -125,22 +138,134 @@ def test_ideal_layer_matches_oracles_over_z_pk(case):
         return e.coords[0]
 
     gens = [ring.from_int(g) for g in gen_values]
-    ann = annihilator(ring, ring.from_int(x))
+    # an unverified pair, so units and zero are allowed as x and y
+    pair = ExactZeroDivisorPair(ring, ring.from_int(x), ring.from_int(y))
+    ann = [g.entries[0][0] for g in pair.quotient_x.relations.kernel()]
     assert ideal([value(g) for g in ann]) == set(naive_ann(n, x))
-    inside, witnesses = ideal_membership(ring, ring.from_int(x), gens)
+    given_ideal = PresentedModule.quotient(ring, gens)
+    inside, witnesses = ideal_membership(given_ideal.relations,
+                                         ring.from_int(x))
     assert inside == (x in ideal(gen_values))
     if inside:
         assert sum(value(w) * g for w, g in zip(witnesses, gen_values)) \
             % n == x
-    trivial, witness = intersection_trivial(ring, ring.from_int(x),
-                                            ring.from_int(y))
+    trivial, witness = _intersection(pair)
     common = (ideal([x]) & ideal([y])) - {0}
     assert trivial == (not common)
     assert witness is None if trivial else value(witness) in common
     quotient = ideal(gen_values)
     injective = all(a in quotient for a in range(n) if x * a % n in quotient)
-    assert weakly_regular_on_quotient(ring, ring.from_int(x), gens) == \
-        injective
+    assert weakly_regular_on_quotient(ring.from_int(x), given_ideal,
+                                      None) == injective
+
+
+# Artinian graded rings, as (p, variables, relations, top degree, pairs)
+ARTINIAN = [(3, ("x", "y"), ((2, 0), (0, 2)), 2, pair)
+            for pair in (("x", "x"), ("x+y", "x-y"))] + \
+    [(2, ("x", "y", "z"), ((2, 0, 0), (0, 2, 0), (0, 0, 2)), 3, ("x", "x"))]
+
+
+@pytest.mark.parametrize("case", ARTINIAN, ids=lambda c: "-".join(
+    (str(c[0]), str(len(c[1])), *c[4])))
+def test_graded_ideal_layer_matches_the_oracle(case):
+    # Ann(x) and Ann(y), the three regularity answers in every window from
+    # 0 to the top degree, and membership with witnesses in (x), (y) and
+    # (x, y) of every element, against linear algebra over the oracle ring;
+    # the library's answers are read from their strings
+    p, variables, relations, top, (x_text, y_text) = case
+    ring = GradedMonomialRing(p, variables, relations)
+    oracle = MonomialQuotientOracle(p, len(variables), relations)
+
+    def poly(e):
+        return parse_poly(ring.format(e), variables)
+
+    def degree(f):
+        return sum(next(iter(f)))
+
+    def vector(f, d):
+        return [f.get(m, 0) for m in oracle.basis(d)]
+
+    def ideal(gens, d):
+        """Rows spanning the degree-d part of the ideal of gens."""
+        return [vector(oracle.mul({m: 1}, g), d)
+                for g in gens for m in oracle.basis(d - degree(g))]
+
+    def inside(f, gens, d):
+        rows = ideal(gens, d)
+        return rank_mod_p(rows + [vector(f, d)], p) == rank_mod_p(rows, p)
+
+    def elements(monomials):
+        for coeffs in itertools.product(range(p), repeat=len(monomials)):
+            yield {m: c for m, c in zip(monomials, coeffs) if c}
+
+    def colon_inside(e, gens, window):
+        # (gens : e) is inside (gens) in the degrees <= window
+        return all(inside(a, gens, d) for d in range(window + 1)
+                   for a in elements(oracle.basis(d))
+                   if inside(oracle.mul(a, e), gens, d + degree(e)))
+
+    x, y = ring.parse(x_text), ring.parse(y_text)
+    fx, fy = poly(x), poly(y)
+    for window in range(top + 1):
+        details = exact_pair(ring, x, y, window).exact_report.details
+        for label, f in (("x", fx), ("y", fy)):
+            gens = [parse_poly(g, variables)
+                    for g in details[f"ann_{label}_generators"]]
+            assert all(g and degree(g) <= window and not oracle.mul(g, f)
+                       for g in gens)
+            for d in range(window + 1):
+                image = [vector(oracle.mul({m: 1}, f), d + degree(f))
+                         for m in oracle.basis(d)]
+                ann_dim = len(oracle.basis(d)) - rank_mod_p(image, p)
+                assert rank_mod_p(ideal(gens, d), p) == ann_dim
+        # an unchecked pair: the three answers are compared with the
+        # oracle one by one, not with each other
+        reg = verify_regular_pair(ExactZeroDivisorPair(ring, x, y),
+                                  window).details
+        assert reg["x_injective_mod_y"] == colon_inside(fx, [fy], window)
+        assert reg["y_injective_mod_x"] == colon_inside(fy, [fx], window)
+        common = [rank_mod_p(ideal([fx], t) + ideal([fy], t), p)
+                  < rank_mod_p(ideal([fx], t), p)
+                  + rank_mod_p(ideal([fy], t), p)
+                  for t in range(window + 1)]
+        assert reg["intersection_trivial"] == (not any(common))
+        if not reg["intersection_trivial"]:
+            w = parse_poly(reg["common_nonzero_element"], variables)
+            assert w and inside(w, [fx], degree(w)) \
+                and inside(w, [fy], degree(w))
+    pair = ExactZeroDivisorPair(ring, x, y)
+    every = [m for d in range(top + 1) for m in oracle.basis(d)]
+    for quotient, gens in ((pair.quotient_x, [fx]), (pair.quotient_y, [fy]),
+                           (pair.quotient_xy, [fx, fy])):
+        for f in elements(every):
+            ok, wit = ideal_membership(quotient.relations,
+                                       ring.parse(poly_text(f, variables)))
+            by_degree = {}
+            for m, c in f.items():
+                by_degree.setdefault(sum(m), {})[m] = c
+            assert ok == all(inside(part, gens, d)
+                             for d, part in by_degree.items())
+            if ok:
+                total = {}
+                for w, g in zip(wit, gens):
+                    total = oracle.add(total, oracle.mul(poly(w), g))
+                assert total == f
+
+
+@pytest.mark.parametrize("k, x, y, builds", [(3, 3, 9, 2), (4, 9, 9, 1)])
+def test_each_quotient_of_the_pair_is_factored_once(factorizations, k, x, y,
+                                                    builds):
+    # Z/27 with (3, 9) and Z/81 with (9, 9): exactness factors A/(x) and
+    # A/(y), one module when x = y; regularity adds A/(x, y); after that a
+    # weak-regularity check factors only its colon row [e | x | y]
+    ring = FiniteLocalRing(3, k)
+    made, _, pair = factorizations(
+        lambda: exact_pair(ring, ring.from_int(x), ring.from_int(y)))
+    assert made == builds
+    assert factorizations(lambda: verify_regular_pair(pair))[0] == 1
+    for e in (3, 9):
+        assert factorizations(
+            lambda: pair.weakly_regular(ring.from_int(e), None))[0] == 1
 
 
 def test_swapped_pair_stays_exact(pair_f5):
