@@ -2,7 +2,12 @@
 
 Verbs: ``pair verify``, ``family build|verify-complex|verify-tr|identify``,
 ``hom compute|verify-hg|verify-gaba|verify-end|verify-ext``,
-``family run-main`` and ``oracle hom``.  Exit codes: 0 all checks pass,
+``family run-main`` and ``oracle hom``.  Each verb is one row of
+``_HANDLERS``: a function of the parsed arguments, the ring and the pair
+that returns the verb's payload.  ``main`` does the shared work once: it
+checks the flag caps, loads the ring, builds the pair (checked exact for
+every verb but ``pair verify``), runs the row and renders its payload.
+Exit codes: 0 all checks pass,
 1 a mathematical check failed (the report names the first failing
 certificate), 2 usage or parse error, 3 a theorem precondition is unmet,
 4 an internal error (an exception that is not a ``TotrefError``).
@@ -30,7 +35,7 @@ from .modules import hilbert_function, minimal_generator_count
 from .report import SCHEMA_VERSION, VerificationReport
 from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
                     GradedMonomialRing, degree_bound, ring_from_descriptor)
-from .zerodiv import exact_pair, verify_regular_pair
+from .zerodiv import check_window, exact_pair, verify_regular_pair
 
 PRECONDITION_ERRORS = (PreconditionFailed, UnitInput)
 
@@ -136,7 +141,7 @@ def _load_ring(source: str):
     return ring_from_descriptor(desc)
 
 
-def _pair_of(ring, args, verified: bool = True):
+def _pair_of(ring, args, verified: bool):
     x, y = ring.parse(args.x), ring.parse(args.y)
     if isinstance(ring, GradedMonomialRing):
         window = degree_bound(args.degree)
@@ -146,12 +151,7 @@ def _pair_of(ring, args, verified: bool = True):
         if monomials > _max_carrier(None):
             raise TooLarge(f"--degree {window} spans {monomials} monomials, "
                            "past the carrier budget")
-        # below deg x + deg y the window holds no product that could
-        # separate Ann(x) from (y), so a pass there would be vacuous
-        floor = 0 if x.is_zero or y.is_zero else x.degree() + y.degree()
-        if window < floor:
-            raise ParseError(f"--degree {window} is below deg x + deg y = "
-                             f"{floor}; the window would show nothing")
+        check_window(x, y, window, "--degree")
     pair = exact_pair(ring, x, y, args.degree)
     if verified and not pair.is_exact:
         raise PreconditionFailed(
@@ -187,13 +187,7 @@ def _module_stats(module, bound) -> dict:
     return stats
 
 
-# ---------------------------------------------------------------------------
-# handlers: each returns (payload, exit_code); payload is either a
-# VerificationReport-like object (has to_dict/summary_lines) or a dict
-
-def _cmd_pair_verify(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args, verified=False)
+def _pair_verify(args, ring, pair):
     rep = pair.exact_report
     reg = verify_regular_pair(pair, args.degree)
     rep.details["regular"] = pair.regular
@@ -201,129 +195,68 @@ def _cmd_pair_verify(args):
         key: reg.details[key]
         for key in ("x_injective_mod_y", "y_injective_mod_x",
                     "intersection_trivial")}
-    return rep, (0 if rep.passed else 1)
+    return rep
 
 
-def _cmd_family_build(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
+def _family_build(args, ring, pair):
     a = ring.parse(args.a)
-    payload = {"schema": SCHEMA_VERSION, "kind": "family-build",
-               "ring": ring.descriptor(), "pair": pair.describe(),
-               "a": ring.format(a),
-               "modules": [
-                   _module_stats(module_g(pair, a), args.degree),
-                   _module_stats(module_h(pair, a), args.degree)]}
-    return payload, 0
+    return {"schema": SCHEMA_VERSION, "kind": "family-build",
+            "ring": ring.descriptor(), "pair": pair.describe(),
+            "a": ring.format(a),
+            "modules": [_module_stats(module_g(pair, a), args.degree),
+                        _module_stats(module_h(pair, a), args.degree)]}
 
 
-def _cmd_family_verify_complex(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
-    rep = verify_complex(pair, ring.parse(args.a), args.length,
-                         args.degree, strict=not args.probe)
-    return rep, (0 if rep.passed else 1)
-
-
-def _cmd_family_verify_tr(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
-    rep = verify_total_reflexivity(pair, ring.parse(args.a), args.i_max,
-                                   args.degree, strict=not args.probe)
-    return rep, (0 if rep.passed else 1)
-
-
-def _cmd_family_identify(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
-    rep = verify_g_description(pair, ring.parse(args.a), args.degree,
-                               strict=not args.probe)
-    return rep, (0 if rep.passed else 1)
-
-
-def _cmd_family_run_main(args):
-    b_seq = [part.strip() for part in args.b.split(",") if part.strip()]
-    if len(b_seq) > _FLAG_CAPS["n_max"]:  # the list sets n_max too
-        raise TooLarge(f"--b lists {len(b_seq)} multipliers, past the cap "
-                       f"of {_FLAG_CAPS['n_max']}")
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
-    fam = run_family(pair, b_seq, args.n_max, args.degree, args.i_max)
-    return fam, (0 if fam.passed else 1)
-
-
-def _cmd_hom_compute(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
+def _hom_compute(args, ring, pair):
     source = _presentation(pair, args.source)
     target = _presentation(pair, args.target)
     hp = hom_presentation(source, target, args.degree)
-    payload = {"schema": SCHEMA_VERSION, "kind": "hom-presentation",
-               "source": source.label, "target": target.label,
-               "scope": hp.scope,
-               "generators": [repr(g) for g in hp.generators],
-               "generator_degrees": list(hp.gen_degrees),
-               "module": _module_stats(hp.module, args.degree)}
-    return payload, 0
+    return {"schema": SCHEMA_VERSION, "kind": "hom-presentation",
+            "source": source.label, "target": target.label,
+            "scope": hp.scope,
+            "generators": [repr(g) for g in hp.generators],
+            "generator_degrees": list(hp.gen_degrees),
+            "module": _module_stats(hp.module, args.degree)}
 
 
-def _cmd_hom_verify_hg(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
-    rep = verify_hom_hg(pair, ring.parse(args.a), ring.parse(args.b),
-                        args.degree, strict=not args.probe)
-    return rep, (0 if rep.passed else 1)
-
-
-def _cmd_hom_verify_gaba(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
-    rep = verify_hom_g_ab_a(pair, ring.parse(args.a), ring.parse(args.b),
-                            args.degree, strict=not args.probe)
-    return rep, (0 if rep.passed else 1)
-
-
-def _cmd_hom_verify_end(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
-    rep = verify_end_ring(pair, ring.parse(args.a), args.degree,
-                          args.idempotent_budget, strict=not args.probe)
-    return rep, (0 if rep.passed else 1)
-
-
-def _cmd_hom_verify_ext(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
-    rep = verify_ext_swap(pair, ring.parse(args.a), ring.parse(args.b),
-                          args.i_max, args.degree)
-    return rep, (0 if rep.passed else 1)
-
-
-def _cmd_oracle_hom(args):
-    ring = _load_ring(args.ring)
-    pair = _pair_of(ring, args)
+def _oracle_hom(args, ring, pair):
     source = _presentation(pair, args.source)
     target = _presentation(pair, args.target)
     maps = brute_force_hom_oracle(source, target, args.budget)
-    payload = {"schema": SCHEMA_VERSION, "kind": "hom-oracle",
-               "source": source.label, "target": target.label,
-               "map_count": len(maps)}
-    return payload, 0
+    return {"schema": SCHEMA_VERSION, "kind": "hom-oracle",
+            "source": source.label, "target": target.label,
+            "map_count": len(maps)}
 
 
+# each verb maps (args, ring, pair) to its payload: a VerificationReport, a
+# FamilyReport or a dict; main loads the ring and checks the pair first
 _HANDLERS = {
-    ("pair", "verify"): _cmd_pair_verify,
-    ("family", "build"): _cmd_family_build,
-    ("family", "verify-complex"): _cmd_family_verify_complex,
-    ("family", "verify-tr"): _cmd_family_verify_tr,
-    ("family", "identify"): _cmd_family_identify,
-    ("family", "run-main"): _cmd_family_run_main,
-    ("hom", "compute"): _cmd_hom_compute,
-    ("hom", "verify-hg"): _cmd_hom_verify_hg,
-    ("hom", "verify-gaba"): _cmd_hom_verify_gaba,
-    ("hom", "verify-end"): _cmd_hom_verify_end,
-    ("hom", "verify-ext"): _cmd_hom_verify_ext,
-    ("oracle", "hom"): _cmd_oracle_hom,
+    ("pair", "verify"): _pair_verify,
+    ("family", "build"): _family_build,
+    ("family", "verify-complex"): lambda args, ring, pair: verify_complex(
+        pair, ring.parse(args.a), args.length, args.degree,
+        strict=not args.probe),
+    ("family", "verify-tr"): lambda args, ring, pair:
+        verify_total_reflexivity(pair, ring.parse(args.a), args.i_max,
+                                 args.degree, strict=not args.probe),
+    ("family", "identify"): lambda args, ring, pair: verify_g_description(
+        pair, ring.parse(args.a), args.degree, strict=not args.probe),
+    ("family", "run-main"): lambda args, ring, pair: run_family(
+        pair, args.b, args.n_max, args.degree, args.i_max),
+    ("hom", "compute"): _hom_compute,
+    ("hom", "verify-hg"): lambda args, ring, pair: verify_hom_hg(
+        pair, ring.parse(args.a), ring.parse(args.b), args.degree,
+        strict=not args.probe),
+    ("hom", "verify-gaba"): lambda args, ring, pair: verify_hom_g_ab_a(
+        pair, ring.parse(args.a), ring.parse(args.b), args.degree,
+        strict=not args.probe),
+    ("hom", "verify-end"): lambda args, ring, pair: verify_end_ring(
+        pair, ring.parse(args.a), args.degree, args.idempotent_budget,
+        strict=not args.probe),
+    ("hom", "verify-ext"): lambda args, ring, pair: verify_ext_swap(
+        pair, ring.parse(args.a), ring.parse(args.b), args.i_max,
+        args.degree),
+    ("oracle", "hom"): _oracle_hom,
 }
 
 
@@ -337,38 +270,25 @@ def _render(args, payload, code: int) -> str:
                 value = json.dumps(value)
             lines.append(f"{key}: {value}")
         return "\n".join(lines)
-    # report objects: VerificationReport or FamilyReport
-    if isinstance(payload, VerificationReport):
-        if code == 1:
-            payload.details["first_failing_certificate"] = \
-                payload.first_failure()
-        if args.format == "json":
-            return payload.to_json()
-        lines = payload.summary_lines()
-        if code == 1:
-            lines.append("first failing certificate: "
-                         f"{payload.first_failure()}")
-        return "\n".join(lines)
-    # FamilyReport
+    # a FamilyReport is its certificates under a header of its records
+    rep, lines = payload, []
+    if not isinstance(payload, VerificationReport):
+        rep = payload.certificates
+        lines = [f"family run: {'pass' if payload.passed else 'fail'}",
+                 f"ring: {json.dumps(payload.ring)}",
+                 f"pair: {json.dumps(payload.pair)}",
+                 f"b: {payload.b_elements}", f"a: {payload.a_elements}"]
+        lines += ["module " + json.dumps(entry) for entry in payload.modules]
+        lines += ["pairwise " + json.dumps(entry)
+                  for entry in payload.pairwise]
+        lines += ["hom " + json.dumps(entry) for entry in payload.hom_table]
     if code == 1:
-        payload.certificates.details["first_failing_certificate"] = \
-            payload.certificates.first_failure()
+        rep.details["first_failing_certificate"] = rep.first_failure()
     if args.format == "json":
         return payload.to_json()
-    lines = [f"family run: {'pass' if payload.passed else 'fail'}",
-             f"ring: {json.dumps(payload.ring)}",
-             f"pair: {json.dumps(payload.pair)}",
-             f"b: {payload.b_elements}", f"a: {payload.a_elements}"]
-    for entry in payload.modules:
-        lines.append("module " + json.dumps(entry))
-    for entry in payload.pairwise:
-        lines.append("pairwise " + json.dumps(entry))
-    for entry in payload.hom_table:
-        lines.append("hom " + json.dumps(entry))
-    lines.extend(payload.certificates.summary_lines())
+    lines += rep.summary_lines()
     if code == 1:
-        lines.append("first failing certificate: "
-                     f"{payload.certificates.first_failure()}")
+        lines.append(f"first failing certificate: {rep.first_failure()}")
     return "\n".join(lines)
 
 
@@ -415,7 +335,16 @@ def main(argv=None) -> int:
             if value is not None and value > cap:
                 raise TooLarge(f"--{name.replace('_', '-')} {value} is past "
                                f"the cap of {cap}")
-        payload, code = handler(args)
+        if args.action == "run-main":  # the --b list sets n_max too
+            args.b = [part.strip() for part in args.b.split(",")
+                      if part.strip()]
+            if len(args.b) > _FLAG_CAPS["n_max"]:
+                raise TooLarge(f"--b lists {len(args.b)} multipliers, past "
+                               f"the cap of {_FLAG_CAPS['n_max']}")
+        ring = _load_ring(args.ring)
+        pair = _pair_of(ring, args, verified=args.group != "pair")
+        payload = handler(args, ring, pair)
+        code = 0 if getattr(payload, "passed", True) else 1
         text = _render(args, payload, code)
     except PRECONDITION_ERRORS as exc:
         return _emit_error(args, exc, 3)

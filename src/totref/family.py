@@ -79,8 +79,6 @@ def module_h(pair: ExactZeroDivisorPair, a, strict: bool = True) -> PresentedMod
 
 
 def _shift_degs(mat: Matrix, offset: int) -> Matrix:
-    if mat.row_degs is None or mat.col_degs is None:
-        return mat
     return mat.with_degrees(tuple(d + offset for d in mat.row_degs),
                             tuple(d + offset for d in mat.col_degs))
 

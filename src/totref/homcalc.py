@@ -28,8 +28,9 @@ from .errors import (InconclusiveStrategy, NonHomogeneous, ParseError,
                      PreconditionFailed, TooLarge, TotrefError, WrongBackend)
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
                      phi_matrix, verify_total_reflexivity)
-from .linalg import (Factored, Matrix, _flatten_vector, _twist_layout,
-                     _unflatten_vector, homology, hstack, kernel_gens, kron)
+from .linalg import (Factored, Matrix, _column_degree, _flatten_vector,
+                     _twist_layout, _unflatten_vector, homology, hstack,
+                     kernel_gens, kron)
 from .modules import (PresentedModule, fitting_ideal, hilbert_function,
                       ideals_equal, minimal_generator_count,
                       verify_iso_witness)
@@ -76,24 +77,6 @@ def _matrix_from_flat(ring, elements, nrows: int, ncols: int) -> Matrix:
                                   for i in range(nrows)])
 
 
-def _hom_degree(psi: Matrix, s1, s2) -> int | None:
-    """Hom degree of a homogeneous map matrix, None when psi is zero."""
-    deg = None
-    for i in range(psi.nrows):
-        for k in range(psi.ncols):
-            e = psi.entries[i][k]
-            if e.is_zero:
-                continue
-            if not e.is_homogeneous():
-                raise NonHomogeneous(f"entry ({i}, {k}) is not homogeneous")
-            t = e.degree() - s1[k] + s2[i]
-            if deg is None:
-                deg = t
-            elif deg != t:
-                raise NonHomogeneous("map matrix mixes hom degrees")
-    return deg
-
-
 def _vec_span(source: PresentedModule, target: PresentedModule, maps,
               degs=None) -> Matrix:
     """Columns vec(psi_t), then the relation columns kron(rho_2, I).
@@ -106,16 +89,16 @@ def _vec_span(source: PresentedModule, target: PresentedModule, maps,
     ring = target.ring
     s1, s2 = source.gen_degs, target.gen_degs
     carrier = _carrier_degs(s1, s2)
+    columns = [[e for row in psi.entries for e in row] for psi in maps]
     col_degs = None
     if carrier is not None:
         try:
             col_degs = list(degs) if degs is not None else \
-                [_hom_degree(psi, s1, s2) or 0 for psi in maps]
+                [_column_degree(carrier, vec, 0) or 0 for vec in columns]
         except NonHomogeneous:
             pass
     if col_degs is None or None in col_degs:
         carrier = col_degs = None
-    columns = [[e for row in psi.entries for e in row] for psi in maps]
     return hstack([Matrix(ring, list(zip(*columns)), carrier, col_degs),
                    kron(target.rho, _dual_identity(ring, source.ngens, s1))])
 
@@ -670,8 +653,10 @@ def _profile_match(hp: HomPresentation, claimed: PresentedModule, psis,
                       {"hom_size": got, "claimed_size": want})
     top = degree_bound(bound)
     rho = claimed.rho
+    carrier = _carrier_degs(s1, s2)
     try:
-        degs = [_hom_degree(psi, s1, s2) for psi in psis]
+        degs = [_column_degree(carrier, [e for r in psi.entries for e in r],
+                               0) for psi in psis]
     except NonHomogeneous:
         degs = [None]
     if None in degs or rho.row_degs is None or hp.module.gen_degs is None:
@@ -1318,11 +1303,9 @@ def _run_family(pair, b_sequence, n_max, bound, i_max) -> FamilyReport:
             entry = {"label": module.label, "flavor": flavor, "index": n,
                      "mu": mu,
                      "fitting_1": sorted(ring.format(e) for e in fit1)}
-            if isinstance(ring, FiniteLocalRing):
-                entry["size"] = module.size()
-            else:
-                top = degree_bound(bound)
-                entry["hilbert"] = hilbert_function(module, 0, top)
+            # graded: over a finite ring a non-unit b is nilpotent
+            entry["hilbert"] = hilbert_function(module, 0,
+                                                degree_bound(bound))
             modules_info.append(entry)
 
     pairwise = []

@@ -511,13 +511,13 @@ class Factored:
         out_columns = []
         out_degs = []
         for k in range(rhs.ncols):
-            u = _rhs_column_degree(rho, rhs, k)
+            column = [row[k] for row in rhs.entries]
+            u = _column_degree(rho.row_degs, column, k)
             if u is None:
                 out_columns.append([ring.zero()] * rho.ncols)
                 out_degs.append(rho.col_degs[0])
                 continue
-            target = matrix_column_to_slice(
-                ring, [row[k] for row in rhs.entries], rho.row_degs, u)
+            target = matrix_column_to_slice(ring, column, rho.row_degs, u)
             sol = _fp.solve(*self._slice(u), target, ring.p)
             if sol is None:
                 return None
@@ -583,17 +583,16 @@ def kernel_gens(rho: Matrix, bound: int | None = None) -> list[Matrix]:
     return Factored(rho)._kernel(bound, keep=False)
 
 
-def _rhs_column_degree(rho: Matrix, rhs: Matrix, k: int) -> int | None:
-    """Twist of column k of rhs against rho's row layout; None if zero."""
+def _column_degree(row_degs, column, k: int) -> int | None:
+    """Twist of column k against the row layout row_degs; None if zero."""
     deg = None
-    for i in range(rhs.nrows):
-        e = rhs.entries[i][k]
+    for i, e in enumerate(column):
         if e.is_zero:
             continue
         if not e.is_homogeneous():
             raise NonHomogeneous(f"column {k} of the right hand side is "
                                  "not homogeneous")
-        want = e.degree() + rho.row_degs[i]
+        want = e.degree() + row_degs[i]
         if deg is None:
             deg = want
         elif deg != want:

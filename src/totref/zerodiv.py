@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import EquivalenceViolation, UnitInput
+from .errors import EquivalenceViolation, ParseError, UnitInput
 from .linalg import ideal_membership
 from .modules import PresentedModule
 from .report import FAIL, PASS, VerificationReport
@@ -153,6 +153,15 @@ def weakly_regular_on_quotient(e, quotient: PresentedModule, bound) -> bool:
     return _inside(quotient, [a for a, *_ in _syzygies(colon, bound, 0)])
 
 
+def check_window(x, y, window: int, name: str) -> None:
+    """Refuse a window below deg x + deg y (0 if x or y is zero): there the
+    regularity conditions may disagree, and a pass would be vacuous."""
+    floor = 0 if x.is_zero or y.is_zero else x.degree() + y.degree()
+    if window < floor:
+        raise ParseError(f"{name} {window} is below deg x + deg y = "
+                         f"{floor}; the window would show nothing")
+
+
 def verify_regular_pair(pair: ExactZeroDivisorPair, bound=None) -> VerificationReport:
     """Run the three equivalent regularity conditions and compare them.
 
@@ -160,7 +169,10 @@ def verify_regular_pair(pair: ExactZeroDivisorPair, bound=None) -> VerificationR
     would contradict the equivalence and raises EquivalenceViolation.  The
     returned report passes only when the pair is regular.
     """
-    rep = VerificationReport("regular-pair", PASS, scope_of(pair.ring, bound),
+    scope = scope_of(pair.ring, bound)
+    if pair.is_exact and scope["mode"] == "degree":
+        check_window(pair.x, pair.y, scope["bound"], "window")
+    rep = VerificationReport("regular-pair", PASS, scope,
                              {"x": repr(pair.x), "y": repr(pair.y)})
     xy = pair.quotient_xy
     cond1 = _inside(pair.quotient_y, [a for a, _ in _syzygies(xy, bound, 0)])

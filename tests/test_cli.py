@@ -124,7 +124,7 @@ def test_json_error_record_on_json_format(capsys):
 
 
 def test_internal_error_exits_four_with_a_record(capsys, monkeypatch):
-    def broken(args):
+    def broken(args, ring, pair):
         raise RuntimeError("defect")
 
     monkeypatch.setitem(cli._HANDLERS, ("pair", "verify"), broken)

@@ -920,3 +920,32 @@ def test_run_family_closes_its_memo_on_a_failed_precondition(pair_f5,
         run_family(pair_f5, ["z"], n_max=2, bound=6)
     assert seen == [{}]
     assert homcalc._HOM_MEMO.get() is None
+
+
+@pytest.mark.parametrize("p, k, var, d, x, y", [
+    (3, 2, None, 1, "3", "3"), (3, 3, None, 1, "3", "9"),
+    (2, 3, None, 1, "2", "4"), (2, 2, "t", 2, "t", "t"),
+    (2, 1, "t", 3, "t", "t^2")])
+def test_a_finite_family_run_stops_at_its_hypotheses(p, k, var, d, x, y):
+    # a finite ring is Artinian local: a non-unit b is nilpotent, so it
+    # cannot act injectively on A/(x, y) != 0, and no run reaches a module
+    ring = FiniteLocalRing(p, k, var, d)
+    pair = exact_pair(ring, ring.parse(x), ring.parse(y))
+    assert pair.is_exact and not pair.is_regular(None)
+    non_units = [e for e in ring.enumerate_carrier() if not ring.is_unit(e)]
+    assert not any(pair.weakly_regular(e, None) for e in non_units)
+    for b in non_units:
+        with pytest.raises(PreconditionFailed):
+            run_family(pair, [b])
+
+
+def test_hom_out_of_the_zero_module_is_zero(z9, f5):
+    # 0 = Coker [1]: no nonzero map lifts, so Hom(0, A) has no generator
+    def hom_from_zero(ring):
+        zero = PresentedModule(ring, Matrix(ring, [[ring.one()]]), "0")
+        return hom_presentation(zero, PresentedModule.free(ring), 4)
+
+    finite, graded = hom_from_zero(z9), hom_from_zero(f5)
+    assert finite.generators == () == graded.generators
+    assert finite.module.size() == 1
+    assert graded.module.slice_dim(0) == 0

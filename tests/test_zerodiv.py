@@ -7,11 +7,13 @@ from hypothesis import given, strategies as st
 
 from oracles import (MonomialQuotientOracle, annihilator as naive_ann,
                      parse_poly, poly_text, rank_mod_p, span_closure)
-from totref.errors import PreconditionFailed, UnitInput
+from totref import zerodiv
+from totref.errors import (EquivalenceViolation, ParseError,
+                           PreconditionFailed, UnitInput)
 from totref.linalg import ideal_membership
 from totref.modules import PresentedModule
 from totref.rings import FiniteLocalRing, GradedMonomialRing
-from totref.zerodiv import (ExactZeroDivisorPair, exact_pair,
+from totref.zerodiv import (ExactZeroDivisorPair, check_window, exact_pair,
                             verify_exact_pair, verify_regular_pair,
                             weakly_regular_on_quotient)
 
@@ -279,3 +281,53 @@ def test_strict_consumers_reject_unverified_pairs(z8):
     bad = exact_pair(z8, z8.from_int(2), z8.from_int(2))
     with pytest.raises(PreconditionFailed):
         verify_complex(bad, z8.from_int(1))
+
+
+CONDITIONS = ("x_injective_mod_y", "y_injective_mod_x", "intersection_trivial")
+
+
+@pytest.mark.parametrize("x_text, y_text", [("x", "x"), ("x+y", "x-y")])
+def test_a_window_below_the_floor_is_refused(x_text, y_text):
+    # on F_3[x,y]/(x^2, y^2) both pairs are exact and not regular, for xy
+    # lies in (x) and in (y); below deg x + deg y = 2 the three conditions
+    # bound the degrees of different elements, and once disagreed (window
+    # 1) or passed (window 0, (x+y, x-y))
+    ring = GradedMonomialRing(3, ("x", "y"), ((2, 0), (0, 2)))
+    x, y = ring.parse(x_text), ring.parse(y_text)
+    for window in (0, 1):
+        pair = exact_pair(ring, x, y, window)
+        assert pair.is_exact
+        with pytest.raises(ParseError, match=f"^window {window} is below "
+                           r"deg x \+ deg y = 2; "):
+            verify_regular_pair(pair, window)
+        assert pair.regular == "unknown"
+        # an unchecked pair still gets each condition's answer
+        details = verify_regular_pair(ExactZeroDivisorPair(ring, x, y),
+                                      window).details
+        assert all(key in details for key in CONDITIONS)
+    for window in (2, 3, 4):
+        pair = exact_pair(ring, x, y, window)
+        rep = verify_regular_pair(pair, window)
+        assert not rep.passed and pair.regular == "false"
+        assert not any(rep.details[key] for key in CONDITIONS)
+
+
+def test_the_cross_check_fires_at_the_floor(monkeypatch, f5):
+    # flip the answers of both colon conditions: at deg x + deg y the
+    # trivial intersection no longer agrees with them
+    inside = zerodiv._inside
+    monkeypatch.setattr(zerodiv, "_inside",
+                        lambda quotient, elements: not inside(quotient,
+                                                              elements))
+    pair = exact_pair(f5, f5.parse("x"), f5.parse("y"), 2)
+    with pytest.raises(EquivalenceViolation):
+        verify_regular_pair(pair, 2)
+
+
+def test_the_window_floor_is_zero_when_a_member_is(f5):
+    y = f5.parse("y")
+    check_window(f5.zero(), y, 0, "window")
+    check_window(y, f5.zero(), 0, "window")
+    check_window(f5.parse("x"), y, 2, "window")
+    with pytest.raises(ParseError, match="^--degree 1 is below"):
+        check_window(f5.parse("x"), y, 1, "--degree")
