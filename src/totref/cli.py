@@ -24,13 +24,13 @@ import os
 import sys
 import traceback
 
-from .errors import (EquivalenceViolation, ParseError, PreconditionFailed,
-                     TooLarge, TotrefError, UnitInput)
+from .errors import (LIMITS, EquivalenceViolation, ParseError,
+                     PreconditionFailed, TotrefError, UnitInput, check_size)
 from .family import (module_g, module_h, verify_complex,
                      verify_g_description, verify_total_reflexivity)
-from .homcalc import (_max_carrier, brute_force_hom_oracle, hom_presentation,
-                      run_family, verify_end_ring, verify_ext_swap,
-                      verify_hom_g_ab_a, verify_hom_hg)
+from .homcalc import (brute_force_hom_oracle, hom_presentation, run_family,
+                      verify_end_ring, verify_ext_swap, verify_hom_g_ab_a,
+                      verify_hom_hg)
 from .modules import hilbert_function, minimal_generator_count
 from .report import SCHEMA_VERSION, VerificationReport
 from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
@@ -38,11 +38,6 @@ from .rings import (DEFAULT_DEGREE_BOUND, FiniteLocalRing,
 from .zerodiv import check_window, exact_pair, verify_regular_pair
 
 PRECONDITION_ERRORS = (PreconditionFailed, UnitInput)
-
-# caps on the integer flags whose work and report grow with the value: the
-# family resolutions are periodic of period 2, so a long window repeats
-# itself, and run-main certifies on the order of n_max^2 Hom modules
-_FLAG_CAPS = {"length": 64, "i_max": 64, "n_max": 16}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,10 +142,9 @@ def _pair_of(ring, args, verified: bool):
         window = degree_bound(args.degree)
         # the window enumerates every monomial of degree <= window
         nvars = len(ring.variables)
-        monomials = math.comb(window + nvars, nvars)
-        if monomials > _max_carrier(None):
-            raise TooLarge(f"--degree {window} spans {monomials} monomials, "
-                           "past the carrier budget")
+        check_size(math.comb(window + nvars, nvars), LIMITS["carrier"],
+                   "--degree {window} spans {value} monomials, past the "
+                   "carrier budget", window=window)
         check_window(x, y, window, "--degree")
     pair = exact_pair(ring, x, y, args.degree)
     if verified and not pair.is_exact:
@@ -330,17 +324,17 @@ def main(argv=None) -> int:
         if args.degree is not None and args.degree < 0:
             raise ParseError(f"--degree must be non-negative, "
                              f"got {args.degree}")
-        for name, cap in _FLAG_CAPS.items():
+        for name in ("length", "i_max", "n_max"):  # the flags LIMITS caps
             value = getattr(args, name, None)
-            if value is not None and value > cap:
-                raise TooLarge(f"--{name.replace('_', '-')} {value} is past "
-                               f"the cap of {cap}")
+            if value is not None:
+                check_size(value, LIMITS[name],
+                           "--{flag} {value} is past the cap of {cap}",
+                           flag=name.replace("_", "-"))
         if args.action == "run-main":  # the --b list sets n_max too
             args.b = [part.strip() for part in args.b.split(",")
                       if part.strip()]
-            if len(args.b) > _FLAG_CAPS["n_max"]:
-                raise TooLarge(f"--b lists {len(args.b)} multipliers, past "
-                               f"the cap of {_FLAG_CAPS['n_max']}")
+            check_size(len(args.b), LIMITS["n_max"],
+                       "--b lists {value} multipliers, past the cap of {cap}")
         ring = _load_ring(args.ring)
         pair = _pair_of(ring, args, verified=args.group != "pair")
         payload = handler(args, ring, pair)

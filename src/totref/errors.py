@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its size limits.
 
 Every error that a verification routine can raise deliberately is a subclass
 of TotrefError, so callers (in particular the CLI) can separate usage
@@ -56,3 +56,18 @@ class InconclusiveStrategy(TotrefError):
 
 class TooLarge(TotrefError):
     """Brute-force enumeration would exceed the configured budget."""
+
+
+# every size limit, as the default of the budget it caps: the cells of a
+# finite coset table or enumeration, the maps of the finite End idempotent
+# scan, and the integer CLI flags whose work grows with their value (n_max
+# also caps the number of --b multipliers)
+LIMITS = {"carrier": 2_000_000, "end_maps": 4096,
+          "length": 64, "i_max": 64, "n_max": 16}
+
+
+def check_size(value: int, cap: int, message: str, **fields) -> None:
+    """Raise TooLarge past ``cap``, with ``message`` formatted with the
+    ``value``, the ``cap`` and ``fields``."""
+    if value > cap:
+        raise TooLarge(message.format(value=value, cap=cap, **fields))

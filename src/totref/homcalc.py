@@ -21,11 +21,11 @@ import itertools
 import json
 import math
 import operator
-import os
 from dataclasses import dataclass, replace
 
-from .errors import (InconclusiveStrategy, NonHomogeneous, ParseError,
-                     PreconditionFailed, TooLarge, TotrefError, WrongBackend)
+from .errors import (LIMITS, InconclusiveStrategy, NonHomogeneous,
+                     PreconditionFailed, TotrefError, WrongBackend,
+                     check_size)
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
                      phi_matrix, verify_total_reflexivity)
 from .linalg import (Factored, Matrix, _column_degree, _flatten_vector,
@@ -37,24 +37,9 @@ from .modules import (PresentedModule, fitting_ideal, hilbert_function,
 from .report import FAIL, PASS, SCHEMA_VERSION, VerificationReport, report
 from .rings import (FiniteLocalRing, GradedMonomialRing, degree_bound,
                     scope_of)
-from .zerodiv import ExactZeroDivisorPair
+from .zerodiv import ExactZeroDivisorPair, check_window
 
-DEFAULT_MAX_CARRIER = 2_000_000
-DEFAULT_IDEMPOTENT_BUDGET = 4096
-
-
-def _max_carrier(budget) -> int:
-    """The enumeration budget: ``budget``, else TOTREF_MAX_CARRIER."""
-    if budget is not None:
-        return int(budget)
-    text = os.environ.get("TOTREF_MAX_CARRIER")
-    if text is None:
-        return DEFAULT_MAX_CARRIER
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"TOTREF_MAX_CARRIER must be an integer, "
-                         f"got {text!r}") from None
+_MAP_CAP = "generated map set exceeds the budget of {cap} maps"
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +327,8 @@ def _target_tables(module: PresentedModule, budget: int) -> _TargetTables:
     The tables hold r (r + |A|) cells: r rows of add and |A| of mul.
     """
     r = module.size()
-    if r * (r + module.ring.carrier_size()) > budget:
-        raise TooLarge("coset table exceeds the carrier budget")
+    check_size(r * (r + module.ring.carrier_size()), budget,
+               "coset table exceeds the carrier budget")
     if module._tables is None:
         module._tables = _TargetTables(module)
     return module._tables
@@ -358,17 +343,16 @@ def brute_force_hom_oracle(source: PresentedModule, target: PresentedModule,
     column vanish are looked up.  Returns the set of maps, each encoded
     as the tuple of canonical target representatives of the generator
     images.  Finite backend only; raises TooLarge when the assignment
-    count would exceed the carrier budget (TOTREF_MAX_CARRIER by
-    default).
+    count would exceed ``budget``, by default the carrier budget of
+    errors.LIMITS.
     """
     if not isinstance(source.ring, FiniteLocalRing):
         raise WrongBackend("the exhaustive oracle needs the finite backend")
-    budget = _max_carrier(budget)
+    budget = LIMITS["carrier"] if budget is None else budget
     tables = _target_tables(target, budget)
-    r = len(tables.keys)
     n1 = source.ngens
-    if r ** n1 > budget:
-        raise TooLarge("assignment enumeration exceeds the carrier budget")
+    check_size(len(tables.keys) ** n1, budget,
+               "assignment enumeration exceeds the carrier budget")
     add, keys, rho = tables.add, tables.keys, source.rho
     neg = [row.index(tables.zero_idx) for row in add]
     *heads, last = [
@@ -392,7 +376,7 @@ def brute_force_hom_oracle(source: PresentedModule, target: PresentedModule,
     return maps
 
 
-def _map_closure(hp: HomPresentation, budget: int, cap: int):
+def _map_closure(hp: HomPresentation, cap: int):
     """Coset tables of hp's target and the maps hp's generators reach.
 
     A map is the tuple of coset indices of the images of the source
@@ -400,13 +384,13 @@ def _map_closure(hp: HomPresentation, budget: int, cap: int):
     of the generators g is the subgroup generated by the steps t^j g.  Each
     step s not yet reached appends the cosets H + s, H + 2s, ... of the
     maps H reached so far, up to the first multiple of s already reached.
-    Raises TooLarge past ``budget`` table cells or ``cap`` maps.
+    Raises TooLarge past the carrier budget's table cells or ``cap`` maps.
     """
     ring = hp.ring
     if not isinstance(ring, FiniteLocalRing):
         raise WrongBackend("map enumeration needs the finite backend")
     n1 = hp.source.ngens
-    tables = _target_tables(hp.target, budget)
+    tables = _target_tables(hp.target, LIMITS["carrier"])
     scalars = [tables.mul[ring.power_coords(j)]
                for j in range(ring.ext_degree)]
     add = tables.add
@@ -421,8 +405,7 @@ def _map_closure(hp: HomPresentation, budget: int, cap: int):
             multiple = step
             cosets = [reached]
             while multiple not in found:
-                if len(found) + len(reached) > cap:
-                    raise _map_budget_error(cap)
+                check_size(len(found) + len(reached), cap, _MAP_CAP)
                 # add is symmetric: state + multiple reads multiple's rows
                 rows = [add[m] for m in multiple]
                 coset = [tuple(map(list.__getitem__, rows, state))
@@ -435,18 +418,13 @@ def _map_closure(hp: HomPresentation, budget: int, cap: int):
     return tables, found
 
 
-def _map_budget_error(cap: int) -> TooLarge:
-    return TooLarge(f"generated map set exceeds the budget of {cap} maps")
-
-
 def hom_maps_from_presentation(hp: HomPresentation):
     """The map set hp's generators span, closed coset by coset under the
     steps t^j g for the generators g and j below the extension degree.
 
     The result is comparable with brute_force_hom_oracle output.
     """
-    budget = _max_carrier(None)
-    tables, found = _map_closure(hp, budget, budget)
+    tables, found = _map_closure(hp, LIMITS["carrier"])
     key = tables.keys.__getitem__
     return {tuple(map(key, state)) for state in found}
 
@@ -1011,14 +989,13 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
     ring = hp.ring
     module = hp.target
     name = f"no-nontrivial-idempotent({hp.module.label})"
-    budget = budget if budget is not None else DEFAULT_IDEMPOTENT_BUDGET
+    budget = LIMITS["end_maps"] if budget is None else budget
     found = []
     detail_scope = dict(scope)
     if isinstance(ring, FiniteLocalRing):
         # |End| is the size of hp's module: refuse before any coset table
-        if hp.module.size() > budget:
-            raise _map_budget_error(budget)
-        tables, states = _map_closure(hp, _max_carrier(None), budget)
+        check_size(hp.module.size(), budget, _MAP_CAP)
+        tables, states = _map_closure(hp, budget)
         n = module.ngens
         # the identity's columns are its rows
         ident = tuple(tables.indices_of_columns(
@@ -1043,8 +1020,8 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
         rho = module.relations
         degree_zero = [psi for psi, t in zip(hp.generators, hp.gen_degrees)
                        if t == 0]
-        if ring.p ** len(degree_zero) > budget:
-            raise TooLarge("degree-zero idempotent scan exceeds the budget")
+        check_size(ring.p ** len(degree_zero), budget,
+                   "degree-zero idempotent scan exceeds the budget")
         ident = Matrix.identity(ring, module.ngens)
         for coeffs in itertools.product(range(ring.p),
                                         repeat=len(degree_zero)):
@@ -1240,7 +1217,8 @@ def run_family(pair: ExactZeroDivisorPair, b_sequence, n_max=None,
     """Build and certify the whole module family of a regular exact pair.
 
     b_sequence lists the multipliers; a single element is repeated n_max
-    times.  Every b_n must be weakly regular on A/(x, y) and a non-unit.
+    times.  Every b_n must be a non-unit weakly regular on A/(x, y), and a
+    graded window must reach deg a_n (zerodiv.check_window).
     The battery certifies, per index: total reflexivity, non-freeness and
     indecomposability of both flavors; then pairwise non-isomorphism of
     all 2 n_max modules; then every entry of the Hom table.  Each distinct
@@ -1258,6 +1236,8 @@ def _run_family(pair, b_sequence, n_max, bound, i_max) -> FamilyReport:
     bs = [ring.parse(e) if isinstance(e, str) else e for e in bs]
     if n_max is None:
         n_max = len(bs)
+    if n_max < 1:  # with no module to certify the pass would be vacuous
+        raise TotrefError(f"n_max must be at least 1, got {n_max}")
     if len(bs) == 1 and n_max > 1:
         bs = bs * n_max
     if len(bs) != n_max:
@@ -1276,6 +1256,8 @@ def _run_family(pair, b_sequence, n_max, bound, i_max) -> FamilyReport:
     for e in bs:
         acc = acc * e
         a_elems.append(acc)
+    if scope["mode"] == "degree":
+        check_window(pair.x, pair.y, scope["bound"], "window", a_elems[-1])
 
     certificates = VerificationReport(
         f"family(n={n_max})", PASS, scope,

@@ -101,6 +101,8 @@ def verify_exact_pair(pair: ExactZeroDivisorPair,
     if ring.is_unit(x) or ring.is_unit(y):
         raise UnitInput("members of an exact pair must be non-units")
     scope = scope_of(ring, bound)
+    if scope["mode"] == "degree":
+        check_window(x, y, scope["bound"], "window")
     details: dict = {"x": repr(x), "y": repr(y)}
     rep = VerificationReport("exact-pair", PASS, scope, details)
     details["x_nonzero"] = not x.is_zero
@@ -153,13 +155,19 @@ def weakly_regular_on_quotient(e, quotient: PresentedModule, bound) -> bool:
     return _inside(quotient, [a for a, *_ in _syzygies(colon, bound, 0)])
 
 
-def check_window(x, y, window: int, name: str) -> None:
+def check_window(x, y, window: int, name: str, a=None) -> None:
     """Refuse a window below deg x + deg y (0 if x or y is zero): there the
-    regularity conditions may disagree, and a pass would be vacuous."""
+    regularity conditions may disagree, and a pass would be vacuous.  Given
+    a family's largest a_n, refuse one below deg a_n too: there a_n reads
+    as 0, and the certificates cannot separate the family's modules."""
     floor = 0 if x.is_zero or y.is_zero else x.degree() + y.degree()
     if window < floor:
         raise ParseError(f"{name} {window} is below deg x + deg y = "
                          f"{floor}; the window would show nothing")
+    if a is not None and not a.is_zero and window < a.degree():
+        raise ParseError(f"{name} {window} is below deg a_n = "
+                         f"{a.degree()} for the largest a_n; the window "
+                         "cannot tell a_n from 0")
 
 
 def verify_regular_pair(pair: ExactZeroDivisorPair, bound=None) -> VerificationReport:

@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from totref import cli
+from totref import cli, homcalc
 from totref.cli import main
+from totref.errors import LIMITS
 
 Z9 = '{"kind": "finite", "p": 3, "k": 2}'
 Z8 = '{"kind": "finite", "p": 2, "k": 3}'
@@ -268,6 +270,51 @@ def test_run_main_text_format(capsys):
     assert out.startswith("family run: pass")
 
 
+@pytest.mark.parametrize("b, n_max, floor", [("z", 5, 5), ("z^2", 3, 6),
+                                              ("z^2", 4, 8)])
+def test_run_main_window_is_floored_at_the_largest_a_n(capsys, monkeypatch,
+                                                       b, n_max, floor):
+    # below deg a_n the window cannot tell a_n from 0, nor the run's
+    # certificates G(a_n) from H(a_n); the refusal comes before the first
+    # certificate
+    ring = str(Path(__file__).resolve().parents[1] / "rings" /
+               "f5_xyz_xy.json")
+    args = ["family", "run-main", "--ring", ring, "--x", "x", "--y", "y",
+            "--b", b, "--n-max", str(n_max), "--format", "json"]
+    certify = homcalc.verify_total_reflexivity
+    started = []
+
+    def counted(*rest):
+        started.append(rest)
+        return certify(*rest)
+
+    monkeypatch.setattr(homcalc, "verify_total_reflexivity", counted)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *args, "--degree", str(floor - 1))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and not started
+    record = json.loads(out)
+    assert record["error"] == "ParseError"
+    assert record["message"] == (
+        f"window {floor - 1} is below deg a_n = {floor} for the largest "
+        "a_n; the window cannot tell a_n from 0")
+    code, out, _ = run(capsys, *args, "--degree", str(floor))
+    assert code == 0 and len(started) == n_max
+    assert json.loads(out)["certificates"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("flags, n_max", [(("--b", ",,"), 0),
+                                          (("--b", "z", "--n-max", "0"), 0),
+                                          (("--b", "z", "--n-max", "-2"), -2)])
+def test_run_main_refuses_an_empty_family(capsys, flags, n_max):
+    code, out, _ = run(capsys, "family", "run-main", "--ring", F5, "--x", "x",
+                       "--y", "y", *flags, "--format", "json")
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "TotrefError"
+    assert record["message"] == f"n_max must be at least 1, got {n_max}"
+
+
 def test_inline_vs_file_ring_descriptors(tmp_path, capsys):
     path = tmp_path / "ring.json"
     path.write_text(Z9, encoding="utf-8")
@@ -279,17 +326,6 @@ def test_inline_vs_file_ring_descriptors(tmp_path, capsys):
                                  "--format", "json")
     assert code_inline == code_file == 0
     assert out_inline == out_file
-
-
-def test_bad_carrier_budget_is_a_parse_error(capsys, monkeypatch):
-    monkeypatch.setenv("TOTREF_MAX_CARRIER", "abc")
-    code, out, _ = run(capsys, "oracle", "hom", "--ring", Z9,
-                       "--x", "3", "--y", "3", "--source", "gamma:0",
-                       "--target", "gamma:0", "--format", "json")
-    assert code == 2
-    record = json.loads(out)
-    assert record["error"] == "ParseError"
-    assert record["exit_code"] == 2
 
 
 def test_negative_degree_is_a_usage_error(capsys):
@@ -360,7 +396,6 @@ def test_graded_verbs_refuse_inhomogeneous_elements(capsys, shape, probe):
 
 def test_degree_window_past_the_carrier_budget_is_refused(capsys,
                                                           monkeypatch):
-    monkeypatch.delenv("TOTREF_MAX_CARRIER", raising=False)
     ring = str(Path(__file__).resolve().parents[1] / "rings" /
                "f5_xyz_xy.json")
 
@@ -369,7 +404,7 @@ def test_degree_window_past_the_carrier_budget_is_refused(capsys,
 
     monkeypatch.setattr(cli, "exact_pair", reached)
     # a window of C(D + 3, 3) monomials: C(229, 3) = 1,975,354 fits the
-    # default budget of 2,000,000, C(230, 3) = 2,001,460 does not
+    # carrier budget of 2,000,000, C(230, 3) = 2,001,460 does not
     for degree, expected in (("99999999999", 2), ("227", 2), ("226", 3)):
         code, out, _ = run(capsys, "pair", "verify", "--ring", ring,
                            "--x", "x", "--y", "y", "--degree", degree,
@@ -391,7 +426,7 @@ def test_integer_flags_past_their_cap_are_refused_before_any_work(
                        (("family", "run-main", "--b", "3"), "--i-max"),
                        (("hom", "verify-ext", "--a", "1", "--b", "1"),
                         "--i-max")):
-        cap = cli._FLAG_CAPS[flag[2:].replace("-", "_")]
+        cap = LIMITS[flag[2:].replace("-", "_")]
         for value, expected in ((str(cap), 3), (str(cap + 1), 2),
                                 ("100000000000", 2)):
             code, out, _ = run(capsys, *argv, flag, value, "--ring", Z9,
@@ -403,7 +438,7 @@ def test_integer_flags_past_their_cap_are_refused_before_any_work(
             if expected == 2:
                 assert record["error"] == "TooLarge"
     # a --b list longer than the --n-max cap sets n_max past it
-    cap = cli._FLAG_CAPS["n_max"]
+    cap = LIMITS["n_max"]
     for count, expected in ((cap, 3), (cap + 1, 2)):
         code, out, _ = run(capsys, "family", "run-main", "--b",
                            ",".join(["3"] * count), "--ring", Z9, "--x", "3",

@@ -108,12 +108,11 @@ def test_graded_hom_carrier_degrees(pair_f5):
         assert _express(Factored(span), psi.without_degrees()) is not None
 
 
-def test_hom_budget_guard(pair_z9, monkeypatch):
-    monkeypatch.setenv("TOTREF_MAX_CARRIER", "10")
+def test_hom_budget_guard(pair_z9):
     ring = pair_z9.ring
     with pytest.raises(TooLarge):
         brute_force_hom_oracle(module_g(pair_z9, ring.from_int(0)),
-                               module_g(pair_z9, ring.from_int(0)))
+                               module_g(pair_z9, ring.from_int(0)), budget=10)
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3)],
@@ -151,11 +150,11 @@ def test_map_closure_cap_boundary(pair_z9):
     hp = hom_presentation(g0, g0)
     size = hom_count(9, GAMMA[0], GAMMA[0])
     assert size == 81
-    _, found = homcalc._map_closure(hp, 10 ** 6, size)
+    _, found = homcalc._map_closure(hp, size)
     assert len(found) == size
     with pytest.raises(TooLarge, match=f"^generated map set exceeds the "
                                        f"budget of {size - 1} maps$"):
-        homcalc._map_closure(hp, 10 ** 6, size - 1)
+        homcalc._map_closure(hp, size - 1)
 
 
 @pytest.fixture

@@ -342,3 +342,42 @@ def test_importing_the_command_line_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def _limit_escapes(source: str) -> list:
+    """The lines of source that build a TooLarge or read the environment
+    (os.environ, os.getenv, or either imported from os)."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "TooLarge":
+                lines.add(node.lineno)
+        elif getattr(node, "attr", getattr(node, "name", None)) in (
+                "environ", "getenv"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_every_size_limit_is_refused_by_the_one_helper():
+    # errors.LIMITS holds every cap and budget, errors.check_size is the
+    # one place that raises TooLarge past them, and no limit is read from
+    # the environment, so one command line gives one output
+    assert _limit_escapes(
+        "raise TooLarge('x')\nerrors.TooLarge()\nos.environ.get('A')\n"
+        "os.getenv('A')\nfrom os import environ\nTooLarge\n"
+        "'os.environ'\n") == [1, 2, 3, 4, 5]
+    seen = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        seen += source.count("check_size(")
+        lines = _limit_escapes(source)
+        if path.name == "errors.py":
+            tree = ast.parse(source)
+            helper = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef)
+                          and node.name == "check_size")
+            assert lines == [helper.body[-1].body[0].lineno]
+        else:
+            assert lines == [], path.name
+    assert seen >= 8  # the scan sees the helper's callers

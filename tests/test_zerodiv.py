@@ -170,8 +170,9 @@ ARTINIAN = [(3, ("x", "y"), ((2, 0), (0, 2)), 2, pair)
 @pytest.mark.parametrize("case", ARTINIAN, ids=lambda c: "-".join(
     (str(c[0]), str(len(c[1])), *c[4])))
 def test_graded_ideal_layer_matches_the_oracle(case):
-    # Ann(x) and Ann(y), the three regularity answers in every window from
-    # 0 to the top degree, and membership with witnesses in (x), (y) and
+    # Ann(x) and Ann(y) in every window from deg x + deg y (below it
+    # exactness is refused), the three regularity answers in every window
+    # from 0 to the top degree, and membership with witnesses in (x), (y) and
     # (x, y) of every element, against linear algebra over the oracle ring;
     # the library's answers are read from their strings
     p, variables, relations, top, (x_text, y_text) = case
@@ -209,8 +210,14 @@ def test_graded_ideal_layer_matches_the_oracle(case):
     x, y = ring.parse(x_text), ring.parse(y_text)
     fx, fy = poly(x), poly(y)
     for window in range(top + 1):
-        details = exact_pair(ring, x, y, window).exact_report.details
-        for label, f in (("x", fx), ("y", fy)):
+        if window < degree(fx) + degree(fy):
+            with pytest.raises(ParseError):  # exactness is refused below
+                exact_pair(ring, x, y, window)
+            labelled = ()
+        else:
+            details = exact_pair(ring, x, y, window).exact_report.details
+            labelled = (("x", fx), ("y", fy))
+        for label, f in labelled:
             gens = [parse_poly(g, variables)
                     for g in details[f"ann_{label}_generators"]]
             assert all(g and degree(g) <= window and not oracle.mul(g, f)
@@ -291,14 +298,17 @@ def test_a_window_below_the_floor_is_refused(x_text, y_text):
     # on F_3[x,y]/(x^2, y^2) both pairs are exact and not regular, for xy
     # lies in (x) and in (y); below deg x + deg y = 2 the three conditions
     # bound the degrees of different elements, and once disagreed (window
-    # 1) or passed (window 0, (x+y, x-y))
+    # 1) or passed (window 0, (x+y, x-y)), and exactness passed vacuously,
+    # Ann(x) having no generator in degree 0
     ring = GradedMonomialRing(3, ("x", "y"), ((2, 0), (0, 2)))
     x, y = ring.parse(x_text), ring.parse(y_text)
+    pair = exact_pair(ring, x, y, 2)
+    assert pair.is_exact
     for window in (0, 1):
-        pair = exact_pair(ring, x, y, window)
-        assert pair.is_exact
-        with pytest.raises(ParseError, match=f"^window {window} is below "
-                           r"deg x \+ deg y = 2; "):
+        below = f"^window {window} is below deg x \\+ deg y = 2; "
+        with pytest.raises(ParseError, match=below):
+            exact_pair(ring, x, y, window)
+        with pytest.raises(ParseError, match=below):
             verify_regular_pair(pair, window)
         assert pair.regular == "unknown"
         # an unchecked pair still gets each condition's answer
