@@ -324,6 +324,12 @@ def main(argv=None) -> int:
         if args.degree is not None and args.degree < 0:
             raise ParseError(f"--degree must be non-negative, "
                              f"got {args.degree}")
+        # a budget below 1 would refuse every input
+        for name in ("budget", "idempotent_budget"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise ParseError(f"--{name.replace('_', '-')} must be at "
+                                 f"least 1, got {value}")
         for name in ("length", "i_max", "n_max"):  # the flags LIMITS caps
             value = getattr(args, name, None)
             if value is not None:

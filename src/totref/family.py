@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from .errors import NonHomogeneous, PreconditionFailed, TotrefError
 from .linalg import Matrix, check_exact_at, ideal_membership, kernel_gens
-from .modules import (PresentedModule, dual_presentation, ext_vanishing,
-                      verify_iso_witness)
+from .modules import (PresentedModule, _held, dual_presentation,
+                      ext_vanishing, verify_iso_witness)
 from .report import FAIL, PASS, VerificationReport
 from .rings import FiniteLocalRing, GradedMonomialRing, scope_of
 from .zerodiv import ExactZeroDivisorPair, weakly_regular_on_quotient
@@ -65,17 +65,21 @@ def phi_matrix(ring) -> Matrix:
 
 
 def module_g(pair: ExactZeroDivisorPair, a, strict: bool = True) -> PresentedModule:
-    """G_a = Coker(gamma_a).  ``strict`` is ignored: it is kept only because
-    perfbench/workloads.py passes ``strict=False``."""
-    return PresentedModule(pair.ring, gamma(pair, a),
-                           f"G({pair.ring.format(a)})")
+    """G_a = Coker(gamma_a), one per pair and a inside a hom_memo() block.
+    ``strict`` is ignored: it is kept only because perfbench/workloads.py
+    passes ``strict=False``."""
+    return _held(("G", pair.x, pair.y, a),
+                 lambda: PresentedModule(pair.ring, gamma(pair, a),
+                                         f"G({pair.ring.format(a)})"))
 
 
 def module_h(pair: ExactZeroDivisorPair, a, strict: bool = True) -> PresentedModule:
-    """H_a = Coker(eta_a).  ``strict`` is ignored: it is kept only because
-    perfbench/workloads.py passes ``strict=False``."""
-    return PresentedModule(pair.ring, eta(pair, a),
-                           f"H({pair.ring.format(a)})")
+    """H_a = Coker(eta_a), one per pair and a inside a hom_memo() block.
+    ``strict`` is ignored: it is kept only because perfbench/workloads.py
+    passes ``strict=False``."""
+    return _held(("H", pair.x, pair.y, a),
+                 lambda: PresentedModule(pair.ring, eta(pair, a),
+                                         f"H({pair.ring.format(a)})"))
 
 
 def _shift_degs(mat: Matrix, offset: int) -> Matrix:

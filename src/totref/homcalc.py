@@ -13,10 +13,7 @@ exhaustive on the finite backend, degree bounded on the graded one.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import copy
-import functools
 import itertools
 import json
 import math
@@ -29,11 +26,11 @@ from .errors import (LIMITS, InconclusiveStrategy, NonHomogeneous,
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
                      phi_matrix, verify_total_reflexivity)
 from .linalg import (Factored, Matrix, _column_degree, _flatten_vector,
-                     _twist_layout, _unflatten_vector, homology, hstack,
-                     kernel_gens, kron)
-from .modules import (PresentedModule, fitting_ideal, hilbert_function,
-                      ideals_equal, minimal_generator_count,
-                      verify_iso_witness)
+                     _twist_layout, _unflatten_vector, column_span_size,
+                     homology, hstack, kernel_gens, kron)
+from .modules import (PresentedModule, _held, fitting_ideal,
+                      hilbert_function, hom_memo, ideals_equal,
+                      minimal_generator_count, verify_iso_witness)
 from .report import FAIL, PASS, SCHEMA_VERSION, VerificationReport, report
 from .rings import (FiniteLocalRing, GradedMonomialRing, degree_bound,
                     scope_of)
@@ -127,29 +124,6 @@ class HomPresentation:
         return len(self.generators)
 
 
-
-# the Hom memo of the enclosing hom_memo() block, None outside one
-_HOM_MEMO: contextvars.ContextVar = contextvars.ContextVar("hom_memo",
-                                                          default=None)
-
-
-@contextlib.contextmanager
-def hom_memo():
-    """Compute each distinct Hom once while the block runs.
-
-    Inside the block hom_presentation answers from the memo every input
-    it has computed: the same ring, bound, presentation entries and degree
-    layouts, whatever the labels.  The memo also holds one record per
-    family module and bound (see _family_record).  It is dropped when the
-    block exits, so nothing outlives the run that opened it.
-    """
-    token = _HOM_MEMO.set({})
-    try:
-        yield
-    finally:
-        _HOM_MEMO.reset(token)
-
-
 def _module_key(module: PresentedModule):
     rho = module.rho
     return (rho.entries, rho.row_degs, rho.col_degs)
@@ -163,16 +137,13 @@ def hom_presentation(source: PresentedModule, target: PresentedModule,
     lifting system in the unknowns (psi, xi); the relations among their
     cosets come from a second kernel over the generator coefficients.
     Inside a hom_memo() block a repeated input is answered from the memo,
-    under the caller's labels: only the presentations name a computation.
+    under the caller's labels: the same ring, bound, presentation entries
+    and degree layouts name one computation, whatever the labels.
     """
-    memo = _HOM_MEMO.get()
-    if memo is None:
-        return _hom_presentation(source, target, bound)
-    key = (source.ring.key, _module_key(source), _module_key(target), bound)
-    hp = memo.get(key)
-    if hp is None:
-        hp = memo[key] = _hom_presentation(source, target, bound)
-    elif (hp.source.label, hp.target.label) != (source.label, target.label):
+    hp = _held(("Hom", source.ring.key, _module_key(source),
+                _module_key(target), bound),
+               lambda: _hom_presentation(source, target, bound))
+    if (hp.source.label, hp.target.label) != (source.label, target.label):
         module = copy.copy(hp.module)  # shares the recorded dimensions
         module.label = f"Hom({source.label},{target.label})"
         hp = replace(hp, source=source, target=target, module=module)
@@ -328,7 +299,7 @@ def _target_tables(module: PresentedModule, budget: int) -> _TargetTables:
     """
     r = module.size()
     check_size(r * (r + module.ring.carrier_size()), budget,
-               "coset table exceeds the carrier budget")
+               "coset table of {value} cells exceeds the budget of {cap}")
     if module._tables is None:
         module._tables = _TargetTables(module)
     return module._tables
@@ -352,7 +323,8 @@ def brute_force_hom_oracle(source: PresentedModule, target: PresentedModule,
     tables = _target_tables(target, budget)
     n1 = source.ngens
     check_size(len(tables.keys) ** n1, budget,
-               "assignment enumeration exceeds the carrier budget")
+               "assignment enumeration of {value} maps exceeds the budget "
+               "of {cap}")
     add, keys, rho = tables.add, tables.keys, source.rho
     neg = [row.index(tables.zero_idx) for row in add]
     *heads, last = [
@@ -535,11 +507,10 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b, bound,
     scope = scope_of(ring, bound)
     ab = a * b
     ends = (("H", b), ("G", ab)) if kind == "hg" else (("G", ab), ("H", b))
-    source = _flavor_module(pair, *ends[0], bound)
-    claimed = _family_record(pair, *ends[1], bound)
-    target = _flavor_module(pair, "G", a, bound)
+    source, claimed = (_flavor_module(pair, *end) for end in ends)
+    target = module_g(pair, a)
     rho1_plain, rho2, claim_plain = (m.rho.without_degrees() for m in (
-        source, target, claimed.module))
+        source, target, claimed))
     z, o = ring.zero(), ring.one()
     if kind == "hg":
         psis, xis = special_generators_hg(pair, a, b)
@@ -593,7 +564,7 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b, bound,
     rep.add(_generators_covered(hp, span, scope,
                                 "computed-generators-covered"))
 
-    claim = claimed.module.relations
+    claim = claimed.relations
     kernel_ok = True
     kernel_count = 0
     for gen in span.kernel(bound):
@@ -609,7 +580,7 @@ def _core_hom_sequence(pair: ExactZeroDivisorPair, kind: str, a, b, bound,
     rep.add(report("kernel-inside-presentation", kernel_ok, scope,
                    {"kernel_generators": kernel_count}))
 
-    rep.add(_profile_match(hp, claimed.module, psis[:2], source.gen_degs,
+    rep.add(_profile_match(hp, claimed, psis[:2], source.gen_degs,
                            target.gen_degs, bound, scope))
     return rep
 
@@ -682,7 +653,7 @@ def _hom_entry(pair: ExactZeroDivisorPair, sp: ExactZeroDivisorPair,
         route, claimed, core = "transpose+swapped-pair", ("G", c), (-s, c)
         reports.append(verify_hom_transpose(pair, source, target, bound))
         hom_of = (("H", t), ("H", s))
-    m_src, m_tgt, m_claimed = (_flavor_module(pair, *desc, bound)
+    m_src, m_tgt, m_claimed = (_flavor_module(pair, *desc)
                                for desc in (*hom_of, claimed))
     reports.append(_core_hom_sequence(
         over, "hg" if src_fl != tgt_fl else "gg", *core, bound,
@@ -693,8 +664,7 @@ def _hom_entry(pair: ExactZeroDivisorPair, sp: ExactZeroDivisorPair,
         z, o = ring.zero(), ring.one()
         twist = Matrix(ring, [[o, z], [z, -o]])
         reports.append(verify_iso_witness(
-            _flavor_module(sp, _PARTNER[claimed[0]], claimed[1], bound),
-            m_claimed,
+            _flavor_module(sp, _PARTNER[claimed[0]], claimed[1]), m_claimed,
             twist, twist, bound,
             name=f"swapped-image-matches-{m_claimed.label}"))
     elif src_fl == "G" and c == ring.one():
@@ -783,51 +753,21 @@ def verify_hom_g_ab_a(pair: ExactZeroDivisorPair, a, b, bound=None,
 _PARTNER = {"G": "H", "H": "G"}
 
 
-class _FamilyModule:
-    """A family module and what certificates ask of it, each part built
-    when first asked for: ``module`` holds its Hilbert function and its
-    relations, and ``f_t`` is F_x^T, the transposed functional rows, with
-    its factorization and its kernel up to the record's bound."""
-
-    def __init__(self, pair, flavor: str, elem, bound):
-        self.desc, self.bound = (pair, flavor, elem), bound
-        build = module_g if flavor == "G" else module_h
-        self.module = build(pair, elem)
-
-    @functools.cached_property
-    def f_t(self) -> Matrix:
-        return _functional_rows(*self.desc).transpose()
-
-    @functools.cached_property
-    def factored_f_t(self) -> Factored:
-        return Factored(self.f_t)
-
-    @functools.cached_property
-    def f_t_kernel(self) -> list[Matrix]:
-        return self.factored_f_t.kernel(self.bound)
+def _flavor_module(pair, flavor: str, elem) -> PresentedModule:
+    return (module_g if flavor == "G" else module_h)(pair, elem)
 
 
-def _family_record(pair, flavor: str, elem, bound) -> _FamilyModule:
-    """The record of one family module: inside a hom_memo() block one per
-    pair, flavor, element and bound for the block's length, else new."""
-    memo = _HOM_MEMO.get()
-    if memo is None:
-        return _FamilyModule(pair, flavor, elem, bound)
-    key = ("module", pair.x, pair.y, flavor, elem, bound)
-    if key not in memo:
-        memo[key] = _FamilyModule(pair, flavor, elem, bound)
-    return memo[key]
-
-
-def _flavor_module(pair, flavor: str, elem, bound) -> PresentedModule:
-    return _family_record(pair, flavor, elem, bound).module
-
-
-def _functional_rows(pair, flavor: str, elem) -> Matrix:
-    """Rows generating Hom(Coker rho, A): phi times the next differential."""
-    ring = pair.ring
-    tau = eta(pair, elem) if flavor == "G" else gamma(pair, elem)
-    return (phi_matrix(ring) * tau.without_degrees()).without_degrees()
+def _half_turned(pair, flavor: str, elem) -> PresentedModule:
+    """F_x^T = phi^T rho_x, the family module x = (flavor, elem) presented
+    in half-turned generators, one per run.  By phi gamma_a^T = eta_a phi
+    and phi eta_a^T = gamma_a phi it is the transpose of the rows
+    phi rho_(x*) that generate Hom(x, A), with x* the partner of x, so its
+    relations solve the transpose equation."""
+    module = _flavor_module(pair, flavor, elem)
+    return _held(("F^T", flavor, pair.x, pair.y, elem),
+                 lambda: PresentedModule(
+                     pair.ring, phi_matrix(pair.ring).transpose()
+                     * module.rho.without_degrees(), f"{module.label}^T"))
 
 
 def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
@@ -847,10 +787,10 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
     scope = scope_of(ring, bound)
     src_fl, src_el = src
     tgt_fl, tgt_el = tgt
-    m_src = _flavor_module(pair, src_fl, src_el, bound)
-    m_tgt = _flavor_module(pair, tgt_fl, tgt_el, bound)
-    d_src = _flavor_module(pair, _PARTNER[src_fl], src_el, bound)
-    d_tgt = _flavor_module(pair, _PARTNER[tgt_fl], tgt_el, bound)
+    m_src = _flavor_module(pair, src_fl, src_el)
+    m_tgt = _flavor_module(pair, tgt_fl, tgt_el)
+    d_src = _flavor_module(pair, _PARTNER[src_fl], src_el)
+    d_tgt = _flavor_module(pair, _PARTNER[tgt_fl], tgt_el)
     name = f"hom({m_src.label},{m_tgt.label})-matches-" \
            f"hom({d_tgt.label},{d_src.label})"
     rep = VerificationReport(name, PASS, scope, {"route": "transpose"})
@@ -859,18 +799,23 @@ def verify_hom_transpose(pair: ExactZeroDivisorPair, src, tgt,
     # direction k solves Theta^T F_x = F_y psi for its ends x -> y, and
     # works modulo the relations of the dual module its transposes land in,
     # the partner of x
-    x_rec = [_family_record(pair, *x, bound) for x, _ in ends]
-    f_y = [_family_record(pair, *y, bound).f_t for _, y in ends]
-    rel = [_flavor_module(pair, _PARTNER[fl], el, bound).relations
+    f_x = [_half_turned(pair, *x) for x, _ in ends]
+    f_y = [_half_turned(pair, *y).rho for _, y in ends]
+    rel = [_flavor_module(pair, _PARTNER[fl], el).relations
            for (fl, el), _ in ends]
 
     def transpose(k: int, psi: Matrix) -> Matrix | None:
-        theta = x_rec[k].factored_f_t.solve(
+        theta = f_x[k].relations.solve(
             psi.without_degrees().transpose() * f_y[k])
         return None if theta is None else theta.without_degrees()
 
+    def kernel(k: int) -> list[Matrix]:
+        """ker F_x^T up to the bound, held per run like F_x^T itself."""
+        return _held(("F^T kernel", *ends[k][0], pair.x, pair.y, bound),
+                     lambda: f_x[k].relations.kernel(bound))
+
     unique_ok = all(rel[k].outside(gen.without_degrees()
-                                   for gen in x_rec[k].f_t_kernel) is None
+                                   for gen in kernel(k)) is None
                     for k in (0, 1))
     rep.add(report("transpose-determined-mod-relations", unique_ok, scope,
                    {}))
@@ -947,7 +892,7 @@ def verify_end_ring(pair: ExactZeroDivisorPair, a, bound=None,
     rep = VerificationReport(f"end-ring({ring.format(a)})", PASS, scope,
                              {"a": ring.format(a), "hypotheses": info})
     for flavor in ("G", "H"):
-        module = _flavor_module(pair, flavor, a, bound)
+        module = _flavor_module(pair, flavor, a)
         hp = hom_presentation(module, module, bound)
         span = Factored(_vec_span(module, module,
                                   [Matrix.identity(ring, module.ngens)]))
@@ -993,8 +938,10 @@ def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
     found = []
     detail_scope = dict(scope)
     if isinstance(ring, FiniteLocalRing):
-        # |End| is the size of hp's module: refuse before any coset table
-        check_size(hp.module.size(), budget, _MAP_CAP)
+        # |End| = |A|^g / |im rho| for hp's module: refuse before any coset
+        # table, and without factoring rho, which the scan never reads
+        check_size(ring.carrier_size() ** hp.module.ngens
+                   // column_span_size(hp.module.rho), budget, _MAP_CAP)
         tables, states = _map_closure(hp, budget)
         n = module.ngens
         # the identity's columns are its rows
@@ -1270,7 +1217,7 @@ def _run_family(pair, b_sequence, n_max, bound, i_max) -> FamilyReport:
         certificates.add(verify_total_reflexivity(pair, a_n, i_max, bound))
         certificates.add(verify_end_ring(pair, a_n, bound))
         for flavor in ("G", "H"):
-            module = _flavor_module(pair, flavor, a_n, bound)
+            module = _flavor_module(pair, flavor, a_n)
             module_list.append((flavor, n, module))
             mu = minimal_generator_count(module)
             fit1 = fitting_ideal(module, 1)
@@ -1312,10 +1259,8 @@ def _run_family(pair, b_sequence, n_max, bound, i_max) -> FamilyReport:
         for rep in reports:
             certificates.add(rep)
         ok = all(r.passed for r in (*reports, *backing))
-        hom_table.append({"source": _flavor_module(pair, *source,
-                                                   bound).label,
-                          "target": _flavor_module(pair, *target,
-                                                   bound).label,
+        hom_table.append({"source": _flavor_module(pair, *source).label,
+                          "target": _flavor_module(pair, *target).label,
                           "claimed": claimed, "route": route,
                           "verdict": PASS if ok else FAIL})
 

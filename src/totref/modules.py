@@ -9,6 +9,8 @@ graded one.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 
 from . import _fp
@@ -19,6 +21,35 @@ from .linalg import (Factored, Matrix, _twist_layout, check_exact_at,
                      solve_right)
 from .report import FAIL, PASS, VerificationReport
 from .rings import FiniteLocalRing, GradedMonomialRing, scope_of
+
+
+# the run memo of the enclosing hom_memo() block, None outside one
+_HOM_MEMO: contextvars.ContextVar = contextvars.ContextVar("hom_memo",
+                                                          default=None)
+
+
+@contextlib.contextmanager
+def hom_memo():
+    """Hold what a run builds while the block runs: the family modules,
+    their half-turned presentations and every distinct Hom, each built once
+    (see _held).  The memo is dropped when the block exits, so nothing
+    outlives the run that opened it."""
+    token = _HOM_MEMO.set({})
+    try:
+        yield
+    finally:
+        _HOM_MEMO.reset(token)
+
+
+def _held(key, build):
+    """``build()``, built once per ``key`` inside a hom_memo() block and
+    handed to every later caller with that key; outside one, built anew."""
+    memo = _HOM_MEMO.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 class PresentedModule:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
-PRECONDITION_FAILED = "precondition-failed"
 
 SCHEMA_VERSION = 1
 
@@ -67,8 +66,7 @@ class VerificationReport:
                           indent=2)
 
     def summary_lines(self, prefix: str = "") -> list[str]:
-        mark = {PASS: "ok", FAIL: "FAIL",
-                PRECONDITION_FAILED: "PRECONDITION"}[self.verdict]
+        mark = {PASS: "ok", FAIL: "FAIL"}[self.verdict]
         lines = [f"{prefix}{self.name}: {mark} {_scope_text(self.scope)}"]
         for key, value in _plain(self.details).items():
             lines.append(f"{prefix}  {key} = {_short(value)}")

@@ -447,6 +447,37 @@ def test_integer_flags_past_their_cap_are_refused_before_any_work(
         assert json.loads(out)["exit_code"] == expected
 
 
+def test_budgets_below_one_are_refused_before_the_ring_is_read(
+        capsys, monkeypatch):
+    def reached(*args):
+        raise cli.PreconditionFailed("the value was accepted")
+
+    monkeypatch.setattr(cli, "_load_ring", reached)
+    for argv, flag in ((("oracle", "hom", "--source", "gamma:3", "--target",
+                         "eta:3"), "--budget"),
+                       (("hom", "verify-end", "--a", "3"),
+                        "--idempotent-budget")):
+        for value, expected in (("-1", 2), ("0", 2), ("1", 3)):
+            code, out, _ = run(capsys, *argv, flag, value, "--ring", Z9,
+                               "--x", "3", "--y", "3", "--format", "json")
+            assert code == expected, (flag, value)
+            record = json.loads(out)
+            assert record["exit_code"] == expected
+            if expected == 2:
+                assert record["error"] == "ParseError"
+                assert record["message"] == \
+                    f"{flag} must be at least 1, got {value}"
+
+
+def test_a_caller_budget_refusal_names_the_count_and_the_budget(capsys):
+    code, out, _ = run(capsys, "oracle", "hom", "--ring", Z9, "--x", "3",
+                       "--y", "3", "--source", "gamma:3", "--target",
+                       "eta:3", "--budget", "100", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["message"] == \
+        "coset table of 162 cells exceeds the budget of 100"
+
+
 def test_closed_stdout_keeps_the_verdict_exit_code():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import ext_size, hom_count, matrix_columns, span_closure
-from totref import _zn, homcalc, linalg
+from totref import _zn, family, homcalc, linalg, modules
 from totref.errors import (InconclusiveStrategy, NonHomogeneous,
                            PreconditionFailed, TooLarge)
-from totref.family import module_g, module_h
+from totref.family import module_g, module_h, phi_matrix
 from totref.linalg import Factored, Matrix
 from totref.modules import PresentedModule
 from totref.rings import FiniteLocalRing, GradedMonomialRing
@@ -109,10 +109,18 @@ def test_graded_hom_carrier_degrees(pair_f5):
 
 
 def test_hom_budget_guard(pair_z9):
+    # each refusal names the count and the caller's own budget: |G_0| = 9
+    # over Z/9 gives 9 (9 + 9) table cells, and three generators of a
+    # free source 9^3 assignments
     ring = pair_z9.ring
-    with pytest.raises(TooLarge):
-        brute_force_hom_oracle(module_g(pair_z9, ring.from_int(0)),
-                               module_g(pair_z9, ring.from_int(0)), budget=10)
+    g0 = module_g(pair_z9, ring.from_int(0))
+    with pytest.raises(TooLarge, match="^coset table of 162 cells exceeds "
+                                       "the budget of 10$"):
+        brute_force_hom_oracle(g0, g0, budget=10)
+    free = PresentedModule.free(ring, 3)
+    with pytest.raises(TooLarge, match="^assignment enumeration of 729 maps "
+                                       "exceeds the budget of 500$"):
+        brute_force_hom_oracle(free, g0, budget=500)
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3)],
@@ -179,7 +187,8 @@ def test_coset_table_refusal_precedes_enumeration(z9, monkeypatch):
         pytest.fail("the refusal ran the coset enumeration first")
 
     monkeypatch.setattr(module.relations.span, "reduce", enumerated)
-    with pytest.raises(TooLarge, match="coset table exceeds"):
+    with pytest.raises(TooLarge, match="^coset table of 162 cells exceeds "
+                                       "the budget of 80$"):
         homcalc._target_tables(module, 80)
 
 
@@ -193,8 +202,8 @@ def test_coset_table_budget_counts_the_cells_held():
     maps = brute_force_hom_oracle(module, module, budget=500)
     assert len(maps) == hom_count(27, [[3, 0], [0, 3]], [[3, 0], [0, 3]])
     assert len(maps) == 81
-    with pytest.raises(TooLarge, match="^coset table exceeds the carrier "
-                                       "budget$"):
+    with pytest.raises(TooLarge, match="^coset table of 324 cells exceeds "
+                                       "the budget of 300$"):
         brute_force_hom_oracle(module, module, budget=300)
 
 
@@ -204,7 +213,8 @@ def test_table_cache_does_not_bypass_the_budget(z9, table_builds):
     homcalc._target_tables(module, 10 ** 6)
     homcalc._target_tables(module, 10 ** 6)
     assert table_builds == [module]
-    with pytest.raises(TooLarge, match="coset table exceeds"):
+    with pytest.raises(TooLarge, match="^coset table of 162 cells exceeds "
+                                       "the budget of 80$"):
         homcalc._target_tables(module, 80)
 
 
@@ -216,6 +226,29 @@ def test_end_scan_refuses_before_building_coset_tables(table_builds):
                                        "budget of 4096 maps$"):
         verify_end_ring(pair, ring.from_int(9), strict=False)
     assert table_builds == []
+
+
+def test_end_scan_refusal_factors_no_hom_relations(monkeypatch):
+    # |End| is read off the Hom relations' column span alone: the refusal
+    # builds no SpanSolver over them, which nothing on the scan would read
+    ring = FiniteLocalRing(3, 6)
+    pair = exact_pair(ring, ring.from_int(27), ring.from_int(27))
+    scanned, solved = [], []
+    scan, solver = homcalc._idempotent_scan, _zn.SpanSolver
+
+    class Recorded(solver):
+        def __init__(self, columns, n, height):
+            solved.append(columns)
+            super().__init__(columns, n, height)
+
+    monkeypatch.setattr(homcalc, "_idempotent_scan", lambda hp, *args:
+                        scanned.append(hp) or scan(hp, *args))
+    monkeypatch.setattr(_zn, "SpanSolver", Recorded)
+    with pytest.raises(TooLarge, match="^generated map set exceeds the "
+                                       "budget of 4096 maps$"):
+        verify_end_ring(pair, ring.from_int(9), strict=False)
+    assert len(scanned) == 1 and solved
+    assert linalg._flatten_columns(scanned[0].module.rho)[0] not in solved
 
 
 def _reference_tables(module):
@@ -512,13 +545,19 @@ def test_transpose_builds_the_backward_hom_only_after_the_forward_pass(
     assert len(calls) == 1
 
 
+def _half_turned_entries(pair, flavor, elem):
+    """The entries of F_x^T = phi^T rho_x for the family module x."""
+    rho = homcalc._flavor_module(pair, flavor, elem).rho
+    return (phi_matrix(pair.ring).transpose() * rho.without_degrees()).entries
+
+
 def test_graded_transpose_slices_each_functional_matrix_once_per_degree(
         pair_f5, monkeypatch):
     # F_5[x,y,z]/(xy) at D = 6: the transposes and the uniqueness kernel of
     # each direction read one factorization of its F_x^T
     ring = pair_f5.ring
     src, tgt = ("G", ring.parse("z")), ("G", ring.parse("z^2"))
-    watched = {homcalc._functional_rows(pair_f5, *x).transpose().entries
+    watched = {_half_turned_entries(pair_f5, *x)
                for x in (src, ("H", tgt[1]))}
     sliced = []
     slice_matrix = linalg.slice_matrix
@@ -807,7 +846,7 @@ def test_hom_memo_answers_repeats_and_keeps_labels_apart(pair_z9):
     twin = PresentedModule(ring, module.rho, "twin")
     assert hom_presentation(module, module) is not \
         hom_presentation(module, module)
-    with homcalc.hom_memo():
+    with modules.hom_memo():
         first = hom_presentation(module, module)
         again = hom_presentation(module, module)
         other = hom_presentation(twin, twin)
@@ -838,23 +877,44 @@ def test_run_family_computes_each_distinct_hom_once(pair_f5, monkeypatch):
     assert len(calls) == 36
 
 
+def test_run_family_builds_one_g_a_and_one_h_a(pair_f5, monkeypatch):
+    # total reflexivity, End, non-isomorphism, the Hom entries and the
+    # transposes of a run all read one G_a and one H_a per element a; the
+    # modules over the swapped pair (y, x) are others, and their
+    # presentations start with the other member of the pair
+    built = []
+
+    class Recorded(PresentedModule):
+        def __init__(self, ring, rho, label="M"):
+            built.append((label, rho.entries))
+            super().__init__(ring, rho, label)
+
+    monkeypatch.setattr(family, "PresentedModule", Recorded)
+    fam = run_family(pair_f5, ["z"], n_max=2, bound=6)
+    assert fam.passed
+    first = {"G": pair_f5.x, "H": pair_f5.y}
+    over_pair = [label for label, entries in built
+                 if entries[0][0] == first[label[0]]]
+    assert {"G(z)", "G(z^2)", "H(z)", "H(z^2)"} <= set(over_pair)
+    assert len(over_pair) == len(set(over_pair))
+
+
 def test_run_family_factors_each_functional_matrix_once(pair_f5,
                                                         monkeypatch):
     # every module's F_x^T is factored by the first transpose certificate
-    # that asks for it, and its record answers the later ones
+    # that asks for it, as the relations of a module held for the run
     ring = pair_f5.ring
-    watched = {homcalc._functional_rows(pair_f5, flavor,
-                                        ring.parse(elem)).transpose().entries
+    watched = {_half_turned_entries(pair_f5, flavor, ring.parse(elem))
                for flavor in "GH" for elem in ("z", "z^2")}
     factored = []
-    build = homcalc.Factored
+    build = modules.Factored
 
     def counted(rho):
         if rho.entries in watched:
             factored.append(rho.entries)
         return build(rho)
 
-    monkeypatch.setattr(homcalc, "Factored", counted)
+    monkeypatch.setattr(modules, "Factored", counted)
     fam = run_family(pair_f5, ["z"], n_max=2, bound=6)
     assert fam.passed
     assert len(factored) == len(set(factored))
@@ -890,7 +950,7 @@ def test_recorded_hom_dimensions_match_the_relation_slices(index, fa, fb,
     flavor = {"G": module_g, "H": module_h}
     source = flavor[fa](pair, a)
     target = flavor[fb](pair, b)
-    with homcalc.hom_memo():
+    with modules.hom_memo():
         hp = hom_presentation(source, target, bound)
         recorded = dict(hp.module._dims)
         relabelled = hom_presentation(
@@ -911,14 +971,14 @@ def test_run_family_closes_its_memo_on_a_failed_precondition(pair_f5,
     seen = []
 
     def not_regular(pair, bound):
-        seen.append(homcalc._HOM_MEMO.get())
+        seen.append(modules._HOM_MEMO.get())
         return False
 
     monkeypatch.setattr(ExactZeroDivisorPair, "is_regular", not_regular)
     with pytest.raises(PreconditionFailed):
         run_family(pair_f5, ["z"], n_max=2, bound=6)
     assert seen == [{}]
-    assert homcalc._HOM_MEMO.get() is None
+    assert modules._HOM_MEMO.get() is None
 
 
 @pytest.mark.parametrize("p, k, var, d, x, y", [

@@ -20,7 +20,8 @@ perfbench/ to a name imported from totref must fit the callee's signature.
 Outside modules.py no call factors a presentation's rho: a presented
 module's ``relations`` is the one factorization of it.  Likewise zerodiv.py
 factors nothing outside the construction of the quotients an exact pair
-holds: every ideal question reads their relations.
+holds: every ideal question reads their relations, and homcalc.py factors
+nothing but the vectorised map spans of _vec_span.
 """
 
 import ast
@@ -317,6 +318,35 @@ def test_zerodiv_factors_only_the_quotients_a_pair_holds():
                if isinstance(node, ast.FunctionDef)}
     assert held <= defined  # the scan knows the pair's quotients
     assert _factoring_calls(source, held) == []
+
+
+def _unspanned_factorizations(source: str) -> list:
+    """The lines of source that call Factored on anything but a direct
+    _vec_span(...) call."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) != "Factored":
+            continue
+        args = node.args + [k.value for k in node.keywords]
+        if not (len(args) == 1 and isinstance(args[0], ast.Call)
+                and getattr(args[0].func, "id", None) == "_vec_span"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_homcalc_factors_only_vectorised_map_spans():
+    # every other matrix homcalc solves against is a presentation, F_x^T
+    # among them, and is reached only as its module's relations
+    assert _unspanned_factorizations(
+        "Factored(_vec_span(s, t, maps))\nlinalg.Factored(f_t)\n"
+        "Factored(phi.transpose() * m.rho)\nFactored(_vec_span(s, t, m), 8)\n"
+        "Factored(other._vec_span(s, t, maps))\n") == [2, 3, 4, 5]
+    source = (PACKAGE / "homcalc.py").read_text(encoding="utf-8")
+    assert source.count("Factored(_vec_span(") >= 3  # the scan sees them
+    assert _unspanned_factorizations(source) == []
 
 
 def test_no_module_of_the_package_imports_numpy():
