@@ -54,7 +54,7 @@ def _echelon(rows, p: int) -> dict[int, dict[int, int]]:
                 continue
             row = {c: v}
         elif row:
-            row = {c: v % p for c, v in row.items() if v % p}
+            row = {c: r for c, v in row.items() if (r := v % p)}
         else:
             continue
         while row:

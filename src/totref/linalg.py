@@ -163,13 +163,20 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise DimensionMismatch(
                     f"cannot compose {self.shape} with {other.shape}")
+            # form a product only where a nonzero left entry meets a
+            # nonzero right entry; zero terms add nothing
+            zero = self.ring.zero()
+            cols = range(other.ncols)
             rows = []
-            for i in range(self.nrows):
+            for left in self.entries:
+                terms = [(a, right) for a, right in zip(left, other.entries)
+                         if a]
                 row = []
-                for k in range(other.ncols):
-                    acc = self.ring.zero()
-                    for j in range(self.ncols):
-                        acc = acc + self.entries[i][j] * other.entries[j][k]
+                for k in cols:
+                    acc = zero
+                    for a, right in terms:
+                        if b := right[k]:
+                            acc = acc + a * b
                     row.append(acc)
                 rows.append(row)
             row_degs = col_degs = None

@@ -218,8 +218,9 @@ class _Element:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __repr__(self):
@@ -399,8 +400,13 @@ class GradedElement(_Element):
         self.ring = ring
         self.terms = terms  # tuple of (exponent tuple, coeff), canonical order
 
+    # every element is canonical, so a zero operand needs no arithmetic
     def __add__(self, other):
         other = self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         data = dict(self.terms)
         p = self.ring.p
         for exp, c in other.terms:
@@ -420,6 +426,10 @@ class GradedElement(_Element):
 
     def __mul__(self, other):
         other = self._check(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         ring = self.ring
         p = ring.p
         data: dict[tuple, int] = {}
@@ -512,10 +522,11 @@ class GradedMonomialRing:
     # -- construction -----------------------------------------------------
 
     def _from_dict(self, data: dict[tuple, int]) -> GradedElement:
-        terms = tuple(sorted(((exp, c % self.p) for exp, c in data.items()
-                              if c % self.p),
-                             key=lambda item: _monomial_sort_key(item[0])))
-        return GradedElement(self, terms)
+        # (degree, exponents) descending is the _monomial_sort_key order
+        p = self.p
+        terms = [(sum(exp), exp, r) for exp, c in data.items() if (r := c % p)]
+        terms.sort(reverse=True)
+        return GradedElement(self, tuple([(exp, c) for _, exp, c in terms]))
 
     def zero(self) -> GradedElement:
         return GradedElement(self, ())
@@ -601,8 +612,10 @@ class GradedMonomialRing:
 
     def element_of_vector(self, vec: dict[int, int], d: int) -> GradedElement:
         """The degree-d element with slice coordinates ``{index: residue}``."""
-        basis = self.basis(d)
-        return self._from_dict({basis[i]: c for i, c in vec.items()})
+        # basis(d) is in the canonical order, so its indices are too
+        basis, p = self.basis(d), self.p
+        return GradedElement(self, tuple([(basis[i], r) for i in sorted(vec)
+                                          if (r := vec[i] % p)]))
 
     # -- queries -----------------------------------------------------------
 

@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (MonomialQuotientOracle, module_image, module_kernel,
-                     rank_mod_p, slice_rows, span_closure)
+from oracles import (MonomialQuotientOracle, ext_mul, module_image,
+                     module_kernel, parse_poly, rank_mod_p, slice_rows,
+                     span_closure)
 from totref import homcalc, linalg
 from totref.errors import (DimensionMismatch, NonHomogeneous, NotAComplex,
                            TotrefError)
@@ -17,7 +18,8 @@ from totref.linalg import (Matrix, check_exact_at, column_span_size,
                            kernel_gens, kron, slice_vector_to_matrix,
                            solve_right)
 from totref.modules import PresentedModule
-from totref.rings import FiniteElement, FiniteLocalRing, GradedMonomialRing
+from totref.rings import (FiniteElement, FiniteLocalRing, GradedElement,
+                          GradedMonomialRing)
 from totref.zerodiv import exact_pair
 
 
@@ -694,3 +696,149 @@ def test_trusted_finite_builders_hold_residues(ring, data):
             list(vec[:count * ring.ext_degree])
         for e in elements:
             assert all(type(x) is int and 0 <= x < ring.n for x in e.coords)
+
+
+# -- products -----------------------------------------------------------------
+
+def _sparse_factors(ring, data, element):
+    """Two composable matrices, most entries zero, with some rows of the
+    left factor, some columns of the right one, or a whole factor zero."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    m, n, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+    zero = ring.zero()
+
+    def entries(rows, cols):
+        return [[element(rng) if rng.random() < 0.4 else zero
+                 for _ in range(cols)] for _ in range(rows)]
+
+    left, right = entries(m, n), entries(n, k)
+    for i in data.draw(st.sets(st.integers(0, m - 1))):
+        left[i] = [zero] * n
+    for j in data.draw(st.sets(st.integers(0, k - 1))):
+        for row in right:
+            row[j] = zero
+    for row in data.draw(st.sampled_from(((), left, right))):
+        row[:] = [zero] * len(row)
+    return Matrix(ring, left), Matrix(ring, right)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GRADED_CASES), st.data())
+def test_graded_products_match_the_oracle(case, data):
+    ring, oracle = case
+
+    def element(rng):  # inhomogeneous: two degrees up to 3
+        return (_graded_entry(ring, oracle, rng.randrange(4), rng)[0]
+                + _graded_entry(ring, oracle, rng.randrange(4), rng)[0])
+
+    def poly(e):
+        return parse_poly(ring.format(e), ring.variables)
+
+    a, b = _sparse_factors(ring, data, element)
+    product = a * b
+    assert product.shape == (a.nrows, b.ncols)
+    for i, k in itertools.product(range(a.nrows), range(b.ncols)):
+        expected = {}
+        for j in range(a.ncols):
+            expected = oracle.add(expected, oracle.mul(
+                poly(a.entries[i][j]), poly(b.entries[j][k])))
+        assert poly(product.entries[i][k]) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((FiniteLocalRing(3, 3), FiniteLocalRing(2, 2, "t", 2),
+                        FiniteLocalRing(3, 1, "t", 3))), st.data())
+def test_finite_products_match_the_oracle(ring, data):
+    d, n = ring.ext_degree, ring.n
+
+    def element(rng):
+        return FiniteElement(ring, tuple(rng.randrange(n) for _ in range(d)))
+
+    a, b = _sparse_factors(ring, data, element)
+    product = a * b
+    assert product.shape == (a.nrows, b.ncols)
+    for i, k in itertools.product(range(a.nrows), range(b.ncols)):
+        expected = [0] * d
+        for j in range(a.ncols):
+            # t^d = 0: the reduction of t^d is the zero polynomial
+            term = ext_mul(n, (0,) * d, a.entries[i][j].coords,
+                           b.entries[j][k].coords)
+            expected = [x + y for x, y in zip(expected, term)]
+        assert product.entries[i][k].coords == tuple(v % n for v in expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LAYOUT_RINGS), st.data())
+def test_products_keep_the_layout_only_when_the_middle_degrees_agree(ring,
+                                                                     data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    oracle = GRADED_CASES[0][1]
+    m, n, k = (data.draw(st.integers(1, 3)) for _ in range(3))
+    degs = [[rng.randrange(3) for _ in range(count)] for count in (m, n, k)]
+
+    def matrix(row_degs, col_degs):
+        if isinstance(ring, GradedMonomialRing):
+            return _graded_matrix(ring, oracle, row_degs, col_degs, rng)[0]
+        return Matrix(ring, [[FiniteElement(ring, tuple(
+            rng.randrange(ring.n) for _ in range(ring.ext_degree)))
+            for _ in col_degs] for _ in row_degs], row_degs, col_degs)
+
+    a, b = matrix(degs[0], degs[1]), matrix(degs[1], degs[2])
+    product = a * b
+    assert (product.row_degs, product.col_degs) == (a.row_degs, b.col_degs)
+    # the checked constructor accepts the product's layout
+    Matrix(ring, product.entries, product.row_degs, product.col_degs)
+    shifted = b.with_degrees([r + 1 for r in degs[1]],
+                             [c + 1 for c in degs[2]])
+    for left, right in ((a.without_degrees(), b), (a, b.without_degrees()),
+                        (a, shifted)):
+        other = left * right
+        assert other.entries == product.entries
+        assert (other.row_degs, other.col_degs) == (None, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_product_multiplies_each_pair_of_meeting_entries_once(data):
+    ring = GRADED_CASES[0][0]
+    # x * y = 0 in this ring: a product that vanishes still counts
+    nonzero = [ring.parse(t) for t in ("x", "y", "z", "x + z", "2*y^2 + 3")]
+    m, n, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+
+    def pattern(rows, cols):
+        return [[data.draw(st.booleans()) for _ in range(cols)]
+                for _ in range(rows)]
+
+    def matrix(marks):
+        return Matrix(ring, [[data.draw(st.sampled_from(nonzero)) if mark
+                              else ring.zero() for mark in row]
+                             for row in marks])
+
+    left, right = pattern(m, n), pattern(n, k)
+    a, b = matrix(left), matrix(right)
+    meeting = sum(left[i][j] and right[j][c] for i in range(m)
+                  for j in range(n) for c in range(k))
+    calls = []
+    mul = GradedElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GradedElement, "__mul__", counted)
+        a * b
+    assert len(calls) == meeting
+
+
+def test_zero_operands_give_the_long_paths_results(f5):
+    zero, again = f5.zero(), GradedMonomialRing(5, ("x", "y", "z"),
+                                                ((1, 1, 0),))
+    for text in ("0", "3", "x + 2*z^2", "y^3 + 4*z + 1"):
+        e = f5.parse(text)
+        # the long path rebuilds e's terms, and a product from no terms
+        same, none = f5._from_dict(dict(e.terms)), f5._from_dict({})
+        for result in (e + zero, zero + e, e + 0, 0 + e, e + again.zero()):
+            assert result == same and result.terms == e.terms
+        for result in (e * zero, zero * e, e * 0, 0 * e, e * again.zero()):
+            assert result == none and result.is_zero

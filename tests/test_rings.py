@@ -181,6 +181,73 @@ def test_f5_products_match_oracle(terms1, terms2):
     assert _as_dict(e1 + e2) == ORACLE.add(d1, d2)
 
 
+TERM_RINGS = (GradedMonomialRing(5, ("x", "y", "z"), ((1, 1, 0),)),
+              GradedMonomialRing(3, ("x", "y"), ((2, 0), (0, 2))))
+
+
+def _canonical(ring, data):
+    """The reduced nonzero terms of ``data``, sorted by the canonical key."""
+    return tuple(sorted(((exp, c % ring.p) for exp, c in data.items()
+                         if c % ring.p),
+                        key=lambda term: rings._monomial_sort_key(term[0])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TERM_RINGS), st.data())
+def test_from_dict_orders_the_reduced_terms_canonically(ring, data):
+    # terms of several degrees, summed unreduced, so coefficients run past
+    # p and some cancel to a multiple of p
+    nvars = len(ring.variables)
+    terms = data.draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(0, 3)] * nvars), st.integers(-12, 12)),
+        max_size=10))
+    summed = {}
+    for exp, c in terms:
+        summed[exp] = summed.get(exp, 0) + c
+    assert ring._from_dict(summed).terms == _canonical(ring, summed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TERM_RINGS), st.integers(0, 5), st.data())
+def test_element_of_vector_is_from_dict_of_its_monomials(ring, d, data):
+    basis = ring.basis(d)
+    indices = st.sampled_from(range(len(basis))) if basis else st.nothing()
+    vec = data.draw(st.dictionaries(indices, st.integers(-12, 12)))
+    monomials = {basis[i]: c for i, c in vec.items()}
+    e = ring.element_of_vector(vec, d)
+    assert e.terms == ring._from_dict(monomials).terms
+    assert e.terms == _canonical(ring, monomials)
+
+
+POWER_BASES = (TERM_RINGS[0].parse("x + 2*z"), TERM_RINGS[1].parse("1 + x"),
+               FiniteLocalRing(3, 3).from_int(2),
+               FiniteLocalRing(2, 2, "t", 3).parse("1 + t"))
+
+
+# square-and-multiply: one product per set bit, and one squaring per bit
+# below the top one
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (16, 5),
+                                         (33, 7), (64, 7)])
+@pytest.mark.parametrize("base", POWER_BASES, ids=repr)
+def test_powers_form_no_squaring_past_the_top_bit(base, k, products):
+    calls = []
+    cls = type(base)
+    mul = cls.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "__mul__", counted)
+        power = base ** k
+    assert len(calls) == products
+    repeated = base.ring.one()
+    for _ in range(k):
+        repeated = repeated * base
+    assert power == repeated
+
+
 def test_graded_annihilator_of_x_is_y(pair_f5):
     # Ann(x) in degrees <= 8, as the exact pair (x, y) asks it
     assert pair_f5.exact_report.details["ann_x_generators"] == ["y"]
