@@ -103,7 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--b", required=True)
     sub = common(hom_g.add_parser("verify-end"))
     sub.add_argument("--a", required=True)
-    sub.add_argument("--idempotent-budget", type=int, default=None)
+    sub.add_argument("--idempotent-budget", type=int, default=None,
+                     help="cap on |End/m End|, whose elements are "
+                          "tested for idempotents unless End = A is "
+                          f"certified (default {LIMITS['end_maps']})")
     sub = common(hom_g.add_parser("verify-ext"))
     sub.add_argument("--a", required=True)
     sub.add_argument("--b", required=True)

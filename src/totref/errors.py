@@ -59,9 +59,9 @@ class TooLarge(TotrefError):
 
 
 # every size limit, as the default of the budget it caps: the cells of a
-# finite coset table or enumeration, the maps of the finite End idempotent
-# scan, and the integer CLI flags whose work grows with their value (n_max
-# also caps the number of --b multipliers)
+# finite coset table or enumeration, the elements of End/m End that the End
+# idempotent decision tests, and the integer CLI flags whose work grows
+# with their value (n_max also caps the number of --b multipliers)
 LIMITS = {"carrier": 2_000_000, "end_maps": 4096,
           "length": 64, "i_max": 64, "n_max": 16}
 

@@ -20,14 +20,15 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-from .errors import (LIMITS, InconclusiveStrategy, NonHomogeneous,
-                     PreconditionFailed, TotrefError, WrongBackend,
-                     check_size)
+from . import _fp
+from .errors import (LIMITS, EquivalenceViolation, InconclusiveStrategy,
+                     NonHomogeneous, PreconditionFailed, TotrefError,
+                     WrongBackend, check_size)
 from .family import (eta, gamma, module_g, module_h, periodic_resolution,
                      phi_matrix, verify_total_reflexivity)
 from .linalg import (Factored, Matrix, _column_degree, _flatten_vector,
-                     _twist_layout, _unflatten_vector, column_span_size,
-                     homology, hstack, kernel_gens, kron)
+                     _twist_layout, _unflatten_vector, homology, hstack,
+                     kernel_gens, kron)
 from .modules import (PresentedModule, _held, fitting_ideal,
                       hilbert_function, hom_memo, ideals_equal,
                       minimal_generator_count, verify_iso_witness)
@@ -881,10 +882,9 @@ def verify_end_ring(pair: ExactZeroDivisorPair, a, bound=None,
     A.  When both checks pass, the idempotent verdict is read off that
     ring isomorphism: A is local (finite backend) or connected graded
     (graded backend), so its only idempotents are 0 and 1.  Only when
-    End = A is not certified does the idempotent scan run, and only then
-    does idempotent_budget apply: the scan is exhaustive over map cosets
-    on the finite backend and over degree-zero generator combinations on
-    the graded one.
+    End = A is not certified are the idempotents decided on End/m End
+    (see _idempotent_decision), and only then does idempotent_budget apply,
+    to the size of that residue ring.
     """
     ring = pair.ring
     scope = scope_of(ring, bound)
@@ -899,10 +899,10 @@ def verify_end_ring(pair: ExactZeroDivisorPair, a, bound=None,
         onto = rep.add(_identity_generates(hp, span, scope))
         faithful = rep.add(_identity_faithful(hp, span, bound, scope))
         if not (onto.passed and faithful.passed):
-            rep.add(_idempotent_scan(hp, bound, idempotent_budget, scope))
+            rep.add(_idempotent_decision(hp, idempotent_budget, scope))
             continue
         # End = A is certified, and A has no idempotents but 0 and 1
-        details = {"classes": hp.module.size()} \
+        details = {"classes": ring.carrier_size()} \
             if isinstance(ring, FiniteLocalRing) else {}
         details["nontrivial_idempotents"] = []
         details["derived_from"] = [onto.name, faithful.name]
@@ -930,64 +930,66 @@ def _identity_faithful(hp: HomPresentation, span: Factored, bound, scope):
     return report(f"identity-faithful({hp.module.label})", ok, scope, {})
 
 
-def _idempotent_scan(hp: HomPresentation, bound, budget, scope):
-    ring = hp.ring
-    module = hp.target
-    name = f"no-nontrivial-idempotent({hp.module.label})"
-    budget = LIMITS["end_maps"] if budget is None else budget
+def _idempotent_decision(hp: HomPresentation, budget, scope):
+    """Decide the idempotents of End on B = End/m End (on the graded
+    backend on B_0, the part of the degree-preserving maps).
+
+    m End is nilpotent (on the graded backend in degree 0, where a map of
+    degree below the spread of the generator degrees is 0), so a
+    nontrivial idempotent of End stays nontrivial in B, and each one of B
+    lifts: e -> 3e^2 - 2e^3 ends at an idempotent over it (Lam, A First
+    Course in Noncommutative Rings, section 21).  The generators off the
+    pivots of the residues of the Hom relations span B, so they generate
+    End (Nakayama), and those of degree 0 are a basis of B: the residues
+    of their coefficients give the class of a map.  One solve per ordered
+    pair gives B's products, and all p^mu elements of B are tested, past
+    ``budget`` refused.
+    """
+    ring, module, p = hp.ring, hp.target, hp.ring.p
+    rho, rel = hp.module.rho, module.relations
+    pivots = _fp._echelon([{i: r for i, row in enumerate(rho.entries)
+                            if (r := ring.residue(row[j]))}
+                           for j in range(rho.ncols)], p)
+    kept = [i for i in range(hp.gen_count) if i not in pivots]
+    basis = [k for k, i in enumerate(kept) if hp.gen_degrees[i] in (0, None)]
+    check_size(p ** len(basis),
+               LIMITS["end_maps"] if budget is None else budget,
+               "End/m End of {value} elements exceeds the budget of {cap}")
+    span = Factored(_vec_span(module, module,
+                              [hp.generators[i] for i in kept],
+                              [hp.gen_degrees[i] for i in kept]))
+
+    def coords(psi) -> tuple:
+        """The coordinates of the class of psi in B."""
+        sol = _express(span, psi)
+        return tuple(ring.residue(sol.entries[k][0]) for k in basis)
+
+    ident = Matrix.identity(ring, module.ngens)
+    psis = [hp.generators[kept[k]].without_degrees() for k in basis]
+    table = [[coords(f * g) for g in psis] for f in psis]
+    trivial, dims = {(0,) * len(basis), coords(ident)}, range(len(basis))
     found = []
-    detail_scope = dict(scope)
-    if isinstance(ring, FiniteLocalRing):
-        # |End| = |A|^g / |im rho| for hp's module: refuse before any coset
-        # table, and without factoring rho, which the scan never reads
-        check_size(ring.carrier_size() ** hp.module.ngens
-                   // column_span_size(hp.module.rho), budget, _MAP_CAP)
-        tables, states = _map_closure(hp, budget)
-        n = module.ngens
-        # the identity's columns are its rows
-        ident = tuple(tables.indices_of_columns(
-            Matrix.identity(ring, n).entries))
-        zero = (tables.zero_idx,) * n
-        for state in sorted(states):
-            if state in (zero, ident):
-                continue
-            # f(f(e_k)) = sum_i c_i f(e_i) for the representative c of f(e_k)
-            square = []
-            for k in range(n):
-                acc = tables.zero_idx
-                for c, image in zip(tables.reps[state[k]], state):
-                    acc = tables.add[acc][tables.mul[c.coords][image]]
-                square.append(acc)
-            if tuple(square) == state:
-                found.append(repr(Matrix(
-                    ring, [[tables.reps[state[k]][i] for k in range(n)]
-                           for i in range(n)])))
-        detail = {"classes": len(states)}
-    else:
-        rho = module.relations
-        degree_zero = [psi for psi, t in zip(hp.generators, hp.gen_degrees)
-                       if t == 0]
-        check_size(ring.p ** len(degree_zero), budget,
-                   "degree-zero idempotent scan exceeds the budget")
-        ident = Matrix.identity(ring, module.ngens)
-        for coeffs in itertools.product(range(ring.p),
-                                        repeat=len(degree_zero)):
-            mat = Matrix.zeros(ring, module.ngens, module.ngens)
-            for c, psi in zip(coeffs, degree_zero):
-                if c:
-                    mat = mat + psi.without_degrees() * ring.from_int(c)
-            residual = mat * mat - mat
-            if not residual.is_zero and rho.solve(residual) is None:
-                continue
-            is_zero = mat.is_zero or rho.solve(mat) is not None
-            diff = mat - ident
-            is_id = diff.is_zero or rho.solve(diff) is not None
-            if not is_zero and not is_id:
-                found.append(repr(mat))
-        detail_scope["idempotent_candidates"] = "degree-zero combinations"
-        detail = {"degree_zero_generators": len(degree_zero)}
-    detail["nontrivial_idempotents"] = found[:4]
-    return report(name, not found, detail_scope, detail)
+    for c in itertools.product(range(p), repeat=len(basis)):
+        if c in trivial or any(sum(x * c[b] * table[a][b][k]
+                                   for a, x in enumerate(c) if x
+                                   for b in dims) % p != c[k] for k in dims):
+            continue
+        e = sum((psi * x for psi, x in zip(psis, c) if x),
+                Matrix.zeros(ring, module.ngens, module.ngens))
+        while rel.solve((square := e * e) - e) is None:
+            e = square * 3 - square * e * 2
+        if rel.solve(e) is not None or rel.solve(e - ident) is not None:
+            raise EquivalenceViolation(f"the idempotent {c} of End/m End "
+                                       "lifted to 0 or 1")
+        found.append(repr(e))
+        if len(found) == 4:
+            break
+    detail = {"classes": span.span.span_size()
+              // rel.span.span_size() ** module.ngens} \
+        if isinstance(ring, FiniteLocalRing) else {}
+    detail["nontrivial_idempotents"] = found
+    return report(f"no-nontrivial-idempotent({hp.module.label})", not found,
+                  scope, detail)
 
 
 # ---------------------------------------------------------------------------

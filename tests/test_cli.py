@@ -478,6 +478,23 @@ def test_a_caller_budget_refusal_names_the_count_and_the_budget(capsys):
         "coset table of 162 cells exceeds the budget of 100"
 
 
+def test_the_idempotent_budget_caps_end_mod_m(capsys):
+    # 3 kills End(G_3) over Z/9 with the pair (3, 3), so End/m End is End,
+    # of 81 elements: a budget of 81 decides, one below refuses
+    argv = ("hom", "verify-end", "--ring", Z9, "--x", "3", "--y", "3",
+            "--a", "3", "--probe", "--format", "json",
+            "--idempotent-budget")
+    code, out, _ = run(capsys, *argv, "1")
+    assert code == 2
+    assert json.loads(out)["message"] == \
+        "End/m End of 81 elements exceeds the budget of 1"
+    code, out, _ = run(capsys, *argv, "80")
+    assert code == 2
+    code, out, _ = run(capsys, *argv, "81")
+    assert code == 1
+    assert json.loads(out)["verdict"] == "fail"
+
+
 def test_closed_stdout_keeps_the_verdict_exit_code():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -12,9 +12,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ext_size, hom_count, matrix_columns, span_closure
+from oracles import (MonomialQuotientOracle, ext_mul, ext_size,
+                     hom_count, matrix_columns, module_image,
+                     parse_poly, rank_mod_p, slice_rows, span_closure)
 from totref import _zn, family, homcalc, linalg, modules
-from totref.errors import (InconclusiveStrategy, NonHomogeneous,
+from totref.errors import (LIMITS, InconclusiveStrategy, NonHomogeneous,
                            PreconditionFailed, TooLarge)
 from totref.family import module_g, module_h, phi_matrix
 from totref.linalg import Factored, Matrix
@@ -218,37 +220,51 @@ def test_table_cache_does_not_bypass_the_budget(z9, table_builds):
         homcalc._target_tables(module, 80)
 
 
-def test_end_scan_refuses_before_building_coset_tables(table_builds):
-    # over Z/729 with the pair (27, 27), |End(G_9)| = 3^10 > 4096
+def _z729_end_decision():
+    """verify_end_ring over Z/729 with the pair (27, 27) at a = 9, where
+    |End(G_9)| = 3^10, and its oracle for each flavor."""
     ring = FiniteLocalRing(3, 6)
     pair = exact_pair(ring, ring.from_int(27), ring.from_int(27))
-    with pytest.raises(TooLarge, match="^generated map set exceeds the "
-                                       "budget of 4096 maps$"):
-        verify_end_ring(pair, ring.from_int(9), strict=False)
+    a = ring.from_int(9)
+    rep = verify_end_ring(pair, a, strict=False)
+    return rep, [_EndOracle(module_g(pair, a, strict=False)),
+                 _EndOracle(module_h(pair, a, strict=False))]
+
+
+def test_end_decision_builds_no_coset_tables(table_builds):
+    # End is decided on End/m End: neither its 3^10 maps nor a coset
+    # table of the module are enumerated
+    rep, oracles = _z729_end_decision()
+    nodes = _idempotent_nodes(rep)
+    assert [node.details["classes"] for node in nodes] == [3 ** 10] * 2
+    for node, oracle in zip(nodes, oracles):
+        assert not node.passed and node.details["nontrivial_idempotents"]
+        for text in node.details["nontrivial_idempotents"]:
+            witness = oracle.witness(text)
+            assert oracle.is_map(witness)
+            assert oracle.is_nontrivial_idempotent(witness)
     assert table_builds == []
 
 
-def test_end_scan_refusal_factors_no_hom_relations(monkeypatch):
-    # |End| is read off the Hom relations' column span alone: the refusal
-    # builds no SpanSolver over them, which nothing on the scan would read
-    ring = FiniteLocalRing(3, 6)
-    pair = exact_pair(ring, ring.from_int(27), ring.from_int(27))
-    scanned, solved = [], []
-    scan, solver = homcalc._idempotent_scan, _zn.SpanSolver
+def test_end_decision_factors_no_hom_relations(monkeypatch):
+    # the decision reads the residues of the Hom relations alone: it
+    # builds no SpanSolver over them
+    decided, solved = [], []
+    decide, solver = homcalc._idempotent_decision, _zn.SpanSolver
 
     class Recorded(solver):
         def __init__(self, columns, n, height):
             solved.append(columns)
             super().__init__(columns, n, height)
 
-    monkeypatch.setattr(homcalc, "_idempotent_scan", lambda hp, *args:
-                        scanned.append(hp) or scan(hp, *args))
+    monkeypatch.setattr(homcalc, "_idempotent_decision", lambda hp, *args:
+                        decided.append(hp) or decide(hp, *args))
     monkeypatch.setattr(_zn, "SpanSolver", Recorded)
-    with pytest.raises(TooLarge, match="^generated map set exceeds the "
-                                       "budget of 4096 maps$"):
-        verify_end_ring(pair, ring.from_int(9), strict=False)
-    assert len(scanned) == 1 and solved
-    assert linalg._flatten_columns(scanned[0].module.rho)[0] not in solved
+    rep, _ = _z729_end_decision()
+    assert not rep.passed
+    assert len(decided) == 2 and solved
+    for hp in decided:
+        assert linalg._flatten_columns(hp.module.rho)[0] not in solved
 
 
 def _reference_tables(module):
@@ -630,6 +646,186 @@ def test_finite_end_scan_matches_oracles(a):
                     for col in matrix_columns(square)} <= relations
 
 
+def _idempotent_nodes(rep) -> list:
+    return [s for s in rep.subreports
+            if s.name.startswith("no-nontrivial-idempotent")]
+
+
+class _EndOracle:
+    """End(Coker rho) over A = (Z/m)[t]/(t^d) in oracle arithmetic.
+
+    A map is the list of the images of the generators, each the flattened
+    coordinates of a vector of A^n, as hom_maps_from_presentation lists
+    them.  A list of vectors is 0 when each lies in the A-span of the
+    columns of rho.
+    """
+
+    def __init__(self, module):
+        ring = module.ring
+        self.ring, self.m, self.d = ring, ring.n, ring.ext_degree
+        self.n = module.ngens
+        rows = [[e.coords for e in row] for row in module.rho.entries]
+        self.image = module_image(self.m, (0,) * self.d, rows)
+        self.relations = [self._flat(row[j] for row in rows)
+                          for j in range(len(rows[0]))]
+        unit = (1,) + (0,) * (self.d - 1)
+        zero = (0,) * self.d
+        self.one = [self._flat(unit if i == k else zero
+                               for i in range(self.n))
+                    for k in range(self.n)]
+        self.mul = functools.cache(
+            lambda a, b: ext_mul(self.m, (0,) * self.d, a, b))
+
+    @staticmethod
+    def _flat(elements) -> tuple:
+        return tuple(x for e in elements for x in e)
+
+    def _part(self, vec, i) -> tuple:
+        return tuple(vec[i * self.d:(i + 1) * self.d])
+
+    def apply(self, f, vec) -> list:
+        """f(vec) = sum_i vec_i f(e_i)."""
+        acc = [0] * (self.n * self.d)
+        for i, image in enumerate(f):
+            for j in range(self.n):
+                prod = self.mul(self._part(vec, i), self._part(image, j))
+                for s, x in enumerate(prod):
+                    acc[j * self.d + s] += x
+        return acc
+
+    def is_zero(self, vectors) -> bool:
+        return all(tuple(x % self.m for x in vec) in self.image
+                   for vec in vectors)
+
+    def is_map(self, f) -> bool:
+        return self.is_zero(self.apply(f, rel) for rel in self.relations)
+
+    def is_nontrivial_idempotent(self, f) -> bool:
+        def minus(u, v):
+            return [x - y for x, y in zip(u, v)]
+        return (self.is_zero(minus(self.apply(f, v), v) for v in f)
+                and not self.is_zero(f)
+                and not self.is_zero(map(minus, f, self.one)))
+
+    def witness(self, text: str) -> list:
+        """The map of a witness printed as [[a, b]; [c, d]]."""
+        rows = [[self.ring.parse(cell).coords
+                 for cell in row.strip("[]").split(", ")]
+                for row in text[1:-1].split("; ")]
+        return [self._flat(row[k] for row in rows) for k in range(self.n)]
+
+
+# (p, k, d, x, y, one a per principal ideal of Z/p^k[t]/(t^d), then 0)
+END_DECISION_CASES = [
+    (3, 2, 1, "3", "3", ["1", "3", "0"]),
+    (3, 3, 1, "3", "9", ["1", "3", "9", "0"]),
+    (2, 3, 1, "2", "4", ["1", "2", "4", "0"]),
+    (3, 4, 1, "9", "9", ["1", "3", "9", "27", "0"]),
+    (2, 2, 2, "t", "t", ["1", "t", "2", "t+2", "2*t", "0"]),
+    (2, 1, 3, "t", "t^2", ["1", "t", "t^2", "0"]),
+    (2, 1, 8, "t^4", "t^4", ["1", *(f"t^{i}" for i in range(1, 8)), "0"]),
+]
+
+
+@pytest.mark.parametrize("p, k, d, x, y, elems", END_DECISION_CASES)
+def test_end_decision_matches_the_coset_enumeration(p, k, d, x, y, elems):
+    # every reported witness is a nontrivial idempotent map, so a fail
+    # agrees with an exhaustive test; where End has at most the default
+    # idempotent budget of maps, the verdict is compared with an
+    # exhaustive idempotent test over the maps the coset closure reaches
+    ring = FiniteLocalRing(p, k, "t", d) if d > 1 else FiniteLocalRing(p, k)
+    pair = exact_pair(ring, ring.parse(x), ring.parse(y))
+    for a in map(ring.parse, elems):
+        with modules.hom_memo():
+            rep = verify_end_ring(pair, a, strict=False)
+            nodes = _idempotent_nodes(rep)
+            flavors = (module_g(pair, a, strict=False),
+                       module_h(pair, a, strict=False))
+            assert len(nodes) == len(flavors)
+            for node, module in zip(nodes, flavors):
+                oracle = _EndOracle(module)
+                witnesses = list(map(oracle.witness,
+                                     node.details["nontrivial_idempotents"]))
+                assert node.passed == (not witnesses)
+                for w in witnesses:
+                    assert oracle.is_map(w)
+                    assert oracle.is_nontrivial_idempotent(w)
+                if node.details["classes"] > LIMITS["end_maps"]:
+                    assert witnesses, (ring.format(a), module.label)
+                    continue
+                maps = hom_maps_from_presentation(
+                    hom_presentation(module, module))
+                assert len(maps) == node.details["classes"]
+                assert node.passed == \
+                    (not any(map(oracle.is_nontrivial_idempotent, maps)))
+
+
+def _graded_zero(oracle, module, columns) -> bool:
+    """Whether every column k, the image of generator k as a list of
+    oracle polynomials, lies in the image of rho, by slice ranks."""
+    ring = module.ring
+    rho = [[parse_poly(ring.format(e), ring.variables) for e in row]
+           for row in module.rho.entries]
+    row_degs, col_degs = module.rho.row_degs, module.rho.col_degs
+    for degree, column in zip(module.gen_degs, columns):
+        rows = slice_rows(oracle, rho, row_degs, col_degs, degree)
+        target = [(i, mono) for i, rdeg in enumerate(row_degs)
+                  for mono in oracle.basis(degree - rdeg)]
+        vec = [column[i].get(mono, 0) for i, mono in target]
+        augmented = [row + [v] for row, v in zip(rows, vec)]
+        if rank_mod_p(rows, ring.p) != rank_mod_p(augmented, ring.p):
+            return False
+    return True
+
+
+# the graded rings, pairs, windows and a elements of the golden corpus
+GRADED_END_PROBES = [
+    (5, ("x", "y", "z"), ((1, 1, 0),), "x", "y", 8, ["z", "z^2", "0"]),
+    (5, ("x", "y", "z"), ((1, 2, 0),), "x", "y^2", 4, ["z", "y", "0"]),
+    (5, ("x", "y", "z"), ((1, 2, 0),), "y^2", "x", 4, ["z", "y", "0"]),
+    (3, ("x", "y"), ((2, 0), (0, 2)), "x", "x", 3, ["y", "x", "0"]),
+    (3, ("x", "y"), ((2, 0), (0, 2)), "x+y", "x-y", 3, ["y", "x", "0"]),
+]
+
+
+@pytest.mark.parametrize("p, names, rels, x, y, bound, elems",
+                         GRADED_END_PROBES)
+def test_graded_end_witnesses_are_idempotent(p, names, rels, x, y, bound,
+                                             elems):
+    # each witness e is a degree-0 map with e^2 - e in im rho, e and
+    # e - 1 not
+    ring = GradedMonomialRing(p, names, rels)
+    pair = exact_pair(ring, ring.parse(x), ring.parse(y), bound)
+    oracle = MonomialQuotientOracle(p, len(names), rels)
+    unit = (0,) * len(names)
+    checked = 0
+    for a in map(ring.parse, elems):
+        rep = verify_end_ring(pair, a, bound, strict=False)
+        flavors = (module_g(pair, a, strict=False),
+                   module_h(pair, a, strict=False))
+        for node, module in zip(_idempotent_nodes(rep), flavors):
+            texts = node.details["nontrivial_idempotents"]
+            assert node.passed == (not texts)
+            n = range(module.ngens)
+            for text in texts:
+                e = [[parse_poly(cell, names)
+                      for cell in row.strip("[]").split(", ")]
+                     for row in text[1:-1].split("; ")]
+                # columns k of e, e^2 - e and e - 1
+                cols = [[e[i][k] for i in n] for k in n]
+                residual = [[functools.reduce(
+                    oracle.add, [oracle.mul(e[i][j], e[j][k]) for j in n],
+                    {m: -c for m, c in e[i][k].items()}) for i in n]
+                    for k in n]
+                off_one = [[oracle.add(e[i][k], {unit: -1} if i == k
+                                       else {}) for i in n] for k in n]
+                assert _graded_zero(oracle, module, residual)
+                assert not _graded_zero(oracle, module, cols)
+                assert not _graded_zero(oracle, module, off_one)
+                checked += 1
+    assert checked
+
+
 @pytest.mark.parametrize("k, x, y", [(3, 3, 9), (8, 81, 81)])
 def test_end_ring_certificate_settles_idempotents(k, x, y, table_builds):
     # once End = A is certified, A local gives the verdict: no coset
@@ -813,8 +1009,8 @@ def test_run_family_hom_table_follows_the_paper(pair_f5):
 
 
 def test_run_family_over_a_large_residue_field():
-    # the degree-zero idempotent scan would need 101^k candidates; the
-    # End = A certificate settles the verdict instead
+    # deciding the idempotents on End/m End would test 101^mu elements;
+    # the End = A certificate settles the verdict instead
     ring = GradedMonomialRing(101, ("x", "y", "z"), ((1, 1, 0),))
     pair = exact_pair(ring, ring.parse("x"), ring.parse("y"), 8)
     fam = run_family(pair, ["z"], n_max=3, bound=8)
